@@ -163,16 +163,12 @@ class AffineMap:
 
     verts: np.ndarray
     jac: np.ndarray
-    shift: np.ndarray
     det: float
     jac_inv_t: np.ndarray
     edge_normals: np.ndarray
     edge_tangents: np.ndarray
     edge_lengths: np.ndarray
     edge_signs: np.ndarray
-
-    def to_physical(self, ref_pts: np.ndarray) -> np.ndarray:
-        return ref_pts @ self.jac.T + self.shift
 
     def push_gradients(self, ref_grads: np.ndarray) -> np.ndarray:
         """(..., 2) reference gradients to physical ones."""
@@ -200,7 +196,7 @@ def affine_map_from_vertices(verts: np.ndarray, edge_signs=(1, 1, 1)) -> AffineM
         t = d / lengths[k]
         tangents[k] = t
         normals[k] = (t[1], -t[0])  # outward for counterclockwise traversal
-    return AffineMap(verts, jac, verts[0].copy(), det, jac_inv.T,
+    return AffineMap(verts, jac, det, jac_inv.T,
                      normals, tangents, lengths,
                      np.asarray(edge_signs, dtype=np.int8))
 
@@ -209,6 +205,14 @@ def map_affine(mesh: Mesh, t: int) -> AffineMap:
     """Affine map of triangle t, carrying the mesh's edge orientation signs."""
     return affine_map_from_vertices(mesh.vertices[mesh.triangles[t]],
                                     mesh.tri_edge_signs[t])
+
+
+def affine_points(verts: np.ndarray, ref_pts: np.ndarray):
+    """Jacobian determinants (nt,) and physical images (nt, nq, 2) of the
+    reference points under the affine maps of a (nt, 3, 2) vertex array."""
+    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    return det, np.einsum("qr,tdr->tqd", ref_pts, jac) + verts[:, None, 0]
 
 
 def edge_ref_points(k: int, s: np.ndarray) -> np.ndarray:

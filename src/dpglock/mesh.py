@@ -18,8 +18,6 @@ INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
 
-TAG_NAMES = {INTERIOR: "interior", DIRICHLET: "dirichlet", NEUMANN: "neumann"}
-
 ALL_DIRICHLET = "all_dirichlet"
 LEFT_RIGHT_DIRICHLET = "left_right_dirichlet"
 
@@ -93,7 +91,7 @@ def _vertex_tags_from_edges(n_vertices: int, edges: np.ndarray, edge_tags: np.nd
 
 
 def make_rect_mesh(r1: float, r2: float, ny: int) -> Mesh:
-    """Crisscross triangulation of (0, r1) x (0, r2) with ny cell rows.
+    """Triangulation of (0, r1) x (0, r2) with ny rows of diagonally split cells.
 
     The number of columns is chosen as round(ny * r1 / r2) so cells stay close
     to unit aspect ratio on anisotropic rectangles.  Each cell is split along
@@ -151,16 +149,14 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     edges, tri_edges, signs = _connect(children)
 
-    # sub-edge (parent endpoint, parent midpoint) inherits the parent tag
-    tag_of = {}
-    for e, tag in enumerate(mesh.edge_tags):
-        if tag != INTERIOR:
-            v0, v1 = mesh.edges[e]
-            tag_of[(min(v0, nv + e), max(v0, nv + e))] = tag
-            tag_of[(min(v1, nv + e), max(v1, nv + e))] = tag
-    edge_tags = np.array(
-        [tag_of.get((e0, e1), INTERIOR) for e0, e1 in edges], dtype=np.int8
-    )
+    # sub-edge (parent endpoint, parent midpoint) inherits the parent tag; the
+    # midpoint index is the higher one, and edges are sorted by (lower, higher)
+    n = len(vertices)
+    tagged = np.nonzero(mesh.edge_tags != INTERIOR)[0]
+    halves = mesh.edges[tagged] * n + (nv + tagged)[:, None]
+    edge_tags = np.full(len(edges), INTERIOR, dtype=np.int8)
+    edge_tags[np.searchsorted(edges[:, 0] * n + edges[:, 1], halves)] = \
+        mesh.edge_tags[tagged][:, None]
     vertex_tags = _vertex_tags_from_edges(len(vertices), edges, edge_tags)
     return Mesh(vertices, children, edges, tri_edges, signs, edge_tags, vertex_tags)
 
@@ -205,12 +201,3 @@ def shape_regularity(mesh: Mesh) -> float:
     diam = np.sqrt((sides ** 2).sum(axis=2)).max(axis=1)
     return float((diam ** 2 / mesh.signed_areas()).max())
 
-
-def write_debug_dump(mesh: Mesh, stream) -> None:
-    """Plain-text dump (one record per line) for eyeballing small meshes."""
-    for x, y in mesh.vertices:
-        stream.write(f"vertex {x!r} {y!r}\n")
-    for i, j, k in mesh.triangles:
-        stream.write(f"tri {i} {j} {k}\n")
-    for (i, j), tag in zip(mesh.edges, mesh.edge_tags):
-        stream.write(f"edge {i} {j} {TAG_NAMES[int(tag)]}\n")

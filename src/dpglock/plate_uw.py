@@ -197,14 +197,14 @@ def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
     return b
 
 
-def local_load_plate(amap: fc.AffineMap, f) -> np.ndarray:
-    """Load vector l[v] = -(f, v)_T; the tensor block is zero."""
+def local_load_plate(verts: np.ndarray, f) -> np.ndarray:
+    """Load vectors l[v] = -(f, v)_T of the triangles with (nt, 3, 2) vertex
+    array verts, shape (nt, 55); the tensor block is zero."""
     _, _, _, load_rule, v3_load, *_ = _kernels()
-    pts = amap.to_physical(load_rule.points)
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), float)
-    load = np.zeros(N_TEST)
-    load[:TEST_V] = -np.einsum("q,q,qi->i", load_rule.weights * amap.det,
-                               fv, v3_load.values)
+    det, pts = fc.affine_points(verts, load_rule.points)
+    fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
+    load = np.zeros((len(verts), N_TEST))
+    load[:, :TEST_V] = -(fv * load_rule.weights * det[:, None]) @ v3_load.values
     return load
 
 
@@ -219,13 +219,6 @@ class PlateDofMap:
     m: np.ndarray
     uhat: np.ndarray   # (nv, 3)
     mhat: np.ndarray   # (ne, 3)
-
-    def element_dofs(self, mesh: msh.Mesh, t: int) -> np.ndarray:
-        return np.concatenate([
-            [self.u[t]], self.m[t],
-            self.uhat[mesh.triangles[t]].ravel(),
-            self.mhat[mesh.tri_edges[t]].ravel(),
-        ])
 
     def all_element_dofs(self, mesh: msh.Mesh) -> np.ndarray:
         nt = mesh.n_triangles

@@ -99,14 +99,14 @@ def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
     return b
 
 
-def local_load_poisson(amap: fc.AffineMap, f, scale: float = 1.0) -> np.ndarray:
-    """Load vector l[v] = scale * (f, v)_T; the tau block is zero."""
+def local_load_poisson(verts: np.ndarray, f) -> np.ndarray:
+    """Load vectors l[v] = (f, v)_T of the triangles with (nt, 3, 2) vertex
+    array verts, shape (nt, 18); the tau block is zero."""
     _, _, load_rule, test_load, *_ = _kernels()
-    pts = amap.to_physical(load_rule.points)
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), float)
-    load = np.zeros(N_TEST)
-    load[:TEST_V] = scale * np.einsum("q,q,qi->i", load_rule.weights * amap.det,
-                                      fv, test_load.values)
+    det, pts = fc.affine_points(verts, load_rule.points)
+    fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
+    load = np.zeros((len(verts), N_TEST))
+    load[:, :TEST_V] = (fv * load_rule.weights * det[:, None]) @ test_load.values
     return load
 
 
@@ -121,12 +121,6 @@ class PoissonDofMap:
     sigma: np.ndarray
     uhat: np.ndarray
     sighat: np.ndarray
-
-    def element_dofs(self, mesh: msh.Mesh, t: int) -> np.ndarray:
-        return np.concatenate([
-            [self.u[t]], self.sigma[t],
-            self.uhat[mesh.triangles[t]], self.sighat[mesh.tri_edges[t]],
-        ])
 
     def all_element_dofs(self, mesh: msh.Mesh) -> np.ndarray:
         return np.column_stack([

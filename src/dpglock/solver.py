@@ -4,7 +4,8 @@ Each element contributes normal equations S = B^T G^-1 B obtained by solving
 with the Cholesky factor of its test Gram matrix; assembling S over the free
 trial unknowns and solving the resulting SPD system is the minimum-residual
 scheme, and the element residuals measured through G^-1 give the energy error
-estimator exactly.
+estimator exactly.  Congruent elements share G and B, so factorizations and
+solves run once per congruence class, batched over the class's elements.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_solve, cholesky
 from scipy.sparse.linalg import cg, splu
 
 from .mesh import Mesh
@@ -31,42 +32,47 @@ class NotSPDError(SolverError):
 
 
 @dataclass(frozen=True)
-class LocalSystem:
-    """Element system: test Gram matrix, trial-to-test matrix, load vector."""
+class Condensed:
+    """Element normal equations of a mesh, stored once per congruence class.
 
-    gram: np.ndarray
-    b: np.ndarray
-    load: np.ndarray
+    Elements equal up to translation share the test Gram matrix G and the
+    trial-to-test matrix B; only their loads differ.
+    """
 
-
-@dataclass(frozen=True)
-class CondensedLocal:
-    """Element normal equations plus what residual evaluation needs."""
-
-    schur: np.ndarray  # B^T G^-1 B
-    rhs: np.ndarray    # B^T G^-1 l
-    chol: tuple        # Cholesky factor of G
-    b: np.ndarray
-    load: np.ndarray
+    chol: np.ndarray   # (nc, n_test, n_test) lower Cholesky factors of G
+    b: np.ndarray      # (nc, n_test, n_trial)
+    schur: np.ndarray  # (nc, n_trial, n_trial) B^T G^-1 B
+    cls: np.ndarray    # (nt,) congruence class of each element
+    load: np.ndarray   # (nt, n_test)
+    rhs: np.ndarray    # (nt, n_trial) B^T G^-1 l
 
 
-def condense_local(ls: LocalSystem) -> CondensedLocal:
-    """Form the element normal equations through a Cholesky solve with G."""
+def condense_local(gram: np.ndarray, b: np.ndarray):
+    """Cholesky factor of one element's G and its normal matrix B^T G^-1 B."""
     try:
-        chol = cho_factor(ls.gram, lower=True, check_finite=False)
+        chol = cholesky(gram, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise NotSPDError(f"element Gram matrix is not SPD: {exc}") from exc
-    ginv_b = cho_solve(chol, ls.b, check_finite=False)
-    schur = ls.b.T @ ginv_b
-    schur = 0.5 * (schur + schur.T)
-    rhs = ginv_b.T @ ls.load
-    return CondensedLocal(schur, rhs, chol, ls.b, ls.load)
+    schur = b.T @ cho_solve((chol, True), b, check_finite=False)
+    return chol, 0.5 * (schur + schur.T)
 
 
-def condense_rhs(cl: CondensedLocal, load: np.ndarray) -> CondensedLocal:
-    """Condensed local with the same matrices but a new load vector."""
-    rhs = cl.b.T @ cho_solve(cl.chol, load, check_finite=False)
-    return CondensedLocal(cl.schur, rhs, cl.chol, cl.b, load)
+def condense_rhs(chol: np.ndarray, b: np.ndarray, cls: np.ndarray,
+                 load: np.ndarray) -> np.ndarray:
+    """Right sides B^T G^-1 l of all elements, one batched solve per class."""
+    rhs = np.empty((len(cls), b.shape[2]))
+    for c in range(len(chol)):
+        sel = cls == c
+        rhs[sel] = cho_solve((chol[c], True), load[sel].T, check_finite=False).T @ b[c]
+    return rhs
+
+
+def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray,
+             load: np.ndarray) -> Condensed:
+    """Condensed systems of a mesh from the (nc, ...) stacks of per-class G
+    and B, the class of each element, and the (nt, n_test) element loads."""
+    chol, schur = map(np.stack, zip(*map(condense_local, gram, b)))
+    return Condensed(chol, b, schur, cls, load, condense_rhs(chol, b, cls, load))
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ class GlobalSystem:
     rhs: np.ndarray
 
 
-def assemble_global(mesh: Mesh, dofmap, condensed) -> GlobalSystem:
+def assemble_global(mesh: Mesh, dofmap, cond: Condensed) -> GlobalSystem:
     """Sum the element normal equations over the free unknowns.
 
     Constrained slots are marked -1 in the dof map and simply dropped, which
@@ -85,8 +91,7 @@ def assemble_global(mesh: Mesh, dofmap, condensed) -> GlobalSystem:
     dofs = dofmap.all_element_dofs(mesh)
     if dofs.max() >= n:
         raise IndexError("dof map addresses beyond the free unknown count")
-    n_local = dofs.shape[1]
-    data = np.stack([c.schur for c in condensed])
+    data = cond.schur[cond.cls]
     rows = np.broadcast_to(dofs[:, :, None], data.shape)
     cols = np.broadcast_to(dofs[:, None, :], data.shape)
     keep = (rows >= 0) & (cols >= 0)
@@ -94,9 +99,8 @@ def assemble_global(mesh: Mesh, dofmap, condensed) -> GlobalSystem:
                            shape=(n, n)).tocsr()
 
     rhs = np.zeros(n)
-    g = np.stack([c.rhs for c in condensed])
     keep = dofs >= 0
-    np.add.at(rhs, dofs[keep], g[keep])
+    np.add.at(rhs, dofs[keep], cond.rhs[keep])
     return GlobalSystem(matrix, rhs)
 
 
@@ -153,12 +157,15 @@ def gather_local(dofs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def energy_residual(condensed, element_dofs: np.ndarray, x: np.ndarray):
+def energy_residual(cond: Condensed, element_dofs: np.ndarray, x: np.ndarray):
     """Per-element and global energy error: eta_T^2 = r^T G^-1 r with
     r = l - B x restricted to the element."""
-    eta_sq = np.empty(len(condensed))
-    for t, cl in enumerate(condensed):
-        r = cl.load - cl.b @ gather_local(element_dofs[t], x)
-        eta_sq[t] = r @ cho_solve(cl.chol, r, check_finite=False)
+    local = gather_local(element_dofs, x)
+    eta_sq = np.empty(len(cond.cls))
+    for c in range(len(cond.chol)):
+        sel = cond.cls == c
+        r = cond.load[sel] - local[sel] @ cond.b[c].T
+        ginv_r = cho_solve((cond.chol[c], True), r.T, check_finite=False)
+        eta_sq[sel] = np.einsum("ti,it->t", r, ginv_r)
     eta_sq = np.maximum(eta_sq, 0.0)
     return np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))

@@ -6,10 +6,11 @@ evaluated through their raw monomial coefficients, and derivatives are pushed
 to physical coordinates with an explicitly inverted Jacobian.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from dpglock import fem_core as fc
-from dpglock import mesh as msh
 
 
 def dense_triangle_rule(n=16):
@@ -46,6 +47,11 @@ def mono_eval(powers, pts, dx=0, dy=0):
 def expand_in_basis(basis, mono_vec):
     """Coefficients c with sum_i c_i basis_i = the polynomial given over monomials."""
     return np.linalg.solve(basis.coeffs.T, np.asarray(mono_vec, float))
+
+
+def physical(amap, ref_pts):
+    """Images of reference points under an element map."""
+    return ref_pts @ amap.jac.T + amap.verts[0]
 
 
 class ScalarTables:
@@ -130,7 +136,7 @@ def poisson_consistency_residual(mesh, u, grad_u, f, gamma):
     for t in range(mesh.n_triangles):
         amap = fc.map_affine(mesh, t)
         tab = ScalarTables(2, amap, vol_pts)
-        pts = amap.to_physical(vol_pts)
+        pts = physical(amap, vol_pts)
         w = vol_w * amap.det
         uu = u(pts[:, 0], pts[:, 1])
         gg = grad_u(pts[:, 0], pts[:, 1])
@@ -144,7 +150,7 @@ def poisson_consistency_residual(mesh, u, grad_u, f, gamma):
         r[12:18] = np.einsum("q,qi->i", w * uu, tab.dy) \
             + np.einsum("q,qi->i", w * gg[:, 1], tab.values)
         for k in range(3):
-            epts = amap.to_physical(fc.edge_ref_points(k, es))
+            epts = physical(amap, fc.edge_ref_points(k, es))
             wl = ew * amap.edge_lengths[k]
             n = amap.edge_normals[k]
             ue = u(epts[:, 0], epts[:, 1])
@@ -172,7 +178,7 @@ def plate_consistency_residual(mesh, u, grad_u, hess_u, div_m, f):
         amap = fc.map_affine(mesh, t)
         t3 = ScalarTables(3, amap, vol_pts)
         t4 = ScalarTables(4, amap, vol_pts)
-        pts = amap.to_physical(vol_pts)
+        pts = physical(amap, vol_pts)
         w = vol_w * amap.det
         uu = u(pts[:, 0], pts[:, 1])
         m = -hess_u(pts[:, 0], pts[:, 1])  # (nq, 3): xx, xy, yy
@@ -194,7 +200,7 @@ def plate_consistency_residual(mesh, u, grad_u, hess_u, div_m, f):
 
         for k in range(3):
             ref_e = fc.edge_ref_points(k, es)
-            epts = amap.to_physical(ref_e)
+            epts = physical(amap, ref_e)
             wl = ew * amap.edge_lengths[k]
             n = amap.edge_normals[k]
             tg = amap.edge_tangents[k]
@@ -243,35 +249,58 @@ class ArrayDofMap:
         return self._dofs
 
 
-def poisson_dense_minres(mesh, d, gamma, f):
-    """Brute-force minimum-residual solve of the Poisson system.
+def permuted(cond, order):
+    """The same condensed systems with the elements taken in the given order."""
+    return replace(cond, cls=cond.cls[order], load=cond.load[order],
+                   rhs=cond.rhs[order])
 
-    Assembles the full block-diagonal test Gram matrix and the stacked
-    trial-to-test matrix, inverts the Gram matrix through its
-    eigendecomposition, and solves the explicit dense normal equations.
-    """
-    from dpglock import poisson_uw as pw
 
-    dm = pw.dof_map_poisson(mesh)
+def _dense_minres(mesh, dm, n_test, gram, bmat, loads, solve):
+    """Assemble the full block-diagonal test Gram matrix and the stacked
+    trial-to-test matrix, invert the Gram matrix through its
+    eigendecomposition, and solve the explicit dense normal equations."""
     nt = mesh.n_triangles
-    n_test = nt * pw.N_TEST
-    big_b = np.zeros((n_test, dm.n_free))
-    big_l = np.zeros(n_test)
-    big_g = np.zeros((n_test, n_test))
-    for t in range(nt):
+    big_b = np.zeros((nt * n_test, dm.n_free))
+    big_g = np.zeros((nt * n_test, nt * n_test))
+    for t, dofs in enumerate(dm.all_element_dofs(mesh)):
         amap = fc.map_affine(mesh, t)
-        rows = slice(t * pw.N_TEST, (t + 1) * pw.N_TEST)
-        big_g[rows, rows] = pw.local_gram_poisson(amap, d)
-        b = pw.local_b_poisson(amap, gamma)
-        big_l[rows] = pw.local_load_poisson(amap, f)
-        for j, dof in enumerate(dm.element_dofs(mesh, t)):
+        rows = slice(t * n_test, (t + 1) * n_test)
+        big_g[rows, rows] = gram(amap)
+        b = bmat(amap)
+        for j, dof in enumerate(dofs):
             if dof >= 0:
                 big_b[rows, dof] += b[:, j]
+    big_l = loads.ravel()
     lam, vec = np.linalg.eigh(big_g)
     ginv = (vec / lam) @ vec.T
-    normal = big_b.T @ ginv @ big_b
-    rhs = big_b.T @ ginv @ big_l
-    x = np.linalg.solve(normal, rhs)
+    x = solve(big_b.T @ ginv @ big_b, big_b.T @ ginv @ big_l)
     resid = big_l - big_b @ x
     eta = float(np.sqrt(resid @ ginv @ resid))
     return x, eta, dm
+
+
+def poisson_dense_minres(mesh, d, gamma, f):
+    """Brute-force minimum-residual solve of the Poisson system."""
+    from dpglock import poisson_uw as pw
+
+    return _dense_minres(
+        mesh, pw.dof_map_poisson(mesh), pw.N_TEST,
+        lambda amap: pw.local_gram_poisson(amap, d),
+        lambda amap: pw.local_b_poisson(amap, gamma),
+        pw.local_load_poisson(mesh.vertices[mesh.triangles], f), np.linalg.solve)
+
+
+def plate_dense_minres(mesh, d, bc, f):
+    """Brute-force minimum-residual solve of the plate system.
+
+    The normal equations are solved in the minimum-norm least-squares sense:
+    on clamped layouts a constant twisting moment on every edge is in their
+    kernel, so only the fields and the residual are determined.
+    """
+    from dpglock import plate_uw as plw
+
+    return _dense_minres(
+        mesh, plw.dof_map_plate(mesh, bc), plw.N_TEST,
+        lambda amap: plw.local_gram_plate(amap, d), plw.local_b_plate,
+        plw.local_load_plate(mesh.vertices[mesh.triangles], f),
+        lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0])

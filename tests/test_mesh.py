@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -129,13 +127,3 @@ def test_refine_inherits_tags():
     assert (r.edge_tags == fresh.edge_tags).all()
     assert (r.vertex_tags == fresh.vertex_tags).all()
 
-
-def test_debug_dump_format():
-    m = msh.make_rect_mesh(1.0, 1.0, 1)
-    buf = io.StringIO()
-    msh.write_debug_dump(m, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == m.n_vertices + m.n_triangles + m.n_edges
-    assert lines[0].startswith("vertex ")
-    assert sum(1 for ln in lines if ln.startswith("tri ")) == m.n_triangles
-    assert any(ln.endswith("dirichlet") for ln in lines)

@@ -5,7 +5,7 @@ from scipy.linalg import cholesky
 from dpglock import fem_core as fc
 from dpglock import mesh as msh
 from dpglock import plate_uw as plw
-from helpers import (dense_edge_rule, dense_triangle_rule, expand_in_basis,
+from helpers import (dense_edge_rule, dense_triangle_rule, expand_in_basis, physical,
                      plate_consistency_residual, plate_gram_oracle)
 
 GENERAL_TRI = np.array([[0.1, -0.2], [1.1, 0.3], [0.3, 0.9]])
@@ -199,7 +199,7 @@ def test_interelement_trace_pairing_cancels():
         # expand each component of Q on this element: coefficients solve
         # values of the reference basis at mapped points = component values
         pts, _ = dense_triangle_rule(5)
-        phys = amap.to_physical(pts)
+        phys = physical(amap, pts)
         vand = fc.basis_p(4, pts).values
         coeffs = np.linalg.lstsq(
             vand, np.stack([q_comp(c, phys[:, 0], phys[:, 1]) for c in range(3)], axis=1),
@@ -265,19 +265,19 @@ def test_load_examples():
     amap = general_map()
     basis = fc.basis_p(3, np.zeros((1, 2)))
     ones = expand_in_basis(basis, np.eye(10)[0])
-    load = plw.local_load_plate(amap, lambda x, y: np.ones_like(x))
+    load = plw.local_load_plate(GENERAL_TRI[None], lambda x, y: np.ones_like(x))[0]
     assert np.isclose(ones @ load[:10], -amap.det / 2.0, rtol=1e-13)
     assert np.allclose(load[10:], 0.0)
-    assert np.allclose(plw.local_load_plate(amap, lambda x, y: 0.0 * x), 0.0)
+    assert np.allclose(plw.local_load_plate(GENERAL_TRI[None], lambda x, y: 0.0 * x), 0.0)
 
 
 def test_load_bilaplacian_against_dense_reference():
     *_, f = clamped_square_exact()
     verts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
     amap = fc.affine_map_from_vertices(verts)
-    load = plw.local_load_plate(amap, f)
+    load = plw.local_load_plate(verts[None], f)[0]
     pts, wts = dense_triangle_rule(24)
-    phys = amap.to_physical(pts)
+    phys = physical(amap, pts)
     vals = fc.basis_p(3, pts).values
     ref = -np.einsum("q,q,qi->i", wts * amap.det, f(phys[:, 0], phys[:, 1]), vals)
     assert np.allclose(load[:10], ref, atol=1e-9)
@@ -329,6 +329,6 @@ def test_dof_map_rejects_unknown_bc():
 def test_element_dofs_layout():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     dm = plw.dof_map_plate(mesh, plw.CLAMPED)
-    dofs = dm.element_dofs(mesh, 1)
-    assert dofs.shape == (22,)
-    assert (dofs == dm.all_element_dofs(mesh)[1]).all()
+    # [u, M (3), clamped deflection traces (9), mhat of edges (0,3) (2,3) (0,2)]
+    assert dm.all_element_dofs(mesh)[1].tolist() == [1, 5, 6, 7] + [-1] * 9 + [
+        14, 15, 16, 20, 21, 22, 11, 12, 13]

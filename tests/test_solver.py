@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 
 from dpglock import fem_core as fc
 from dpglock import mesh as msh
+from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import ArrayDofMap, poisson_dense_minres
+from helpers import ArrayDofMap, permuted, plate_dense_minres, poisson_dense_minres
 
 
 def random_spd(n, rng):
@@ -15,19 +15,24 @@ def random_spd(n, rng):
     return a @ a.T + n * np.eye(n)
 
 
+def condense_one(gram, b, load):
+    """Condensed system of a single element."""
+    return slv.condense(gram[None], b[None], np.zeros(1, dtype=np.int64), load[None])
+
+
 def test_condense_identity_gram():
     rng = np.random.default_rng(0)
     b = rng.standard_normal((6, 3))
     load = rng.standard_normal(6)
-    cl = slv.condense_local(slv.LocalSystem(np.eye(6), b, load))
-    assert np.allclose(cl.schur, b.T @ b, rtol=1e-13)
-    assert np.allclose(cl.rhs, b.T @ load, rtol=1e-13)
+    cond = condense_one(np.eye(6), b, load)
+    assert np.allclose(cond.schur[0], b.T @ b, rtol=1e-13)
+    assert np.allclose(cond.rhs[0], b.T @ load, rtol=1e-13)
 
 
 def test_condense_zero_b():
-    cl = slv.condense_local(slv.LocalSystem(np.eye(4), np.zeros((4, 2)), np.ones(4)))
-    assert np.allclose(cl.schur, 0.0)
-    assert np.allclose(cl.rhs, 0.0)
+    cond = condense_one(np.eye(4), np.zeros((4, 2)), np.ones(4))
+    assert np.allclose(cond.schur, 0.0)
+    assert np.allclose(cond.rhs, 0.0)
 
 
 def test_condense_matches_eigendecomposition_oracle():
@@ -35,43 +40,57 @@ def test_condense_matches_eigendecomposition_oracle():
     g = random_spd(12, rng)
     b = rng.standard_normal((12, 5))
     load = rng.standard_normal(12)
-    cl = slv.condense_local(slv.LocalSystem(g, b, load))
+    cond = condense_one(g, b, load)
     lam, vec = np.linalg.eigh(g)
     ginv = (vec / lam) @ vec.T
-    assert np.allclose(cl.schur, b.T @ ginv @ b, atol=1e-10)
-    assert np.allclose(cl.rhs, b.T @ ginv @ load, atol=1e-10)
+    assert np.allclose(cond.schur[0], b.T @ ginv @ b, atol=1e-10)
+    assert np.allclose(cond.rhs[0], b.T @ ginv @ load, atol=1e-10)
 
 
 def test_condense_schur_positive_semidefinite():
     rng = np.random.default_rng(2)
-    cl = slv.condense_local(slv.LocalSystem(random_spd(8, rng),
-                                            rng.standard_normal((8, 4)),
-                                            np.zeros(8)))
-    assert np.allclose(cl.schur, cl.schur.T)
+    _, schur = slv.condense_local(random_spd(8, rng), rng.standard_normal((8, 4)))
+    assert np.allclose(schur, schur.T)
     for _ in range(20):
         v = rng.standard_normal(4)
-        assert v @ cl.schur @ v >= -1e-12
+        assert v @ schur @ v >= -1e-12
 
 
 def test_condense_rejects_indefinite():
     g = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(slv.NotSPDError):
-        slv.condense_local(slv.LocalSystem(g, np.zeros((3, 1)), np.zeros(3)))
+        slv.condense_local(g, np.zeros((3, 1)))
+
+
+def test_condense_mesh_separates_similar_elements_of_different_size():
+    # a unit right triangle and a disjoint copy scaled by two: congruence
+    # classes must tell them apart although their Jacobians are parallel
+    verts = np.array([[0, 0], [1, 0], [0, 1], [3, 0], [5, 0], [3, 2]], float)
+    tris = np.array([[0, 1, 2], [3, 4, 5]])
+    edges, tri_edges, signs = msh._connect(tris)
+    mesh = msh.Mesh(verts, tris, edges, tri_edges, signs,
+                    np.zeros(len(edges), np.int8), np.zeros(len(verts), np.int8))
+    cfg = sc.StudyConfig(problem="poisson")
+    cond = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
+    for t in range(mesh.n_triangles):
+        amap = fc.map_affine(mesh, t)
+        _, schur = slv.condense_local(pw.local_gram_poisson(amap, 1.0),
+                                      pw.local_b_poisson(amap, 0.0))
+        assert np.allclose(cond.schur[cond.cls[t]], schur, rtol=1e-13, atol=0.0)
 
 
 def test_assemble_single_element_is_free_submatrix():
     rng = np.random.default_rng(3)
-    cl = slv.condense_local(slv.LocalSystem(random_spd(6, rng),
-                                            rng.standard_normal((6, 4)),
-                                            rng.standard_normal(6)))
+    cond = condense_one(random_spd(6, rng), rng.standard_normal((6, 4)),
+                        rng.standard_normal(6))
     dm = ArrayDofMap([[1, -1, 0, 2]], n_free=3)
-    gs = slv.assemble_global(None, dm, [cl])
+    gs = slv.assemble_global(None, dm, cond)
     keep = [0, 2, 3]
     perm = [1, 0, 2]  # local slots of global dofs 0, 1, 2
     dense = gs.matrix.toarray()
-    expected = cl.schur[np.ix_(keep, keep)][np.ix_(perm, perm)]
+    expected = cond.schur[0][np.ix_(keep, keep)][np.ix_(perm, perm)]
     assert np.allclose(dense, expected, rtol=1e-14)
-    assert np.allclose(gs.rhs, cl.rhs[keep][perm], rtol=1e-14)
+    assert np.allclose(gs.rhs, cond.rhs[0][keep][perm], rtol=1e-14)
 
 
 def test_assemble_element_order_invariance():
@@ -84,7 +103,7 @@ def test_assemble_element_order_invariance():
 
     order = np.arange(mesh.n_triangles)[::-1]
     dm_perm = ArrayDofMap(dm.all_element_dofs(mesh)[order], dm.n_free)
-    gs_perm = slv.assemble_global(None, dm_perm, [condensed[t] for t in order])
+    gs_perm = slv.assemble_global(None, dm_perm, permuted(condensed, order))
     diff = (gs.matrix - gs_perm.matrix).toarray()
     scale = np.abs(gs.matrix.toarray()).max()
     assert np.abs(diff).max() <= 1e-14 * scale
@@ -109,7 +128,7 @@ def test_assemble_against_hand_assembled_two_triangle_matrix():
 
     hand = np.zeros((11, 11))
     for t in range(2):
-        s = condensed[t].schur
+        s = condensed.schur[condensed.cls[t]]
         for i in range(9):
             for j in range(9):
                 gi, gj = hand_dofs[t, i], hand_dofs[t, j]
@@ -188,11 +207,12 @@ def test_energy_residual_matches_dense_riesz_oracle():
     big_g = np.zeros((n_test, n_test))
     r_glob = np.zeros(n_test)
     dofs = dm.all_element_dofs(mesh)
-    for t, cl in enumerate(condensed):
+    for t in range(mesh.n_triangles):
         rows = slice(t * pw.N_TEST, (t + 1) * pw.N_TEST)
         amap = fc.map_affine(mesh, t)
         big_g[rows, rows] = pw.local_gram_poisson(amap, 1.0)
-        r_glob[rows] = cl.load - cl.b @ slv.gather_local(dofs[t], x)
+        b = condensed.b[condensed.cls[t]]
+        r_glob[rows] = condensed.load[t] - b @ slv.gather_local(dofs[t], x)
     y = np.linalg.solve(big_g, r_glob)
     assert np.isclose(eta ** 2, r_glob @ y, rtol=1e-10)
 
@@ -202,7 +222,7 @@ def test_energy_residual_permutation_invariant():
     dofs = dm.all_element_dofs(mesh)
     _, eta = slv.energy_residual(condensed, dofs, x)
     order = np.arange(mesh.n_triangles)[::-1]
-    _, eta_perm = slv.energy_residual([condensed[t] for t in order], dofs[order], x)
+    _, eta_perm = slv.energy_residual(permuted(condensed, order), dofs[order], x)
     assert np.isclose(eta, eta_perm, rtol=1e-14)
 
 
@@ -238,3 +258,41 @@ def test_pipeline_matches_dense_minimum_residual():
         _, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh), x)
         assert np.isclose(eta, eta_dense, rtol=1e-9)
         mesh = msh.refine_uniform(mesh)
+
+
+def unit_square_meshes():
+    mesh = msh.make_rect_mesh(1.0, 1.0, 1)
+    return mesh, msh.refine_uniform(mesh)  # 2 and 8 triangles
+
+
+def test_plate_pipeline_matches_dense_minimum_residual_clamped():
+    # a constant m_tn on every edge is a null vector of the clamped system, so
+    # the traces are not unique: compare the fields and the residual
+    cfg = sc.StudyConfig(problem="plate")
+    exact = sc.exact_bundle(cfg)
+    for mesh in unit_square_meshes():
+        dm = plw.dof_map_plate(mesh, plw.CLAMPED)
+        condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
+        x = slv.solve_spd(slv.assemble_global(mesh, dm, condensed))
+        x_dense, eta_dense, _ = plate_dense_minres(mesh, 1.0, plw.CLAMPED, exact.f)
+        fields = np.concatenate([dm.u, dm.m.ravel()])
+        scale = max(1.0, np.abs(x_dense[fields]).max())  # fields vanish on 2 triangles
+        assert np.abs(x[fields] - x_dense[fields]).max() < 1e-8 * scale
+        _, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh), x)
+        assert np.isclose(eta, eta_dense, rtol=1e-9)
+
+
+def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
+    # the scaled norm (d = 4) leaves a normal matrix of condition ~6e7
+    cfg = sc.StudyConfig(problem="plate", r1=4.0, r2=1.0, bc="mixed", norm="scaled")
+    exact = sc.exact_bundle(cfg)
+    d = sc.pick_d(cfg)
+    mesh = msh.classify_boundary(msh.make_rect_mesh(4.0, 1.0, 1),
+                                 msh.LEFT_RIGHT_DIRICHLET)
+    dm = plw.dof_map_plate(mesh, plw.MIXED_FREE)
+    condensed = sc.condense_mesh(mesh, cfg, d, exact.f)
+    x = slv.solve_spd(slv.assemble_global(mesh, dm, condensed))
+    x_dense, eta_dense, _ = plate_dense_minres(mesh, d, plw.MIXED_FREE, exact.f)
+    assert np.abs(x - x_dense).max() < 1e-6 * np.abs(x_dense).max()
+    _, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh), x)
+    assert np.isclose(eta, eta_dense, rtol=1e-9)

@@ -109,24 +109,20 @@ def test_compute_errors_zero_solution_norm():
     exact = sc.exact_bundle(cfg)
     mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 2), msh.ALL_DIRICHLET)
     dm = pw.dof_map_poisson(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-    err_u, err_flux, eta = sc.compute_errors(mesh, dm, np.zeros(dm.n_free),
-                                             exact, condensed)
+    err_u, err_flux = sc.compute_errors(mesh, dm, np.zeros(dm.n_free), exact)
     assert np.isclose(err_u, 0.5, rtol=1e-9)
     assert np.isclose(err_flux, np.pi / np.sqrt(2), rtol=1e-9)
 
 
 def test_compute_errors_exactly_zero_for_zero_problem():
-    cfg = cfg_poisson()
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     dm = pw.dof_map_poisson(mesh)
     zero = lambda x, y: 0.0 * x
     bundle = sc.ExactBundle(
         u=zero, grad=lambda x, y: np.stack([0.0 * x, 0.0 * x], -1),
         hess=lambda x, y: np.stack([0.0 * x] * 3, -1), f=zero)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, zero)
-    errs = sc.compute_errors(mesh, dm, np.zeros(dm.n_free), bundle, condensed)
-    assert errs == (0.0, 0.0, 0.0)
+    errs = sc.compute_errors(mesh, dm, np.zeros(dm.n_free), bundle)
+    assert errs == (0.0, 0.0)
 
 
 def test_run_study_errors_decrease():
@@ -154,9 +150,14 @@ def test_run_study_single_level_row_count():
     assert len(lines) == 3  # comment, header, one data row
 
 
-def test_run_study_energy_column_uses_picked_scaling():
-    cfg = cfg_poisson(r1=10.0, r2=10.0, norm="scaled", levels=1)
+def test_run_study_energy_column_uses_picked_scaling(monkeypatch):
+    cfg = cfg_poisson(r1=10.0, r2=10.0, norm="scaled", levels=2)
+    calls = []
+    energy_residual = slv.energy_residual
+    monkeypatch.setattr(slv, "energy_residual",
+                        lambda *args: calls.append(args) or energy_residual(*args))
     rows = sc.run_study(cfg)
+    assert len(calls) == cfg.levels  # one energy residual per level
     exact = sc.exact_bundle(cfg)
     mesh = msh.classify_boundary(msh.make_rect_mesh(10.0, 10.0, 2),
                                  msh.ALL_DIRICHLET)
