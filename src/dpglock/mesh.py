@@ -4,7 +4,8 @@ Meshes are immutable value objects: triangles are stored counterclockwise,
 edges with the lower vertex index first, and every triangle records for each
 of its edges whether its outward normal agrees with the global edge normal
 (the normal obtained by rotating the lower-to-higher-index direction
-clockwise by 90 degrees).
+clockwise by 90 degrees).  A DofMap numbers the unknowns that live on the
+triangles, vertices and edges of a mesh.
 """
 
 from __future__ import annotations
@@ -65,6 +66,54 @@ class Mesh:
         """Edges incident to exactly one triangle."""
         counts = np.bincount(self.tri_edges.ravel(), minlength=self.n_edges)
         return counts == 1
+
+
+@dataclass(frozen=True)
+class DofMap:
+    """Global numbering of the free unknowns of an ultraweak system.
+
+    field:  (nt, n_field) piecewise-constant fields; column 0 numbers u
+    vertex: (nv, k) trace components per vertex
+    edge:   (ne, k) trace components per edge
+
+    Unknowns are numbered u by triangle, then the other field components
+    triangle by triangle, then the free vertex components in vertex order,
+    then the free edge components in edge order.  Fixed slots hold -1.
+    """
+
+    n_free: int
+    field: np.ndarray
+    vertex: np.ndarray
+    edge: np.ndarray
+
+    @classmethod
+    def number(cls, mesh: Mesh, n_field: int, vertex_fixed: np.ndarray,
+               edge_fixed: np.ndarray):
+        """Number the unknowns, leaving out the slots set in the (nv, k)
+        and (ne, k) masks."""
+        nt = mesh.n_triangles
+        field = np.column_stack([
+            np.arange(nt, dtype=np.int64),
+            nt + np.arange(nt * (n_field - 1), dtype=np.int64).reshape(nt, -1)])
+        offset = n_field * nt
+        blocks = []
+        for fixed in (vertex_fixed, edge_fixed):
+            ids = np.full(fixed.shape, -1, dtype=np.int64)
+            free = ~fixed
+            ids[free] = offset + np.arange(free.sum())
+            offset += free.sum()
+            blocks.append(ids)
+        return cls(int(offset), field, *blocks)
+
+    def all_element_dofs(self, mesh: Mesh) -> np.ndarray:
+        """(nt, n_field + 3 k_vertex + 3 k_edge) global index of every local
+        trial slot, -1 where fixed."""
+        nt = mesh.n_triangles
+        return np.column_stack([
+            self.field,
+            self.vertex[mesh.triangles].reshape(nt, -1),
+            self.edge[mesh.tri_edges].reshape(nt, -1),
+        ])
 
 
 def _connect(triangles: np.ndarray):

@@ -50,7 +50,6 @@ Local trial column order: [u, M11, M12, M22, (w, w_x, w_y) x vertices 0..2,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,10 +68,6 @@ EDGE_DEGREE = 9
 LOAD_DEGREE = 16
 
 COMPONENT_WEIGHT = (1.0, 2.0, 1.0)  # multiplicity of (11, 12, 22) in tensor products
-
-CLAMPED = "clamped"
-SIMPLY_SUPPORTED = "simply_supported"
-MIXED_FREE = "mixed_free"
 
 
 def _hermite(s):
@@ -208,78 +203,23 @@ def local_load_plate(verts: np.ndarray, f) -> np.ndarray:
     return load
 
 
-@dataclass(frozen=True)
-class PlateDofMap:
-    """Global numbering: u by triangle, then M, then the free deflection-trace
-    components in vertex order (w, w_x, w_y), then the free moment-trace
-    components in edge order (m_nn, q_eff, m_tn).  Constrained slots hold -1."""
-
-    n_free: int
-    u: np.ndarray
-    m: np.ndarray
-    uhat: np.ndarray   # (nv, 3)
-    mhat: np.ndarray   # (ne, 3)
-
-    def all_element_dofs(self, mesh: msh.Mesh) -> np.ndarray:
-        nt = mesh.n_triangles
-        return np.column_stack([
-            self.u, self.m,
-            self.uhat[mesh.triangles].reshape(nt, 9),
-            self.mhat[mesh.tri_edges].reshape(nt, 9),
-        ])
+class PlateDofMap(msh.DofMap):
+    """Columns: field (u, M11, M12, M22), vertex (w, w_x, w_y), edge (m_nn,
+    q_eff, m_tn)."""
 
 
-def _tangential_component(tangent):
-    """Which gradient component the edge tangent constrains (axis-aligned only)."""
-    if abs(tangent[0]) > 1.0 - 1e-9:
-        return 1
-    if abs(tangent[1]) > 1.0 - 1e-9:
-        return 2
-    raise NotImplementedError(
-        "simply supported constraints require axis-aligned boundary edges")
+def dof_map_plate(mesh: msh.Mesh) -> PlateDofMap:
+    """Clamped on Dirichlet vertices (the whole deflection triple fixed) and
+    free on Neumann edges (all three moment-trace components fixed; zeroing
+    m_tn there is a subspace of the jump-free twisting moments the free
+    boundary requires).
 
-
-def dof_map_plate(mesh: msh.Mesh, bc: str) -> PlateDofMap:
-    """Degree-of-freedom layout under clamped, simply supported, or mixed
-    (clamped on the Dirichlet part, free on the Neumann part) conditions.
-
-    Clamped fixes the whole deflection triple at boundary vertices.  Simply
-    supported fixes the value and the tangential derivative along each
-    boundary edge (the full gradient at corners) plus m_nn on boundary edges.
-    The mixed layout clamps Dirichlet-tagged vertices and fixes all three
-    moment-trace components on Neumann edges; zeroing m_tn there is a
-    subspace of the jump-free twisting moments the free boundary requires.
+    A constant m_tn on every edge telescopes to zero around each triangle, so
+    without a Neumann edge it spans the kernel of the system; fixing m_tn on
+    the first boundary edge removes it.
     """
-    if bc not in (CLAMPED, SIMPLY_SUPPORTED, MIXED_FREE):
-        raise ValueError(f"unknown plate boundary condition {bc!r}")
-    nt = mesh.n_triangles
-    boundary = mesh.boundary_edge_mask()
-    uhat_fixed = np.zeros((mesh.n_vertices, 3), dtype=bool)
-    mhat_fixed = np.zeros((mesh.n_edges, 3), dtype=bool)
-
-    if bc == CLAMPED:
-        uhat_fixed[mesh.edges[boundary].ravel(), :] = True
-    elif bc == SIMPLY_SUPPORTED:
-        for e in np.nonzero(boundary)[0]:
-            v0, v1 = mesh.edges[e]
-            d = mesh.vertices[v1] - mesh.vertices[v0]
-            comp = _tangential_component(d / np.hypot(*d))
-            uhat_fixed[[v0, v1], 0] = True
-            uhat_fixed[[v0, v1], comp] = True
-            mhat_fixed[e, 0] = True
-    else:
-        uhat_fixed[mesh.vertex_tags == msh.DIRICHLET, :] = True
-        mhat_fixed[mesh.edge_tags == msh.NEUMANN, :] = True
-
-    u = np.arange(nt, dtype=np.int64)
-    m = nt + np.arange(3 * nt, dtype=np.int64).reshape(nt, 3)
-    offset = 4 * nt
-    uhat = np.full((mesh.n_vertices, 3), -1, dtype=np.int64)
-    free = ~uhat_fixed.ravel()
-    uhat.ravel()[free] = offset + np.arange(free.sum())
-    offset += free.sum()
-    mhat = np.full((mesh.n_edges, 3), -1, dtype=np.int64)
-    free = ~mhat_fixed.ravel()
-    mhat.ravel()[free] = offset + np.arange(free.sum())
-    offset += free.sum()
-    return PlateDofMap(int(offset), u, m, uhat, mhat)
+    vertex_fixed = np.repeat((mesh.vertex_tags == msh.DIRICHLET)[:, None], 3, axis=1)
+    edge_fixed = np.repeat((mesh.edge_tags == msh.NEUMANN)[:, None], 3, axis=1)
+    if not edge_fixed.any():
+        edge_fixed[np.argmax(mesh.boundary_edge_mask()), 2] = True
+    return PlateDofMap.number(mesh, 4, vertex_fixed, edge_fixed)

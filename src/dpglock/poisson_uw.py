@@ -14,7 +14,6 @@ test row order: [v (6), tau_x (6), tau_y (6)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -110,38 +109,11 @@ def local_load_poisson(verts: np.ndarray, f) -> np.ndarray:
     return load
 
 
-@dataclass(frozen=True)
-class PoissonDofMap:
-    """Global numbering of the free unknowns: u by triangle, then sigma, then
-    free uhat in vertex order, then free sighat in edge order.  Constrained
-    slots (uhat on Dirichlet vertices, sighat on Neumann edges) hold -1."""
-
-    n_free: int
-    u: np.ndarray
-    sigma: np.ndarray
-    uhat: np.ndarray
-    sighat: np.ndarray
-
-    def all_element_dofs(self, mesh: msh.Mesh) -> np.ndarray:
-        return np.column_stack([
-            self.u, self.sigma,
-            self.uhat[mesh.triangles], self.sighat[mesh.tri_edges],
-        ])
+class PoissonDofMap(msh.DofMap):
+    """Columns: field (u, sigma_x, sigma_y), vertex (uhat), edge (sighat)."""
 
 
 def dof_map_poisson(mesh: msh.Mesh) -> PoissonDofMap:
-    nt = mesh.n_triangles
-    u = np.arange(nt, dtype=np.int64)
-    sigma = nt + np.arange(2 * nt, dtype=np.int64).reshape(nt, 2)
-    offset = 3 * nt
-
-    uhat = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    free_v = mesh.vertex_tags != msh.DIRICHLET
-    uhat[free_v] = offset + np.arange(free_v.sum())
-    offset += free_v.sum()
-
-    sighat = np.full(mesh.n_edges, -1, dtype=np.int64)
-    free_e = mesh.edge_tags != msh.NEUMANN
-    sighat[free_e] = offset + np.arange(free_e.sum())
-    offset += free_e.sum()
-    return PoissonDofMap(int(offset), u, sigma, uhat, sighat)
+    """uhat is fixed on Dirichlet vertices, sighat on Neumann edges."""
+    return PoissonDofMap.number(mesh, 3, (mesh.vertex_tags == msh.DIRICHLET)[:, None],
+                                (mesh.edge_tags == msh.NEUMANN)[:, None])

@@ -17,8 +17,6 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve, cholesky
 from scipy.sparse.linalg import cg, splu
 
-from .mesh import Mesh
-
 DIRECT_SOLVE_LIMIT = 200_000
 SOLVE_TOLERANCE = 1e-10
 
@@ -81,14 +79,13 @@ class GlobalSystem:
     rhs: np.ndarray
 
 
-def assemble_global(mesh: Mesh, dofmap, cond: Condensed) -> GlobalSystem:
-    """Sum the element normal equations over the free unknowns.
+def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
+    """Sum the element normal equations over the n free unknowns, given the
+    (nt, n_trial) global index of every element's trial slots.
 
-    Constrained slots are marked -1 in the dof map and simply dropped, which
-    imposes the (homogeneous) essential conditions.
+    Constrained slots are marked -1 and simply dropped, which imposes the
+    (homogeneous) essential conditions.
     """
-    n = dofmap.n_free
-    dofs = dofmap.all_element_dofs(mesh)
     if dofs.max() >= n:
         raise IndexError("dof map addresses beyond the free unknown count")
     data = cond.schur[cond.cls]

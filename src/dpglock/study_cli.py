@@ -185,20 +185,17 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
 
 @dataclass(frozen=True)
 class LevelSolution:
-    dofmap: object
+    dofmap: msh.DofMap
     x: np.ndarray
     eta: float
 
 
 def solve_level(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> LevelSolution:
-    if cfg.problem == POISSON:
-        dofmap = pw.dof_map_poisson(mesh)
-    else:
-        bc = plw.CLAMPED if cfg.bc == BC_DIRICHLET else plw.MIXED_FREE
-        dofmap = plw.dof_map_plate(mesh, bc)
+    dofmap = (pw.dof_map_poisson if cfg.problem == POISSON else plw.dof_map_plate)(mesh)
     cond = condense_mesh(mesh, cfg, d, f)
-    x = slv.solve_spd(slv.assemble_global(mesh, dofmap, cond))
-    _, eta = slv.energy_residual(cond, dofmap.all_element_dofs(mesh), x)
+    dofs = dofmap.all_element_dofs(mesh)
+    x = slv.solve_spd(slv.assemble_global(dofs, dofmap.n_free, cond))
+    _, eta = slv.energy_residual(cond, dofs, x)
     return LevelSolution(dofmap, x, eta)
 
 
@@ -209,19 +206,15 @@ def compute_errors(mesh: msh.Mesh, dofmap, x: np.ndarray, exact: ExactBundle) ->
     det, phys = fc.affine_points(mesh.vertices[mesh.triangles], rule.points)
     xq, yq = phys[..., 0], phys[..., 1]
 
-    u_h = x[dofmap.u]
-    err_u_sq = np.einsum("tq,q,t->", (exact.u(xq, yq) - u_h[:, None]) ** 2,
+    fields = x[dofmap.field]
+    err_u_sq = np.einsum("tq,q,t->", (exact.u(xq, yq) - fields[:, :1]) ** 2,
                          rule.weights, det)
     if isinstance(dofmap, pw.PoissonDofMap):
-        flux_h = slv.gather_local(dofmap.sigma, x)
-        diff = exact.grad(xq, yq) - flux_h[:, None, :]
-        err_flux_sq = np.einsum("tqc,tqc,q,t->", diff, diff, rule.weights, det)
+        flux, weight = exact.grad(xq, yq), np.ones(2)
     else:
-        moment_h = slv.gather_local(dofmap.m, x)
-        diff = -exact.hess(xq, yq) - moment_h[:, None, :]
-        weight = np.array(plw.COMPONENT_WEIGHT)
-        err_flux_sq = np.einsum("tqc,tqc,c,q,t->", diff, diff, weight,
-                                rule.weights, det)
+        flux, weight = -exact.hess(xq, yq), np.array(plw.COMPONENT_WEIGHT)
+    diff = flux - fields[:, None, 1:]
+    err_flux_sq = np.einsum("tqc,tqc,c,q,t->", diff, diff, weight, rule.weights, det)
     return float(np.sqrt(err_u_sq)), float(np.sqrt(err_flux_sq))
 
 

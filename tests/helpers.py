@@ -238,24 +238,13 @@ def plate_consistency_residual(mesh, u, grad_u, hess_u, div_m, f):
     return worst
 
 
-class ArrayDofMap:
-    """Stand-in dof map built from an explicit element-dof table."""
-
-    def __init__(self, dofs, n_free):
-        self._dofs = np.asarray(dofs, dtype=np.int64)
-        self.n_free = int(n_free)
-
-    def all_element_dofs(self, mesh=None):
-        return self._dofs
-
-
 def permuted(cond, order):
     """The same condensed systems with the elements taken in the given order."""
     return replace(cond, cls=cond.cls[order], load=cond.load[order],
                    rhs=cond.rhs[order])
 
 
-def _dense_minres(mesh, dm, n_test, gram, bmat, loads, solve):
+def _dense_minres(mesh, dm, n_test, gram, bmat, loads):
     """Assemble the full block-diagonal test Gram matrix and the stacked
     trial-to-test matrix, invert the Gram matrix through its
     eigendecomposition, and solve the explicit dense normal equations."""
@@ -273,7 +262,7 @@ def _dense_minres(mesh, dm, n_test, gram, bmat, loads, solve):
     big_l = loads.ravel()
     lam, vec = np.linalg.eigh(big_g)
     ginv = (vec / lam) @ vec.T
-    x = solve(big_b.T @ ginv @ big_b, big_b.T @ ginv @ big_l)
+    x = np.linalg.solve(big_b.T @ ginv @ big_b, big_b.T @ ginv @ big_l)
     resid = big_l - big_b @ x
     eta = float(np.sqrt(resid @ ginv @ resid))
     return x, eta, dm
@@ -287,20 +276,14 @@ def poisson_dense_minres(mesh, d, gamma, f):
         mesh, pw.dof_map_poisson(mesh), pw.N_TEST,
         lambda amap: pw.local_gram_poisson(amap, d),
         lambda amap: pw.local_b_poisson(amap, gamma),
-        pw.local_load_poisson(mesh.vertices[mesh.triangles], f), np.linalg.solve)
+        pw.local_load_poisson(mesh.vertices[mesh.triangles], f))
 
 
-def plate_dense_minres(mesh, d, bc, f):
-    """Brute-force minimum-residual solve of the plate system.
-
-    The normal equations are solved in the minimum-norm least-squares sense:
-    on clamped layouts a constant twisting moment on every edge is in their
-    kernel, so only the fields and the residual are determined.
-    """
+def plate_dense_minres(mesh, d, f):
+    """Brute-force minimum-residual solve of the plate system."""
     from dpglock import plate_uw as plw
 
     return _dense_minres(
-        mesh, plw.dof_map_plate(mesh, bc), plw.N_TEST,
+        mesh, plw.dof_map_plate(mesh), plw.N_TEST,
         lambda amap: plw.local_gram_plate(amap, d), plw.local_b_plate,
-        plw.local_load_plate(mesh.vertices[mesh.triangles], f),
-        lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0])
+        plw.local_load_plate(mesh.vertices[mesh.triangles], f))

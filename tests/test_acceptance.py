@@ -18,8 +18,8 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import (ArrayDofMap, permuted, plate_consistency_residual,
-                     poisson_consistency_residual, poisson_dense_minres)
+from helpers import (permuted, plate_consistency_residual, poisson_consistency_residual,
+                     poisson_dense_minres)
 
 _RUNS = {}
 
@@ -56,7 +56,7 @@ def test_criterion_01_dense_minimum_residual_equivalence():
     for _ in range(2):  # the 2- and 8-triangle unit-square meshes
         dm = pw.dof_map_poisson(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        x = slv.solve_spd(slv.assemble_global(mesh, dm, condensed))
+        x = slv.solve_spd(slv.assemble_global(dm.all_element_dofs(mesh), dm.n_free, condensed))
         x_dense, _, _ = poisson_dense_minres(mesh, 1.0, 0.0, exact.f)
         worst = max(worst, float(np.abs(x - x_dense).max()))
         mesh = msh.refine_uniform(mesh)
@@ -246,7 +246,8 @@ def test_criterion_10_invariant_suite():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-    gs = slv.assemble_global(mesh, dm, condensed)
+    dofs = dm.all_element_dofs(mesh)
+    gs = slv.assemble_global(dofs, dm.n_free, condensed)
     dense = gs.matrix.toarray()
     cholesky(dense, lower=True)
     checks["spd"] = np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
@@ -261,7 +262,6 @@ def test_criterion_10_invariant_suite():
 
     # energy residual equals the dense Riesz value
     x = slv.solve_spd(gs)
-    dofs = dm.all_element_dofs(mesh)
     _, eta = slv.energy_residual(condensed, dofs, x)
     n_test = mesh.n_triangles * pw.N_TEST
     big_g = np.zeros((n_test, n_test))
@@ -276,13 +276,12 @@ def test_criterion_10_invariant_suite():
 
     # zero load produces the zero solution
     zero_cond = sc.condense_mesh(mesh, cfg, 1.0, lambda x_, y_: 0.0 * x_)
-    x_zero = slv.solve_spd(slv.assemble_global(mesh, dm, zero_cond))
+    x_zero = slv.solve_spd(slv.assemble_global(dofs, dm.n_free, zero_cond))
     checks["zero"] = np.abs(x_zero).max() <= 1e-14
 
     # element-order permutation invariance
     order = np.arange(mesh.n_triangles)[::-1]
-    gs_perm = slv.assemble_global(None, ArrayDofMap(dofs[order], dm.n_free),
-                                  permuted(condensed, order))
+    gs_perm = slv.assemble_global(dofs[order], dm.n_free, permuted(condensed, order))
     diff = np.abs((gs.matrix - gs_perm.matrix).toarray()).max()
     checks["permutation"] = diff <= 1e-14 * np.abs(dense).max()
 

@@ -285,50 +285,37 @@ def test_load_bilaplacian_against_dense_reference():
 
 def test_dof_map_clamped_unit_square():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
-    dm = plw.dof_map_plate(mesh, plw.CLAMPED)
-    assert dm.n_free == 23  # u: 2, M: 6, uhat: 0, mhat: 15
-    assert (dm.uhat == -1).all()
-    assert (dm.mhat >= 0).all()
-
-
-def test_dof_map_simply_supported_unit_square():
-    mesh = msh.make_rect_mesh(1.0, 1.0, 1)
-    dm = plw.dof_map_plate(mesh, plw.SIMPLY_SUPPORTED)
-    assert dm.n_free == 19  # u: 2, M: 6, uhat: 0, mhat: 15 - 4
-    assert (dm.uhat == -1).all()
-    boundary = mesh.boundary_edge_mask()
-    assert (dm.mhat[boundary, 0] == -1).all()
-    assert (dm.mhat[:, 1] >= 0).all()
-    assert (dm.mhat[:, 2] >= 0).all()
+    dm = plw.dof_map_plate(mesh)
+    assert dm.n_free == 22  # u: 2, M: 6, uhat: 0, mhat: 15 - 1 pinned m_tn
+    assert (dm.vertex == -1).all()
+    assert (dm.edge[1:] >= 0).all()
+    # m_tn of the first boundary edge, (0, 1), fixes the twisting-moment kernel
+    assert dm.edge[0].tolist() == [8, 9, -1]
 
 
 def test_dof_map_refined_clamped():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
-    dm = plw.dof_map_plate(mesh, plw.CLAMPED)
-    assert (dm.uhat >= 0).sum() == 3  # only the center vertex stays free
+    dm = plw.dof_map_plate(mesh)
+    assert (dm.vertex >= 0).sum() == 3  # only the center vertex stays free
+    assert (dm.edge == -1).sum() == 1
 
 
 def test_dof_map_mixed_free_strip():
     mesh = msh.classify_boundary(msh.make_rect_mesh(10.0, 1.0, 1),
                                  msh.LEFT_RIGHT_DIRICHLET)
-    dm = plw.dof_map_plate(mesh, plw.MIXED_FREE)
+    dm = plw.dof_map_plate(mesh)
     # clamped on x in {0, 10}: 4 vertices lose all three components
-    assert (dm.uhat == -1).sum() == 12
-    # free on top/bottom: both moment-trace components constrained there
+    assert (dm.vertex == -1).sum() == 12
+    # free on top/bottom: all moment-trace components constrained there, and
+    # the fixed m_tn there leaves no kernel to pin
     neumann = mesh.edge_tags == msh.NEUMANN
-    assert (dm.mhat[neumann] == -1).all()
-    assert (dm.mhat[~neumann] >= 0).all()
-
-
-def test_dof_map_rejects_unknown_bc():
-    mesh = msh.make_rect_mesh(1.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        plw.dof_map_plate(mesh, "floating")
+    assert (dm.edge[neumann] == -1).all()
+    assert (dm.edge[~neumann] >= 0).all()
 
 
 def test_element_dofs_layout():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
-    dm = plw.dof_map_plate(mesh, plw.CLAMPED)
+    dm = plw.dof_map_plate(mesh)
     # [u, M (3), clamped deflection traces (9), mhat of edges (0,3) (2,3) (0,2)]
     assert dm.all_element_dofs(mesh)[1].tolist() == [1, 5, 6, 7] + [-1] * 9 + [
-        14, 15, 16, 20, 21, 22, 11, 12, 13]
+        13, 14, 15, 19, 20, 21, 10, 11, 12]

@@ -162,18 +162,18 @@ def test_dof_map_unit_square_all_dirichlet():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     dm = pw.dof_map_poisson(mesh)
     assert dm.n_free == 11  # u: 2, sigma: 4, uhat: 0, sighat: 5
-    assert (dm.uhat == -1).all()
-    assert (dm.sighat >= 0).all()
-    assert (np.sort(dm.sighat) == np.arange(6, 11)).all()
+    assert (dm.vertex == -1).all()
+    assert (dm.edge >= 0).all()
+    assert (np.sort(dm.edge[:, 0]) == np.arange(6, 11)).all()
 
 
 def test_dof_map_refined_unit_square():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     dm = pw.dof_map_poisson(mesh)
     assert dm.n_free == 41  # u: 8, sigma: 16, uhat: 1, sighat: 16
-    assert (dm.uhat >= 0).sum() == 1
+    assert (dm.vertex >= 0).sum() == 1
     center = np.nonzero((np.abs(mesh.vertices - 0.5) < 1e-12).all(axis=1))[0]
-    assert dm.uhat[center[0]] == 24
+    assert dm.vertex[center[0], 0] == 24
 
 
 def test_dof_map_strip_mixed():
@@ -181,9 +181,9 @@ def test_dof_map_strip_mixed():
                                  msh.LEFT_RIGHT_DIRICHLET)
     dm = pw.dof_map_poisson(mesh)
     # all 4 vertices on x in {0, 10} constrained, the other 18 free
-    assert (dm.uhat == -1).sum() == 4
+    assert (dm.vertex == -1).sum() == 4
     # sighat constrained exactly on the 20 top/bottom (neumann) edges
-    assert (dm.sighat == -1).sum() == 20
+    assert (dm.edge == -1).sum() == 20
     assert dm.n_free == 3 * 20 + 18 + (41 - 20)
 
 
@@ -202,6 +202,6 @@ def test_dof_map_unit_square_left_right():
     mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 1),
                                  msh.LEFT_RIGHT_DIRICHLET)
     dm = pw.dof_map_poisson(mesh)
-    assert (dm.uhat == -1).all()
-    assert (dm.sighat == -1).sum() == 2
+    assert (dm.vertex == -1).all()
+    assert (dm.edge == -1).sum() == 2
     assert dm.n_free == 6 + 3

@@ -7,7 +7,7 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import ArrayDofMap, permuted, plate_dense_minres, poisson_dense_minres
+from helpers import permuted, plate_dense_minres, poisson_dense_minres
 
 
 def random_spd(n, rng):
@@ -83,8 +83,7 @@ def test_assemble_single_element_is_free_submatrix():
     rng = np.random.default_rng(3)
     cond = condense_one(random_spd(6, rng), rng.standard_normal((6, 4)),
                         rng.standard_normal(6))
-    dm = ArrayDofMap([[1, -1, 0, 2]], n_free=3)
-    gs = slv.assemble_global(None, dm, cond)
+    gs = slv.assemble_global(np.array([[1, -1, 0, 2]]), 3, cond)
     keep = [0, 2, 3]
     perm = [1, 0, 2]  # local slots of global dofs 0, 1, 2
     dense = gs.matrix.toarray()
@@ -99,11 +98,11 @@ def test_assemble_element_order_invariance():
     exact = sc.exact_bundle(cfg)
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-    gs = slv.assemble_global(mesh, dm, condensed)
+    dofs = dm.all_element_dofs(mesh)
+    gs = slv.assemble_global(dofs, dm.n_free, condensed)
 
     order = np.arange(mesh.n_triangles)[::-1]
-    dm_perm = ArrayDofMap(dm.all_element_dofs(mesh)[order], dm.n_free)
-    gs_perm = slv.assemble_global(None, dm_perm, permuted(condensed, order))
+    gs_perm = slv.assemble_global(dofs[order], dm.n_free, permuted(condensed, order))
     diff = (gs.matrix - gs_perm.matrix).toarray()
     scale = np.abs(gs.matrix.toarray()).max()
     assert np.abs(diff).max() <= 1e-14 * scale
@@ -134,7 +133,7 @@ def test_assemble_against_hand_assembled_two_triangle_matrix():
                 gi, gj = hand_dofs[t, i], hand_dofs[t, j]
                 if gi >= 0 and gj >= 0:
                     hand[gi, gj] += s[i, j]
-    gs = slv.assemble_global(mesh, dm, condensed)
+    gs = slv.assemble_global(hand_dofs, dm.n_free, condensed)
     assert np.allclose(gs.matrix.toarray(), hand, rtol=1e-14)
     # the shared diagonal edge couples into both elements (their sigma blocks)
     assert abs(gs.matrix[8, 2]) > 0 and abs(gs.matrix[8, 4]) > 0
@@ -173,9 +172,17 @@ def solved_poisson(levels=1):
     exact = sc.exact_bundle(cfg)
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-    gs = slv.assemble_global(mesh, dm, condensed)
+    gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_free, condensed)
     x = slv.solve_spd(gs)
     return mesh, dm, condensed, gs, x
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_conjugate_gradient_branch_matches_direct_solve(levels, monkeypatch):
+    *_, gs, x = solved_poisson(levels)
+    monkeypatch.setattr(slv, "DIRECT_SOLVE_LIMIT", 0)
+    x_cg = slv.solve_spd(gs)
+    assert np.abs(x_cg - x).max() < 1e-9 * np.abs(x).max()
 
 
 def test_energy_residual_zero_for_zero_data():
@@ -194,7 +201,7 @@ def test_zero_load_gives_zero_solution():
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    x = slv.solve_spd(slv.assemble_global(mesh, dm, condensed))
+    x = slv.solve_spd(slv.assemble_global(dm.all_element_dofs(mesh), dm.n_free, condensed))
     assert np.allclose(x, 0.0, atol=1e-14)
 
 
@@ -251,11 +258,12 @@ def test_pipeline_matches_dense_minimum_residual():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     for level in range(2):
         dm = pw.dof_map_poisson(mesh)
+        dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        x = slv.solve_spd(slv.assemble_global(mesh, dm, condensed))
+        x = slv.solve_spd(slv.assemble_global(dofs, dm.n_free, condensed))
         x_dense, eta_dense, _ = poisson_dense_minres(mesh, 1.0, 0.0, exact.f)
         assert np.abs(x - x_dense).max() < 1e-9
-        _, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh), x)
+        _, eta = slv.energy_residual(condensed, dofs, x)
         assert np.isclose(eta, eta_dense, rtol=1e-9)
         mesh = msh.refine_uniform(mesh)
 
@@ -266,20 +274,29 @@ def unit_square_meshes():
 
 
 def test_plate_pipeline_matches_dense_minimum_residual_clamped():
-    # a constant m_tn on every edge is a null vector of the clamped system, so
-    # the traces are not unique: compare the fields and the residual
     cfg = sc.StudyConfig(problem="plate")
     exact = sc.exact_bundle(cfg)
     for mesh in unit_square_meshes():
-        dm = plw.dof_map_plate(mesh, plw.CLAMPED)
+        dm = plw.dof_map_plate(mesh)
+        dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        x = slv.solve_spd(slv.assemble_global(mesh, dm, condensed))
-        x_dense, eta_dense, _ = plate_dense_minres(mesh, 1.0, plw.CLAMPED, exact.f)
-        fields = np.concatenate([dm.u, dm.m.ravel()])
-        scale = max(1.0, np.abs(x_dense[fields]).max())  # fields vanish on 2 triangles
-        assert np.abs(x[fields] - x_dense[fields]).max() < 1e-8 * scale
-        _, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh), x)
+        x = slv.solve_spd(slv.assemble_global(dofs, dm.n_free, condensed))
+        x_dense, eta_dense, _ = plate_dense_minres(mesh, 1.0, exact.f)
+        assert np.abs(x - x_dense).max() < 1e-9 * np.abs(x_dense).max()
+        _, eta = slv.energy_residual(condensed, dofs, x)
         assert np.isclose(eta, eta_dense, rtol=1e-9)
+
+
+def test_plate_clamped_system_is_well_conditioned():
+    # a constant m_tn on every edge would be a null vector without the pinned
+    # slot; dense Cholesky is no check, it passes on the singular matrix
+    cfg = sc.StudyConfig(problem="plate")
+    for mesh in unit_square_meshes():
+        dm = plw.dof_map_plate(mesh)
+        condensed = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
+        gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_free, condensed)
+        lam = np.linalg.eigvalsh(gs.matrix.toarray())
+        assert lam[0] / lam[-1] > 1e-10
 
 
 def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
@@ -289,10 +306,11 @@ def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
     d = sc.pick_d(cfg)
     mesh = msh.classify_boundary(msh.make_rect_mesh(4.0, 1.0, 1),
                                  msh.LEFT_RIGHT_DIRICHLET)
-    dm = plw.dof_map_plate(mesh, plw.MIXED_FREE)
+    dm = plw.dof_map_plate(mesh)
+    dofs = dm.all_element_dofs(mesh)
     condensed = sc.condense_mesh(mesh, cfg, d, exact.f)
-    x = slv.solve_spd(slv.assemble_global(mesh, dm, condensed))
-    x_dense, eta_dense, _ = plate_dense_minres(mesh, d, plw.MIXED_FREE, exact.f)
+    x = slv.solve_spd(slv.assemble_global(dofs, dm.n_free, condensed))
+    x_dense, eta_dense, _ = plate_dense_minres(mesh, d, exact.f)
     assert np.abs(x - x_dense).max() < 1e-6 * np.abs(x_dense).max()
-    _, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh), x)
+    _, eta = slv.energy_residual(condensed, dofs, x)
     assert np.isclose(eta, eta_dense, rtol=1e-9)

@@ -231,12 +231,19 @@ def test_cli_solver_failure_exits_two(monkeypatch, capsys):
 
 
 def test_cli_entry_point_runs():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import dpglock
+    # the child imports the package this session imports, installed or not
+    path = [str(Path(dpglock.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
         [sys.executable, "-m", "dpglock.study_cli", "--problem", "poisson",
          "--levels", "1", "--ny0", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
     assert result.returncode == 0
     assert "dofDPG" in result.stdout
 
@@ -245,7 +252,7 @@ def test_plate_clamped_zero_load_gives_zero_solution():
     from dpglock import plate_uw as plw
     cfg = sc.StudyConfig(problem="plate")
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
-    dm = plw.dof_map_plate(mesh, plw.CLAMPED)
+    dm = plw.dof_map_plate(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    x = slv.solve_spd(slv.assemble_global(mesh, dm, condensed))
+    x = slv.solve_spd(slv.assemble_global(dm.all_element_dofs(mesh), dm.n_free, condensed))
     assert np.allclose(x, 0.0, atol=1e-13)
