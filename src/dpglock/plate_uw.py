@@ -60,6 +60,7 @@ from . import mesh as msh
 TEST_V = 10
 N_TEST = 55
 N_TRIAL = 22
+N_FIELD = 4         # u, M11, M12, M22 lead the trial columns
 
 VOLUME_DEGREE = 8   # products of two P4 quantities
 EDGE_DEGREE = 9
@@ -222,4 +223,4 @@ def dof_map_plate(mesh: msh.Mesh) -> PlateDofMap:
     edge_fixed = np.repeat((mesh.edge_tags == msh.NEUMANN)[:, None], 3, axis=1)
     if not edge_fixed.any():
         edge_fixed[np.argmax(mesh.boundary_edge_mask()), 2] = True
-    return PlateDofMap.number(mesh, 4, vertex_fixed, edge_fixed)
+    return PlateDofMap.number(mesh, N_FIELD, vertex_fixed, edge_fixed)

@@ -24,6 +24,7 @@ from . import mesh as msh
 TEST_V = 6
 N_TEST = 18
 N_TRIAL = 9
+N_FIELD = 3         # u, sigma_x, sigma_y lead the trial columns
 
 VOLUME_DEGREE = 4   # products of two P2 quantities
 EDGE_DEGREE = 9
@@ -115,5 +116,5 @@ class PoissonDofMap(msh.DofMap):
 
 def dof_map_poisson(mesh: msh.Mesh) -> PoissonDofMap:
     """uhat is fixed on Dirichlet vertices, sighat on Neumann edges."""
-    return PoissonDofMap.number(mesh, 3, (mesh.vertex_tags == msh.DIRICHLET)[:, None],
+    return PoissonDofMap.number(mesh, N_FIELD, (mesh.vertex_tags == msh.DIRICHLET)[:, None],
                                 (mesh.edge_tags == msh.NEUMANN)[:, None])

@@ -1,11 +1,16 @@
 """Static condensation, global sparse assembly, linear solve, energy residual.
 
 Each element contributes normal equations S = B^T G^-1 B obtained by solving
-with the Cholesky factor of its test Gram matrix; assembling S over the free
-trial unknowns and solving the resulting SPD system is the minimum-residual
-scheme, and the element residuals measured through G^-1 give the energy error
-estimator exactly.  Congruent elements share G and B, so factorizations and
-solves run once per congruence class, batched over the class's elements.
+with the Cholesky factor of its test Gram matrix; the sum of S over the free
+trial unknowns is the SPD system of the minimum-residual scheme, and the
+element residuals measured through G^-1 give the energy error estimator
+exactly.  The piecewise-constant field unknowns couple only inside their own
+element, so they are eliminated element by element (static condensation):
+the global system holds the traces alone, with matrix the sum of the trace
+Schur complements S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered
+from the solved traces afterwards.  Congruent elements share G and B, so
+factorizations and solves run once per congruence class, batched over the
+class's elements.
 """
 
 from __future__ import annotations
@@ -31,46 +36,69 @@ class NotSPDError(SolverError):
 
 @dataclass(frozen=True)
 class Condensed:
-    """Element normal equations of a mesh, stored once per congruence class.
+    """Element normal equations of a mesh with the fields eliminated, stored
+    once per congruence class.
 
     Elements equal up to translation share the test Gram matrix G and the
-    trial-to-test matrix B; only their loads differ.
+    trial-to-test matrix B; only their loads differ.  The first n_field
+    local trial slots are the fields f, the rest the traces t.  Given the
+    element's traces x_t, its fields are field - lift x_t.
     """
 
     chol: np.ndarray   # (nc, n_test, n_test) lower Cholesky factors of G
     b: np.ndarray      # (nc, n_test, n_trial)
-    schur: np.ndarray  # (nc, n_trial, n_trial) B^T G^-1 B
+    schur: np.ndarray  # (nc, n_trace, n_trace) S_tt - S_tf S_ff^-1 S_ft
+    lift: np.ndarray   # (nc, n_field, n_trace) S_ff^-1 S_ft
     cls: np.ndarray    # (nt,) congruence class of each element
     load: np.ndarray   # (nt, n_test)
-    rhs: np.ndarray    # (nt, n_trial) B^T G^-1 l
+    field: np.ndarray  # (nt, n_field) S_ff^-1 r_f, with r = B^T G^-1 l
+    rhs: np.ndarray    # (nt, n_trace) r_t - S_tf S_ff^-1 r_f
 
 
-def condense_local(gram: np.ndarray, b: np.ndarray):
-    """Cholesky factor of one element's G and its normal matrix B^T G^-1 B."""
+def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
     try:
-        chol = cholesky(gram, lower=True, check_finite=False)
+        return cholesky(a, lower=True, check_finite=False)
     except LinAlgError as exc:
-        raise NotSPDError(f"element Gram matrix is not SPD: {exc}") from exc
-    schur = b.T @ cho_solve((chol, True), b, check_finite=False)
-    return chol, 0.5 * (schur + schur.T)
+        raise NotSPDError(f"{what} is not SPD: {exc}") from exc
 
 
-def condense_rhs(chol: np.ndarray, b: np.ndarray, cls: np.ndarray,
-                 load: np.ndarray) -> np.ndarray:
-    """Right sides B^T G^-1 l of all elements, one batched solve per class."""
-    rhs = np.empty((len(cls), b.shape[2]))
+def condense_local(gram: np.ndarray, b: np.ndarray, n_field: int):
+    """Cholesky factors of one element's G and of the field block S_ff of
+    its normal matrix S = B^T G^-1 B, the lift S_ff^-1 S_ft and the trace
+    Schur complement S_tt - S_tf S_ff^-1 S_ft."""
+    chol = _cholesky(gram, "element Gram matrix")
+    s = b.T @ cho_solve((chol, True), b, check_finite=False)
+    s = 0.5 * (s + s.T)
+    ff = _cholesky(s[:n_field, :n_field], "element field block")
+    lift = cho_solve((ff, True), s[:n_field, n_field:], check_finite=False)
+    schur = s[n_field:, n_field:] - s[n_field:, :n_field] @ lift
+    return chol, ff, lift, 0.5 * (schur + schur.T)
+
+
+def condense_rhs(chol: np.ndarray, b: np.ndarray, ff: np.ndarray, lift: np.ndarray,
+                 cls: np.ndarray, load: np.ndarray):
+    """Field parts S_ff^-1 r_f and trace right sides r_t - S_tf S_ff^-1 r_f
+    of all elements, r = B^T G^-1 l, with one batched solve per class."""
+    n_field = lift.shape[1]
+    field = np.empty((len(cls), n_field))
+    rhs = np.empty((len(cls), lift.shape[2]))
     for c in range(len(chol)):
         sel = cls == c
-        rhs[sel] = cho_solve((chol[c], True), load[sel].T, check_finite=False).T @ b[c]
-    return rhs
+        r = cho_solve((chol[c], True), load[sel].T, check_finite=False).T @ b[c]
+        field[sel] = cho_solve((ff[c], True), r[:, :n_field].T, check_finite=False).T
+        rhs[sel] = r[:, n_field:] - r[:, :n_field] @ lift[c]
+    return field, rhs
 
 
 def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray,
-             load: np.ndarray) -> Condensed:
+             load: np.ndarray, n_field: int) -> Condensed:
     """Condensed systems of a mesh from the (nc, ...) stacks of per-class G
-    and B, the class of each element, and the (nt, n_test) element loads."""
-    chol, schur = map(np.stack, zip(*map(condense_local, gram, b)))
-    return Condensed(chol, b, schur, cls, load, condense_rhs(chol, b, cls, load))
+    and B, the class of each element, the (nt, n_test) element loads and
+    the number of field slots."""
+    chol, ff, lift, schur = map(np.stack, zip(*(condense_local(g, bc, n_field)
+                                                for g, bc in zip(gram, b))))
+    field, rhs = condense_rhs(chol, b, ff, lift, cls, load)
+    return Condensed(chol, b, schur, lift, cls, load, field, rhs)
 
 
 @dataclass(frozen=True)
@@ -79,9 +107,17 @@ class GlobalSystem:
     rhs: np.ndarray
 
 
+def trace_dofs(dofs: np.ndarray, n_field: int) -> np.ndarray:
+    """Index of every element's trace slots among the trace unknowns, from
+    the (nt, n_trial) element-dof array whose n_field * nt field unknowns
+    are numbered first; -1 where fixed."""
+    traces = dofs[:, n_field:]
+    return np.where(traces >= 0, traces - n_field * len(dofs), -1)
+
+
 def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
-    """Sum the element normal equations over the n free unknowns, given the
-    (nt, n_trial) global index of every element's trial slots.
+    """Sum the element trace systems over the n free trace unknowns, given
+    the (nt, n_trace) trace_dofs of every element.
 
     Constrained slots are marked -1 and simply dropped, which imposes the
     (homogeneous) essential conditions.
@@ -101,13 +137,30 @@ def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     return GlobalSystem(matrix, rhs)
 
 
+def solve_condensed(dofs: np.ndarray, n_free: int, cond: Condensed) -> np.ndarray:
+    """All n_free unknowns, given the (nt, n_trial) element-dof array: the
+    traces from the assembled trace system, then the fields of every
+    element from its traces."""
+    n_field = cond.lift.shape[1]
+    n_fields = n_field * len(dofs)  # numbered first
+    traces = trace_dofs(dofs, n_field)
+    x = np.empty(n_free)
+    x[n_fields:] = solve_spd(assemble_global(traces, n_free - n_fields, cond))
+    local = gather_local(traces, x[n_fields:])
+    x[dofs[:, :n_field]] = cond.field - np.einsum("tfk,tk->tf", cond.lift[cond.cls], local)
+    return x
+
+
 def solve_spd(gs: GlobalSystem) -> np.ndarray:
     """Solve the assembled SPD system.
 
-    Direct sparse factorization with iterative refinement up to
-    DIRECT_SOLVE_LIMIT unknowns, diagonally preconditioned conjugate
-    gradients beyond; both are deterministic.  A solution is accepted when
-    the residual relative to the right side reaches 1e-10, or when the
+    Up to DIRECT_SOLVE_LIMIT unknowns a sparse LU factorization in symmetric
+    mode (one fill-reducing permutation applied to rows and columns alike,
+    diagonal pivots only, which is stable for SPD matrices) with iterative
+    refinement; diagonally preconditioned conjugate gradients beyond.  Both
+    are deterministic.  No pivoting means a singular matrix fails its
+    factorization rather than being pivoted past.  A solution is accepted
+    when the residual relative to the right side reaches 1e-10, or when the
     normwise backward error |r| / (|A| |x| + |b|) reaches machine level: on
     systems with strong cancellation (|A||x| >> |b|, the signature of the
     unscaled norm on large domains) the former has a double-precision floor
@@ -119,7 +172,8 @@ def solve_spd(gs: GlobalSystem) -> np.ndarray:
     norm_b = np.linalg.norm(b)
     if n <= DIRECT_SOLVE_LIMIT:
         try:
-            lu = splu(a.tocsc())
+            lu = splu(a.tocsc(), diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
             x = lu.solve(b)
         except RuntimeError as exc:
             raise SolverError(f"direct factorization failed: {exc}") from exc

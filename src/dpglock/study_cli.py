@@ -124,11 +124,11 @@ def exact_bundle(cfg: StudyConfig) -> ExactBundle:
         )
     if cfg.problem == POISSON:
         return ExactBundle(
-            u=lambda x, y: np.sin(a * x) + 0.0 * y,
-            grad=lambda x, y: np.stack([a * np.cos(a * x), 0.0 * y], axis=-1),
-            hess=lambda x, y: np.stack([-a ** 2 * np.sin(a * x), 0.0 * y, 0.0 * y],
-                                       axis=-1),
-            f=lambda x, y: (a ** 2 + gamma) * np.sin(a * x) + 0.0 * y,
+            u=lambda x, y: np.broadcast_to(np.sin(a * x), np.shape(y)),
+            grad=lambda x, y: np.stack([a * np.cos(a * x), np.zeros_like(y)], axis=-1),
+            hess=lambda x, y: np.stack([-a ** 2 * np.sin(a * x), np.zeros_like(y),
+                                        np.zeros_like(y)], axis=-1),
+            f=lambda x, y: np.broadcast_to((a ** 2 + gamma) * np.sin(a * x), np.shape(y)),
         )
     if cfg.bc == BC_DIRICHLET:
         return ExactBundle(
@@ -145,16 +145,16 @@ def exact_bundle(cfg: StudyConfig) -> ExactBundle:
                             - 8 * b ** 4 * np.sin(a * x) ** 2 * np.cos(2 * b * y)),
         )
     return ExactBundle(
-        u=lambda x, y: np.sin(a * x) ** 2 + 0.0 * y,
-        grad=lambda x, y: np.stack([a * np.sin(2 * a * x), 0.0 * y], axis=-1),
-        hess=lambda x, y: np.stack([2 * a ** 2 * np.cos(2 * a * x), 0.0 * y, 0.0 * y],
-                                   axis=-1),
-        f=lambda x, y: -8 * a ** 4 * np.cos(2 * a * x) + 0.0 * y,
+        u=lambda x, y: np.broadcast_to(np.sin(a * x) ** 2, np.shape(y)),
+        grad=lambda x, y: np.stack([a * np.sin(2 * a * x), np.zeros_like(y)], axis=-1),
+        hess=lambda x, y: np.stack([2 * a ** 2 * np.cos(2 * a * x), np.zeros_like(y),
+                                    np.zeros_like(y)], axis=-1),
+        f=lambda x, y: np.broadcast_to(-8 * a ** 4 * np.cos(2 * a * x), np.shape(y)),
     )
 
 
 def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condensed:
-    """Condensed local systems of every element.
+    """Condensed local systems of every element, fields eliminated.
 
     Structured meshes contain only a handful of element shapes, so Gram and
     trial-to-test matrices are built and condensed once per congruence class:
@@ -172,13 +172,15 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
         gram = [pw.local_gram_poisson(amap, d) for amap in amaps]
         b = [pw.local_b_poisson(amap, cfg.gamma) for amap in amaps]
         load = pw.local_load_poisson(verts, f)
+        n_field = pw.N_FIELD
     else:
         gram = [plw.local_gram_plate(amap, d) for amap in amaps]
         b = [plw.local_b_plate(amap) for amap in amaps]
         load = plw.local_load_plate(verts, f)
+        n_field = plw.N_FIELD
     try:
         # numpy 2.0.0 returns the inverse of a unique over rows as a column
-        return slv.condense(np.stack(gram), np.stack(b), cls.reshape(-1), load)
+        return slv.condense(np.stack(gram), np.stack(b), cls.reshape(-1), load, n_field)
     except slv.NotSPDError as exc:
         raise slv.NotSPDError(f"d = {d}: {exc}") from exc
 
@@ -194,7 +196,7 @@ def solve_level(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> LevelSolution:
     dofmap = (pw.dof_map_poisson if cfg.problem == POISSON else plw.dof_map_plate)(mesh)
     cond = condense_mesh(mesh, cfg, d, f)
     dofs = dofmap.all_element_dofs(mesh)
-    x = slv.solve_spd(slv.assemble_global(dofs, dofmap.n_free, cond))
+    x = slv.solve_condensed(dofs, dofmap.n_free, cond)
     _, eta = slv.energy_residual(cond, dofs, x)
     return LevelSolution(dofmap, x, eta)
 

@@ -241,7 +241,22 @@ def plate_consistency_residual(mesh, u, grad_u, hess_u, div_m, f):
 def permuted(cond, order):
     """The same condensed systems with the elements taken in the given order."""
     return replace(cond, cls=cond.cls[order], load=cond.load[order],
-                   rhs=cond.rhs[order])
+                   field=cond.field[order], rhs=cond.rhs[order])
+
+
+def full_normal_equations(dofs, n_free, cond):
+    """Dense normal equations B^T G^-1 B x = B^T G^-1 l over all n_free
+    unknowns, fields included, summed element by element from the Gram
+    factors, B and loads of the condensed systems."""
+    a = np.zeros((n_free, n_free))
+    r = np.zeros(n_free)
+    for t, row in enumerate(dofs):
+        chol, b = cond.chol[cond.cls[t]], cond.b[cond.cls[t]]
+        ginv_b = np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+        free = row >= 0
+        a[np.ix_(row[free], row[free])] += (b.T @ ginv_b)[np.ix_(free, free)]
+        r[row[free]] += (ginv_b.T @ cond.load[t])[free]
+    return a, r
 
 
 def _dense_minres(mesh, dm, n_test, gram, bmat, loads):

@@ -7,7 +7,7 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import permuted, plate_dense_minres, poisson_dense_minres
+from helpers import full_normal_equations, permuted, plate_dense_minres, poisson_dense_minres
 
 
 def random_spd(n, rng):
@@ -15,9 +15,19 @@ def random_spd(n, rng):
     return a @ a.T + n * np.eye(n)
 
 
-def condense_one(gram, b, load):
+def condense_one(gram, b, load, n_field=1):
     """Condensed system of a single element."""
-    return slv.condense(gram[None], b[None], np.zeros(1, dtype=np.int64), load[None])
+    return slv.condense(gram[None], b[None], np.zeros(1, dtype=np.int64), load[None],
+                        n_field)
+
+
+def eliminated(s, r, n_field):
+    """Dense elimination of the first n_field unknowns of S x = r: the
+    Schur complement, the lift, the field part and the trace right side."""
+    f, t = slice(0, n_field), slice(n_field, None)
+    lift = np.linalg.solve(s[f, f], s[f, t])
+    field = np.linalg.solve(s[f, f], r[f])
+    return s[t, t] - s[t, f] @ lift, lift, field, r[t] - s[t, f] @ field
 
 
 def test_condense_identity_gram():
@@ -25,14 +35,27 @@ def test_condense_identity_gram():
     b = rng.standard_normal((6, 3))
     load = rng.standard_normal(6)
     cond = condense_one(np.eye(6), b, load)
-    assert np.allclose(cond.schur[0], b.T @ b, rtol=1e-13)
-    assert np.allclose(cond.rhs[0], b.T @ load, rtol=1e-13)
+    schur, lift, field, rhs = eliminated(b.T @ b, b.T @ load, 1)
+    assert np.allclose(cond.schur[0], schur, rtol=1e-13)
+    assert np.allclose(cond.lift[0], lift, rtol=1e-13)
+    assert np.allclose(cond.field[0], field, rtol=1e-13)
+    assert np.allclose(cond.rhs[0], rhs, rtol=1e-13)
 
 
 def test_condense_zero_b():
-    cond = condense_one(np.eye(4), np.zeros((4, 2)), np.ones(4))
+    # traces the test space does not see: nothing is left for them
+    b = np.zeros((4, 3))
+    b[:, 0] = 1.0
+    cond = condense_one(np.eye(4), b, np.ones(4))
     assert np.allclose(cond.schur, 0.0)
+    assert np.allclose(cond.lift, 0.0)
     assert np.allclose(cond.rhs, 0.0)
+    assert np.allclose(cond.field, 1.0)
+
+
+def test_condense_rejects_singular_field_block():
+    with pytest.raises(slv.NotSPDError):
+        condense_one(np.eye(4), np.zeros((4, 2)), np.ones(4))
 
 
 def test_condense_matches_eigendecomposition_oracle():
@@ -40,16 +63,20 @@ def test_condense_matches_eigendecomposition_oracle():
     g = random_spd(12, rng)
     b = rng.standard_normal((12, 5))
     load = rng.standard_normal(12)
-    cond = condense_one(g, b, load)
+    cond = condense_one(g, b, load, n_field=2)
     lam, vec = np.linalg.eigh(g)
     ginv = (vec / lam) @ vec.T
-    assert np.allclose(cond.schur[0], b.T @ ginv @ b, atol=1e-10)
-    assert np.allclose(cond.rhs[0], b.T @ ginv @ load, atol=1e-10)
+    schur, lift, field, rhs = eliminated(b.T @ ginv @ b, b.T @ ginv @ load, 2)
+    assert np.allclose(cond.schur[0], schur, atol=1e-10)
+    assert np.allclose(cond.lift[0], lift, atol=1e-10)
+    assert np.allclose(cond.field[0], field, atol=1e-10)
+    assert np.allclose(cond.rhs[0], rhs, atol=1e-10)
 
 
 def test_condense_schur_positive_semidefinite():
     rng = np.random.default_rng(2)
-    _, schur = slv.condense_local(random_spd(8, rng), rng.standard_normal((8, 4)))
+    *_, schur = slv.condense_local(random_spd(8, rng), rng.standard_normal((8, 5)), 1)
+    assert schur.shape == (4, 4)
     assert np.allclose(schur, schur.T)
     for _ in range(20):
         v = rng.standard_normal(4)
@@ -59,7 +86,7 @@ def test_condense_schur_positive_semidefinite():
 def test_condense_rejects_indefinite():
     g = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(slv.NotSPDError):
-        slv.condense_local(g, np.zeros((3, 1)))
+        slv.condense_local(g, np.zeros((3, 2)), 1)
 
 
 def test_condense_mesh_separates_similar_elements_of_different_size():
@@ -74,14 +101,14 @@ def test_condense_mesh_separates_similar_elements_of_different_size():
     cond = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
     for t in range(mesh.n_triangles):
         amap = fc.map_affine(mesh, t)
-        _, schur = slv.condense_local(pw.local_gram_poisson(amap, 1.0),
-                                      pw.local_b_poisson(amap, 0.0))
+        *_, schur = slv.condense_local(pw.local_gram_poisson(amap, 1.0),
+                                       pw.local_b_poisson(amap, 0.0), pw.N_FIELD)
         assert np.allclose(cond.schur[cond.cls[t]], schur, rtol=1e-13, atol=0.0)
 
 
 def test_assemble_single_element_is_free_submatrix():
     rng = np.random.default_rng(3)
-    cond = condense_one(random_spd(6, rng), rng.standard_normal((6, 4)),
+    cond = condense_one(random_spd(6, rng), rng.standard_normal((6, 5)),
                         rng.standard_normal(6))
     gs = slv.assemble_global(np.array([[1, -1, 0, 2]]), 3, cond)
     keep = [0, 2, 3]
@@ -98,11 +125,12 @@ def test_assemble_element_order_invariance():
     exact = sc.exact_bundle(cfg)
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-    dofs = dm.all_element_dofs(mesh)
-    gs = slv.assemble_global(dofs, dm.n_free, condensed)
+    dofs = slv.trace_dofs(dm.all_element_dofs(mesh), pw.N_FIELD)
+    n = dofs.max() + 1
+    gs = slv.assemble_global(dofs, n, condensed)
 
     order = np.arange(mesh.n_triangles)[::-1]
-    gs_perm = slv.assemble_global(dofs[order], dm.n_free, permuted(condensed, order))
+    gs_perm = slv.assemble_global(dofs[order], n, permuted(condensed, order))
     diff = (gs.matrix - gs_perm.matrix).toarray()
     scale = np.abs(gs.matrix.toarray()).max()
     assert np.abs(diff).max() <= 1e-14 * scale
@@ -112,7 +140,8 @@ def test_assemble_element_order_invariance():
 def test_assemble_against_hand_assembled_two_triangle_matrix():
     # unit square, two triangles (0,1,3) and (0,3,2); edges sorted
     # lexicographically: (0,1) (0,2) (0,3) (1,3) (2,3); all vertices are
-    # Dirichlet, so the 11 unknowns are u0 u1 | sx0 sy0 sx1 sy1 | 5 fluxes
+    # Dirichlet, so the 11 unknowns are u0 u1 | sx0 sy0 sx1 sy1 | 5 fluxes,
+    # and the 5 fluxes are the unknowns of the trace system
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     assert mesh.triangles.tolist() == [[0, 1, 3], [0, 3, 2]]
     assert mesh.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]
@@ -125,18 +154,23 @@ def test_assemble_against_hand_assembled_two_triangle_matrix():
     dm = pw.dof_map_poisson(mesh)
     assert (dm.all_element_dofs(mesh) == hand_dofs).all()
 
-    hand = np.zeros((11, 11))
+    hand_traces = np.array([[-1, -1, -1, 0, 3, 2], [-1, -1, -1, 2, 4, 1]])
+    assert (slv.trace_dofs(hand_dofs, pw.N_FIELD) == hand_traces).all()
+
+    hand = np.zeros((5, 5))
     for t in range(2):
         s = condensed.schur[condensed.cls[t]]
-        for i in range(9):
-            for j in range(9):
-                gi, gj = hand_dofs[t, i], hand_dofs[t, j]
+        for i in range(6):
+            for j in range(6):
+                gi, gj = hand_traces[t, i], hand_traces[t, j]
                 if gi >= 0 and gj >= 0:
                     hand[gi, gj] += s[i, j]
-    gs = slv.assemble_global(hand_dofs, dm.n_free, condensed)
+    gs = slv.assemble_global(hand_traces, 5, condensed)
     assert np.allclose(gs.matrix.toarray(), hand, rtol=1e-14)
-    # the shared diagonal edge couples into both elements (their sigma blocks)
-    assert abs(gs.matrix[8, 2]) > 0 and abs(gs.matrix[8, 4]) > 0
+    # the shared diagonal edge couples to the edges of both elements, edges
+    # of different elements only through it
+    assert (np.abs(gs.matrix[2].toarray()) > 0).all()
+    assert gs.matrix[0, 4] == 0 and gs.matrix[3, 1] == 0
 
 
 def test_solve_identity_and_small_symmetric():
@@ -164,7 +198,16 @@ def test_solve_reports_singular_matrix():
         slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 0.0])))
 
 
+def test_solve_refuses_to_pivot_past_a_kernel():
+    import scipy.sparse as sp
+    a = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]))
+    with pytest.raises(slv.SolverError):
+        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 1.0, 1.0])))
+
+
 def solved_poisson(levels=1):
+    """A solved unit-square Poisson level: its trace system and the full
+    solution vector."""
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     for _ in range(levels):
         mesh = msh.refine_uniform(mesh)
@@ -172,14 +215,17 @@ def solved_poisson(levels=1):
     exact = sc.exact_bundle(cfg)
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-    gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_free, condensed)
-    x = slv.solve_spd(gs)
+    dofs = dm.all_element_dofs(mesh)
+    gs = slv.assemble_global(slv.trace_dofs(dofs, pw.N_FIELD),
+                             dm.n_free - dm.field.size, condensed)
+    x = slv.solve_condensed(dofs, dm.n_free, condensed)
     return mesh, dm, condensed, gs, x
 
 
 @pytest.mark.parametrize("levels", [1, 2])
 def test_conjugate_gradient_branch_matches_direct_solve(levels, monkeypatch):
-    *_, gs, x = solved_poisson(levels)
+    *_, gs, _ = solved_poisson(levels)
+    x = slv.solve_spd(gs)
     monkeypatch.setattr(slv, "DIRECT_SOLVE_LIMIT", 0)
     x_cg = slv.solve_spd(gs)
     assert np.abs(x_cg - x).max() < 1e-9 * np.abs(x).max()
@@ -201,7 +247,7 @@ def test_zero_load_gives_zero_solution():
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    x = slv.solve_spd(slv.assemble_global(dm.all_element_dofs(mesh), dm.n_free, condensed))
+    x = slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_free, condensed)
     assert np.allclose(x, 0.0, atol=1e-14)
 
 
@@ -235,7 +281,7 @@ def test_energy_residual_permutation_invariant():
 
 def test_galerkin_orthogonality():
     mesh, dm, condensed, gs, x = solved_poisson()
-    grad = gs.matrix @ x - gs.rhs
+    grad = gs.matrix @ x[dm.field.size:] - gs.rhs
     assert np.abs(grad).max() <= 1e-10 * max(1.0, np.abs(gs.rhs).max())
 
 
@@ -260,7 +306,7 @@ def test_pipeline_matches_dense_minimum_residual():
         dm = pw.dof_map_poisson(mesh)
         dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        x = slv.solve_spd(slv.assemble_global(dofs, dm.n_free, condensed))
+        x = slv.solve_condensed(dofs, dm.n_free, condensed)
         x_dense, eta_dense, _ = poisson_dense_minres(mesh, 1.0, 0.0, exact.f)
         assert np.abs(x - x_dense).max() < 1e-9
         _, eta = slv.energy_residual(condensed, dofs, x)
@@ -280,7 +326,7 @@ def test_plate_pipeline_matches_dense_minimum_residual_clamped():
         dm = plw.dof_map_plate(mesh)
         dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        x = slv.solve_spd(slv.assemble_global(dofs, dm.n_free, condensed))
+        x = slv.solve_condensed(dofs, dm.n_free, condensed)
         x_dense, eta_dense, _ = plate_dense_minres(mesh, 1.0, exact.f)
         assert np.abs(x - x_dense).max() < 1e-9 * np.abs(x_dense).max()
         _, eta = slv.energy_residual(condensed, dofs, x)
@@ -289,12 +335,14 @@ def test_plate_pipeline_matches_dense_minimum_residual_clamped():
 
 def test_plate_clamped_system_is_well_conditioned():
     # a constant m_tn on every edge would be a null vector without the pinned
-    # slot; dense Cholesky is no check, it passes on the singular matrix
+    # slot, of the full system and so of its trace Schur complement; dense
+    # Cholesky is no check, it passes on the singular matrix
     cfg = sc.StudyConfig(problem="plate")
     for mesh in unit_square_meshes():
         dm = plw.dof_map_plate(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
-        gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_free, condensed)
+        gs = slv.assemble_global(slv.trace_dofs(dm.all_element_dofs(mesh), plw.N_FIELD),
+                                 dm.n_free - dm.field.size, condensed)
         lam = np.linalg.eigvalsh(gs.matrix.toarray())
         assert lam[0] / lam[-1] > 1e-10
 
@@ -309,8 +357,38 @@ def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
     dm = plw.dof_map_plate(mesh)
     dofs = dm.all_element_dofs(mesh)
     condensed = sc.condense_mesh(mesh, cfg, d, exact.f)
-    x = slv.solve_spd(slv.assemble_global(dofs, dm.n_free, condensed))
+    x = slv.solve_condensed(dofs, dm.n_free, condensed)
     x_dense, eta_dense, _ = plate_dense_minres(mesh, d, exact.f)
     assert np.abs(x - x_dense).max() < 1e-6 * np.abs(x_dense).max()
     _, eta = slv.energy_residual(condensed, dofs, x)
     assert np.isclose(eta, eta_dense, rtol=1e-9)
+
+
+@pytest.mark.parametrize("problem, bc, r1, refine", [
+    ("poisson", "dirichlet", 1.0, False), ("poisson", "dirichlet", 1.0, True),
+    ("plate", "dirichlet", 1.0, False), ("plate", "dirichlet", 1.0, True),
+    ("plate", "mixed", 1.0, False), ("plate", "mixed", 4.0, False),
+])
+def test_trace_system_is_the_schur_complement_of_the_full_system(problem, bc, r1, refine):
+    # 2- and 8-triangle meshes: unit squares and clamped/free plate strips
+    cfg = sc.StudyConfig(problem=problem, r1=r1, bc=bc, norm="scaled")
+    layout = msh.ALL_DIRICHLET if bc == "dirichlet" else msh.LEFT_RIGHT_DIRICHLET
+    mesh = msh.classify_boundary(msh.make_rect_mesh(r1, 1.0, 1), layout)
+    if refine:
+        mesh = msh.refine_uniform(mesh)
+    model, dof_map = ((pw, pw.dof_map_poisson) if problem == "poisson"
+                      else (plw, plw.dof_map_plate))
+    dm = dof_map(mesh)
+    cond = sc.condense_mesh(mesh, cfg, sc.pick_d(cfg), sc.exact_bundle(cfg).f)
+    dofs = dm.all_element_dofs(mesh)
+    a, r = full_normal_equations(dofs, dm.n_free, cond)
+
+    nf = dm.field.size  # the field unknowns are numbered first
+    f, t = slice(0, nf), slice(nf, None)
+    schur = a[t, t] - a[t, f] @ np.linalg.solve(a[f, f], a[f, t])
+    gs = slv.assemble_global(slv.trace_dofs(dofs, model.N_FIELD), dm.n_free - nf, cond)
+    assert np.abs(gs.matrix.toarray() - schur).max() <= 1e-12 * np.abs(schur).max()
+
+    x = slv.solve_condensed(dofs, dm.n_free, cond)
+    x_full = np.linalg.solve(a, r)
+    assert np.abs(x - x_full).max() <= 1e-10 * np.abs(x_full).max()

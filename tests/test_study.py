@@ -240,12 +240,13 @@ def test_cli_entry_point_runs():
     # the child imports the package this session imports, installed or not
     path = [str(Path(dpglock.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
-        [sys.executable, "-m", "dpglock.study_cli", "--problem", "poisson",
+        [sys.executable, "-m", "dpglock", "--problem", "poisson",
          "--levels", "1", "--ny0", "1"],
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
     assert result.returncode == 0
     assert "dofDPG" in result.stdout
+    assert result.stderr == ""
 
 
 def test_plate_clamped_zero_load_gives_zero_solution():
@@ -254,5 +255,5 @@ def test_plate_clamped_zero_load_gives_zero_solution():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     dm = plw.dof_map_plate(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    x = slv.solve_spd(slv.assemble_global(dm.all_element_dofs(mesh), dm.n_free, condensed))
+    x = slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_free, condensed)
     assert np.allclose(x, 0.0, atol=1e-13)
