@@ -205,6 +205,69 @@ def test_solve_refuses_to_pivot_past_a_kernel():
         slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 1.0, 1.0])))
 
 
+def test_solve_rejects_off_diagonal_pivot():
+    # without a pivot check SuperLU swaps the rows of this indefinite
+    # matrix past its zero diagonal and returns x = (2, 1)
+    import scipy.sparse as sp
+    a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(slv.NotSPDError):
+        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 2.0])))
+
+
+# the studies of the benchmark (perfbench/reference.json)
+BENCHMARK_STUDIES = [
+    "--problem poisson --r1 100 --r2 100 --norm scaled --levels 7",
+    "--problem plate --r1 10 --r2 10 --norm scaled --levels 6",
+    "--problem poisson --r1 1 --r2 1 --norm standard --levels 5",
+    "--problem poisson --r1 100 --r2 100 --norm standard --levels 5",
+    "--problem poisson --r1 100 --r2 100 --norm scaled --levels 5",
+    "--problem poisson --gamma 1 --r1 100 --r2 100 --norm standard --levels 5",
+    "--problem poisson --r1 10 --r2 1 --bc mixed --ny0 1 --norm standard --levels 5",
+    "--problem plate --r1 1 --r2 1 --norm scaled --levels 4",
+    "--problem plate --r1 10 --r2 10 --norm standard --levels 4",
+    "--problem plate --r1 10 --r2 10 --norm scaled --levels 4",
+    "--problem plate --r1 10 --r2 1 --bc mixed --norm scaled --levels 3",
+]
+
+
+def study_systems(argv, monkeypatch, tmp_path):
+    """The trace systems that the CLI study argv solves, level by level."""
+    systems = []
+    solve = slv.solve_spd
+
+    def record(gs):
+        systems.append(gs)
+        return solve(gs)
+
+    monkeypatch.setattr(slv, "solve_spd", record)
+    assert sc.main([*argv.split(), "--out", str(tmp_path / "study.csv")]) == 0
+    return systems
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_STUDIES)
+def test_trace_systems_factor_without_pivots_into_positive_pivots(argv, monkeypatch,
+                                                                   tmp_path):
+    # a no-pivoting LU = L D L^T of a symmetric matrix with positive pivots D
+    # is the Cholesky factorization in disguise: the system is SPD
+    for gs in study_systems(f"{argv} --levels 3", monkeypatch, tmp_path):
+        lu = slv.factor_spd(gs.matrix)
+        assert (lu.perm_r == lu.perm_c).all()
+        assert (lu.U.diagonal() > 0).all()
+
+
+@pytest.mark.parametrize("argv", [
+    "--problem poisson --r1 100 --r2 100 --norm scaled --levels 5",  # 4,097 unknowns
+    "--problem plate --r1 10 --r2 10 --norm scaled --levels 4",  # 3,074 unknowns
+])
+def test_trace_ordering_cuts_the_fill_of_column_ordering(argv, monkeypatch, tmp_path):
+    # minimum degree on A + A^T against SuperLU's default COLAMD ordering of
+    # A^T A, which ignores the symmetry: 0.51x and 0.75x the L+U entries
+    from scipy.sparse.linalg import splu
+    a = study_systems(argv, monkeypatch, tmp_path)[-1].matrix.tocsc()
+    colamd = splu(a, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    assert slv.factor_spd(a).nnz <= 0.8 * colamd.nnz
+
+
 def solved_poisson(levels=1):
     """A solved unit-square Poisson level: its trace system and the full
     solution vector."""
