@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve, cholesky
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import splu
 
-DIRECT_SOLVE_LIMIT = 200_000
 SOLVE_TOLERANCE = 1e-10
 
 
@@ -157,16 +156,25 @@ def factor_spd(a: sp.spmatrix):
     SuperLU in symmetric mode: the minimum-degree ordering of the structure
     of A + A^T permutes rows and columns alike, and only diagonal pivots are
     taken, which is stable for SPD matrices.  A singular matrix fails its
-    factorization rather than being pivoted past, and a factor that had to
-    pivot off the diagonal (an exactly zero diagonal entry) raises
-    NotSPDError.
+    factorization rather than being pivoted past, running out of memory
+    raises SolverError, and a factor that had to pivot off the diagonal (an
+    exactly zero diagonal entry) raises NotSPDError.
+
+    Negative pivots are not checked: [[1, 2], [2, 1]] factors, and
+    solve_spd returns (1, 0) for the right side (1, 2).  Every matrix the
+    harness factors is a sum of element trace Schur complements, each of
+    which condense_local certifies positive semidefinite through its
+    Cholesky factors, so an indefinite global matrix can come only from
+    round-off.  Reading the pivots through lu.U would copy the factor
+    (+80-100 MB on the plate R10 top level) for a check that only round-off
+    could trip.
     """
     try:
         # relax=1 turns off relaxed supernodes: their explicit zeros raise
         # the fill of some trace factors 3.6x and their factor time 8x
         lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
                   diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         raise SolverError(f"direct factorization failed: {exc}") from exc
     if (lu.perm_r != lu.perm_c).any():
         raise NotSPDError("direct factorization pivoted off the diagonal")
@@ -174,39 +182,27 @@ def factor_spd(a: sp.spmatrix):
 
 
 def solve_spd(gs: GlobalSystem) -> np.ndarray:
-    """Solve the assembled SPD system.
+    """Solve the assembled SPD system by the no-pivoting sparse LU of
+    factor_spd with up to three steps of iterative refinement.
 
-    Up to DIRECT_SOLVE_LIMIT unknowns the no-pivoting sparse LU of
-    factor_spd (minimum-degree ordering of A + A^T) with iterative
-    refinement; diagonally preconditioned conjugate gradients beyond.  Both
-    are deterministic.  A solution is accepted when the residual relative to
-    the right side reaches 1e-10, or when the normwise backward error
+    A solution is accepted when the residual relative to the right side
+    reaches 1e-10, or when the normwise backward error
     |r| / (|A| |x| + |b|) reaches machine level: on systems with strong
     cancellation (|A||x| >> |b|, the signature of the unscaled norm on large
     domains) the former has a double-precision floor above 1e-10 while the
     latter certifies the solve is as accurate as the arithmetic permits.
+    Neither looks at definiteness; factor_spd says why that is left
+    unchecked.
     """
     a, b = gs.matrix, gs.rhs
-    n = a.shape[0]
     norm_b = np.linalg.norm(b)
-    if n <= DIRECT_SOLVE_LIMIT:
-        lu = factor_spd(a)
-        x = lu.solve(b)
-        for _ in range(3):
-            r = b - a @ x
-            if norm_b == 0.0 or np.linalg.norm(r) <= SOLVE_TOLERANCE * norm_b:
-                break
-            x = x + lu.solve(r)
-    else:
-        diag = a.diagonal()
-        if (diag <= 0).any():
-            raise NotSPDError("global matrix has nonpositive diagonal entries")
-        precond = sp.diags(1.0 / diag)
-        x, info = cg(a, b, rtol=1e-12, atol=0.0, maxiter=10 * n, M=precond)
-        if info > 0:
-            raise SolverError(f"conjugate gradients hit the iteration cap ({info})")
-        if info < 0:
-            raise SolverError("conjugate gradients broke down")
+    lu = factor_spd(a)
+    x = lu.solve(b)
+    for _ in range(3):
+        r = b - a @ x
+        if norm_b == 0.0 or np.linalg.norm(r) <= SOLVE_TOLERANCE * norm_b:
+            break
+        x = x + lu.solve(r)
     if norm_b > 0:
         residual = np.linalg.norm(a @ x - b)
         scale = abs(a).sum(axis=1).max() * np.linalg.norm(x) + norm_b

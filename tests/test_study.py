@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def test_csv_format_and_round_trip(tmp_path):
     rows = sc.run_study(cfg)
     with open(cfg.out, "w") as stream:
         sc.write_csv(cfg, rows, stream)
-    lines = open(cfg.out).read().strip().split("\n")
+    lines = Path(cfg.out).read_text().strip().split("\n")
     assert lines[0] == ("# dpg-lock study: --problem poisson --gamma 0.0 "
                         "--r1 1.0 --r2 1.0 --bc dirichlet --norm standard "
                         "--levels 2 --ny0 2")
@@ -234,7 +235,6 @@ def test_cli_entry_point_runs():
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import dpglock
     # the child imports the package this session imports, installed or not
