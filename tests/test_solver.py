@@ -301,6 +301,16 @@ def solved_poisson(levels=1):
     return mesh, dm, condensed, gs, x
 
 
+@pytest.mark.parametrize("levels", [1, 2])
+def test_trace_solve_matches_dense_solve(levels):
+    # the sparse factor, its ordering and the refinement loop against a
+    # dense LAPACK solve of the same assembled trace system
+    *_, gs, _ = solved_poisson(levels)
+    x = slv.solve_spd(gs)
+    x_dense = np.linalg.solve(gs.matrix.toarray(), gs.rhs)
+    assert np.abs(x - x_dense).max() < 1e-9 * np.abs(x_dense).max()
+
+
 def test_energy_residual_zero_for_zero_data():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     cfg = sc.StudyConfig(problem="poisson")
