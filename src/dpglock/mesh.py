@@ -19,8 +19,9 @@ INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
 
-ALL_DIRICHLET = "all_dirichlet"
-LEFT_RIGHT_DIRICHLET = "left_right_dirichlet"
+# boundary layouts, named as on the command line
+ALL_DIRICHLET = "dirichlet"
+LEFT_RIGHT_DIRICHLET = "mixed"
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 def classify_boundary(mesh: Mesh, layout: str) -> Mesh:
     """Return a copy of the mesh with boundary edges/vertices tagged for a BC layout.
 
-    all_dirichlet tags the whole boundary Dirichlet; left_right_dirichlet tags
+    ALL_DIRICHLET tags the whole boundary Dirichlet; LEFT_RIGHT_DIRICHLET tags
     only the edges on the lines x = xmin and x = xmax (the remaining boundary
     becomes Neumann).  Detection uses a relative tolerance of 1e-12 since
     vertices sit exactly on grid lines.

@@ -203,13 +203,13 @@ def solve_spd(gs: GlobalSystem) -> np.ndarray:
         if norm_b == 0.0 or np.linalg.norm(r) <= SOLVE_TOLERANCE * norm_b:
             break
         x = x + lu.solve(r)
-    if norm_b > 0:
-        residual = np.linalg.norm(a @ x - b)
-        scale = abs(a).sum(axis=1).max() * np.linalg.norm(x) + norm_b
-        if residual > SOLVE_TOLERANCE * norm_b and residual > 1e-14 * scale:
-            raise SolverError(
-                f"solve reached relative residual {residual / norm_b:.2e} "
-                f"(backward error {residual / scale:.2e}) only")
+    residual = np.linalg.norm(a @ x - b)
+    scale = abs(a).sum(axis=1).max() * np.linalg.norm(x) + norm_b
+    # written so that a NaN residual, scale or right side fails the test
+    if not (residual <= SOLVE_TOLERANCE * norm_b or residual <= 1e-14 * scale):
+        raise SolverError(
+            f"solve reached relative residual {residual / norm_b:.2e} "
+            f"(backward error {residual / scale:.2e}) only")
     return x
 
 

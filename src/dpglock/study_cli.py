@@ -4,12 +4,12 @@ A study solves one configuration (problem, domain, boundary layout, test-norm
 scaling) on a sequence of uniformly refined meshes and reports per level the
 free unknown count, the L2 field errors, and the energy residual, as CSV.
 
-Manufactured solutions: on (0,R1)x(0,R2) with homogeneous Dirichlet data the
-Poisson study uses sin(pi x/R1) sin(pi y/R2); with Dirichlet data only on the
-x = 0 and x = R1 sides it uses sin(pi x/R1) (zero Neumann data elsewhere).
-The plate studies use the squared sines sin(pi x/R1)^2 sin(pi y/R2)^2
-(clamped) and sin(pi x/R1)^2 (clamped/free strip), driven by their
-bilaplacian.
+Manufactured solutions: on (0,R1)x(0,R2) every exact solution is a product
+u = X(x) Y(y) of powers of sines, X = sin(pi x/R1)^p and Y = sin(pi y/R2)^p
+with p = 1 for Poisson and p = 2 for the plate, except Y = 1 on the mixed
+layout (essential conditions only on x = 0 and x = R1, natural ones
+elsewhere).  The load is the model operator applied to u: gamma u - lap u for
+Poisson, the bilaplacian for the plate.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from . import solver as slv
 
 POISSON = "poisson"
 PLATE = "plate"
-BC_DIRICHLET = "dirichlet"  # all-Dirichlet (Poisson) / clamped (plate)
-BC_MIXED = "mixed"          # Dirichlet/clamped on x = 0 and x = R1, natural elsewhere
 NORM_STANDARD = "standard"
 NORM_SCALED = "scaled"
 
@@ -48,7 +46,7 @@ class StudyConfig:
     gamma: float = 0.0
     r1: float = 1.0
     r2: float = 1.0
-    bc: str = BC_DIRICHLET
+    bc: str = msh.ALL_DIRICHLET
     norm: str = NORM_STANDARD
     d_override: Optional[float] = None
     levels: int = 5
@@ -58,10 +56,13 @@ class StudyConfig:
     def validate(self) -> None:
         if self.problem not in (POISSON, PLATE):
             raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.bc not in (BC_DIRICHLET, BC_MIXED):
+        if self.bc not in (msh.ALL_DIRICHLET, msh.LEFT_RIGHT_DIRICHLET):
             raise ConfigError(f"unknown boundary layout {self.bc!r}")
         if self.norm not in (NORM_STANDARD, NORM_SCALED):
             raise ConfigError(f"unknown norm mode {self.norm!r}")
+        d = 1.0 if self.d_override is None else self.d_override
+        if not np.isfinite([self.r1, self.r2, self.gamma, d]).all():
+            raise ConfigError("r1, r2, gamma and d must be finite")
         if not (self.r1 > 0 and self.r2 > 0):
             raise ConfigError("domain sides must be positive")
         if self.gamma < 0:
@@ -89,7 +90,7 @@ def pick_d(cfg: StudyConfig) -> float:
         return float(cfg.d_override)
     if cfg.norm == NORM_STANDARD:
         return 1.0
-    if cfg.bc == BC_DIRICHLET:
+    if cfg.bc == msh.ALL_DIRICHLET:
         return float(min(cfg.r1, cfg.r2))
     return float(cfg.r1)
 
@@ -108,49 +109,31 @@ class ExactBundle:
     f: Callable
 
 
+def sine_power(p: int, c: float, t: np.ndarray, orders) -> dict:
+    """{k: k-th derivative of sin(c t)^p at t, for k in orders}, p in {0, 1, 2}.  As
+    sin(c t)^p = a + b sin(w t + q pi/2), that is [k = 0] a + b w^k sin(w t + (k + q) pi/2),
+    and sin(w t + m pi/2) is sin, cos, -sin or -cos of w t for m % 4 = 0, 1, 2 or 3."""
+    a, b, w, q = ((1.0, 0.0, 0.0, 0), (0.0, 1.0, c, 0), (0.5, -0.5, 2 * c, 1))[p]
+    trig = {m: (np.sin, np.cos)[m](w * t) for m in {(k + q) % 2 for k in orders}}
+    return {k: (a if k == 0 else 0.0)
+            + b * w ** k * (1, 1, -1, -1)[(k + q) % 4] * trig[(k + q) % 2] for k in orders}
+
+
 def exact_bundle(cfg: StudyConfig) -> ExactBundle:
-    a = np.pi / cfg.r1
-    b = np.pi / cfg.r2
-    gamma = cfg.gamma
-    if cfg.problem == POISSON and cfg.bc == BC_DIRICHLET:
-        return ExactBundle(
-            u=lambda x, y: np.sin(a * x) * np.sin(b * y),
-            grad=lambda x, y: np.stack([a * np.cos(a * x) * np.sin(b * y),
-                                        b * np.sin(a * x) * np.cos(b * y)], axis=-1),
-            hess=lambda x, y: np.stack([-a ** 2 * np.sin(a * x) * np.sin(b * y),
-                                        a * b * np.cos(a * x) * np.cos(b * y),
-                                        -b ** 2 * np.sin(a * x) * np.sin(b * y)], axis=-1),
-            f=lambda x, y: (a ** 2 + b ** 2 + gamma) * np.sin(a * x) * np.sin(b * y),
-        )
-    if cfg.problem == POISSON:
-        return ExactBundle(
-            u=lambda x, y: np.broadcast_to(np.sin(a * x), np.shape(y)),
-            grad=lambda x, y: np.stack([a * np.cos(a * x), np.zeros_like(y)], axis=-1),
-            hess=lambda x, y: np.stack([-a ** 2 * np.sin(a * x), np.zeros_like(y),
-                                        np.zeros_like(y)], axis=-1),
-            f=lambda x, y: np.broadcast_to((a ** 2 + gamma) * np.sin(a * x), np.shape(y)),
-        )
-    if cfg.bc == BC_DIRICHLET:
-        return ExactBundle(
-            u=lambda x, y: np.sin(a * x) ** 2 * np.sin(b * y) ** 2,
-            grad=lambda x, y: np.stack(
-                [a * np.sin(2 * a * x) * np.sin(b * y) ** 2,
-                 b * np.sin(a * x) ** 2 * np.sin(2 * b * y)], axis=-1),
-            hess=lambda x, y: np.stack(
-                [2 * a ** 2 * np.cos(2 * a * x) * np.sin(b * y) ** 2,
-                 a * b * np.sin(2 * a * x) * np.sin(2 * b * y),
-                 2 * b ** 2 * np.sin(a * x) ** 2 * np.cos(2 * b * y)], axis=-1),
-            f=lambda x, y: (-8 * a ** 4 * np.cos(2 * a * x) * np.sin(b * y) ** 2
-                            + 8 * a ** 2 * b ** 2 * np.cos(2 * a * x) * np.cos(2 * b * y)
-                            - 8 * b ** 4 * np.sin(a * x) ** 2 * np.cos(2 * b * y)),
-        )
-    return ExactBundle(
-        u=lambda x, y: np.broadcast_to(np.sin(a * x) ** 2, np.shape(y)),
-        grad=lambda x, y: np.stack([a * np.sin(2 * a * x), np.zeros_like(y)], axis=-1),
-        hess=lambda x, y: np.stack([2 * a ** 2 * np.cos(2 * a * x), np.zeros_like(y),
-                                    np.zeros_like(y)], axis=-1),
-        f=lambda x, y: np.broadcast_to(-8 * a ** 4 * np.cos(2 * a * x), np.shape(y)),
-    )
+    px = 1 if cfg.problem == POISSON else 2
+    py = px if cfg.bc == msh.ALL_DIRICHLET else 0
+
+    def du(x, y, *orders):  # [d^(i+j) u / dx^i dy^j for (i, j) in orders]
+        dx = sine_power(px, np.pi / cfg.r1, x, [i for i, _ in orders])
+        dy = sine_power(py, np.pi / cfg.r2, y, [j for _, j in orders])
+        return [dx[i] * dy[j] for i, j in orders]
+
+    op = ({(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0} if cfg.problem == PLATE  # bilaplacian
+          else {(0, 0): cfg.gamma, (2, 0): -1.0, (0, 2): -1.0})  # gamma u - lap u
+    return ExactBundle(u=lambda x, y: du(x, y, (0, 0))[0],
+                       grad=lambda x, y: np.stack(du(x, y, (1, 0), (0, 1)), axis=-1),
+                       hess=lambda x, y: np.stack(du(x, y, (2, 0), (1, 1), (0, 2)), axis=-1),
+                       f=lambda x, y: sum(c * d for c, d in zip(op.values(), du(x, y, *op))))
 
 
 def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condensed:
@@ -227,8 +210,7 @@ def run_study(cfg: StudyConfig):
     problems share one CSV schema.
     """
     cfg.validate()
-    layout = msh.ALL_DIRICHLET if cfg.bc == BC_DIRICHLET else msh.LEFT_RIGHT_DIRICHLET
-    mesh = msh.classify_boundary(msh.make_rect_mesh(cfg.r1, cfg.r2, cfg.ny0), layout)
+    mesh = msh.classify_boundary(msh.make_rect_mesh(cfg.r1, cfg.r2, cfg.ny0), cfg.bc)
     d = pick_d(cfg)
     exact = exact_bundle(cfg)
     rows = []
@@ -277,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reaction coefficient (poisson only, default 0)")
     parser.add_argument("--r1", type=float, default=1.0, help="domain width")
     parser.add_argument("--r2", type=float, default=1.0, help="domain height")
-    parser.add_argument("--bc", choices=(BC_DIRICHLET, BC_MIXED),
-                        default=BC_DIRICHLET)
+    parser.add_argument("--bc", choices=(msh.ALL_DIRICHLET, msh.LEFT_RIGHT_DIRICHLET),
+                        default=msh.ALL_DIRICHLET)
     parser.add_argument("--norm", choices=(NORM_STANDARD, NORM_SCALED),
                         default=NORM_STANDARD)
     parser.add_argument("--d", type=float, default=None, dest="d_override",

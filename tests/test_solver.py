@@ -214,6 +214,16 @@ def test_solve_rejects_off_diagonal_pivot():
         slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 2.0])))
 
 
+def test_solve_rejects_a_nan_solution():
+    # every comparison with NaN is false, so the certificate must accept on a
+    # comparison that holds rather than reject on one that fails
+    import scipy.sparse as sp
+    a = sp.eye(2, format="csr")
+    with pytest.raises(slv.SolverError):
+        slv.solve_spd(slv.GlobalSystem(a, np.array([np.nan, 1.0])))
+    assert (slv.solve_spd(slv.GlobalSystem(a, np.zeros(2))) == 0).all()
+
+
 def test_factorization_out_of_memory_is_a_solver_failure(monkeypatch, capsys):
     # SuperLU reports a failed allocation as MemoryError; the CLI must still
     # exit with the solver-failure code, not crash with a traceback
@@ -452,8 +462,7 @@ def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
 def test_trace_system_is_the_schur_complement_of_the_full_system(problem, bc, r1, refine):
     # 2- and 8-triangle meshes: unit squares and clamped/free plate strips
     cfg = sc.StudyConfig(problem=problem, r1=r1, bc=bc, norm="scaled")
-    layout = msh.ALL_DIRICHLET if bc == "dirichlet" else msh.LEFT_RIGHT_DIRICHLET
-    mesh = msh.classify_boundary(msh.make_rect_mesh(r1, 1.0, 1), layout)
+    mesh = msh.classify_boundary(msh.make_rect_mesh(r1, 1.0, 1), bc)
     if refine:
         mesh = msh.refine_uniform(mesh)
     model, dof_map = ((pw, pw.dof_map_poisson) if problem == "poisson"

@@ -43,6 +43,11 @@ def test_config_validation():
         cfg_poisson(norm="standard", d_override=2.0).validate()
     with pytest.raises(sc.ConfigError):
         cfg_poisson(problem="heat").validate()
+    for bad in (dict(r1=np.inf), dict(r2=np.nan), dict(gamma=np.nan), dict(gamma=np.inf),
+                dict(norm="scaled", d_override=np.nan),
+                dict(norm="scaled", d_override=np.inf)):
+        with pytest.raises(sc.ConfigError):
+            cfg_poisson(**bad).validate()
 
 
 def test_exact_bundle_mixed_rhs_value():
@@ -59,12 +64,24 @@ def test_exact_bundle_dirichlet_rhs_value():
                       2 * np.pi ** 2, rtol=1e-14)
 
 
-def test_exact_bundle_plate_clamped_compatibility():
-    exact = sc.exact_bundle(sc.StudyConfig(problem="plate", r1=2.0, r2=3.0))
-    xs = np.array([0.0, 2.0, 1.3, 0.7])
-    ys = np.array([1.1, 2.2, 0.0, 3.0])  # either x or y on the boundary
-    assert np.allclose(exact.u(xs, ys), 0.0, atol=1e-14)
-    assert np.allclose(exact.grad(xs, ys), 0.0, atol=1e-13)
+@pytest.mark.parametrize("problem, bc", [("poisson", "dirichlet"), ("poisson", "mixed"),
+                                         ("plate", "dirichlet"), ("plate", "mixed")])
+def test_exact_bundle_boundary_conditions(problem, bc):
+    r1, r2 = 2.0, 3.0
+    exact = sc.exact_bundle(sc.StudyConfig(problem=problem, r1=r1, r2=r2, bc=bc))
+    t = np.linspace(0.0, 1.0, 7)
+    left_right = (np.repeat([0.0, r1], 7), np.tile(r2 * t, 2))
+    bottom_top = (np.tile(r1 * t, 2), np.repeat([0.0, r2], 7))
+    for x, y in [left_right] + ([bottom_top] if bc == "dirichlet" else []):
+        assert np.allclose(exact.u(x, y), 0.0, atol=1e-14)
+        if problem == "plate":  # clamped
+            assert np.allclose(exact.grad(x, y), 0.0, atol=1e-13)
+    if bc == "mixed":  # free on y = 0 and y = R2
+        x, y = bottom_top
+        if problem == "poisson":
+            assert np.allclose(exact.grad(x, y)[..., 1], 0.0, atol=1e-14)
+        else:
+            assert np.allclose(exact.hess(x, y)[..., 1:], 0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -213,6 +230,9 @@ def test_cli_stdout(capsys):
     ["--problem", "poisson", "--norm", "standard", "--d", "3"],
     ["--problem", "plate", "--gamma", "1"],
     ["--problem", "poisson", "--levels", "0"],
+    ["--problem", "poisson", "--r1", "inf"],
+    ["--problem", "poisson", "--gamma", "nan"],
+    ["--problem", "poisson", "--norm", "scaled", "--d", "nan"],
     [],
 ])
 def test_cli_configuration_errors_exit_one(argv, capsys):
@@ -229,6 +249,15 @@ def test_cli_solver_failure_exits_two(monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "solver failure" in err and "level 0" in err
+
+
+def test_cli_nan_solution_exits_two(capsys):
+    # gamma = 1e300 overflows the element systems into a NaN trace solution
+    with np.errstate(all="ignore"):
+        code = sc.main(["--problem", "poisson", "--gamma", "1e300", "--levels", "1",
+                        "--ny0", "1"])
+    assert code == 2
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_cli_entry_point_runs():
