@@ -209,10 +209,14 @@ def map_affine(mesh: Mesh, t: int) -> AffineMap:
 
 def affine_points(verts: np.ndarray, ref_pts: np.ndarray):
     """Jacobian determinants (nt,) and physical images (nt, nq, 2) of the
-    reference points under the affine maps of a (nt, 3, 2) vertex array."""
-    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    return det, np.einsum("qr,tdr->tqd", ref_pts, jac) + verts[:, None, 0]
+    reference points under the affine maps of a (nt, 3, 2) vertex array.
+
+    A reference point (xi, eta) maps to the combination of the vertices with
+    barycentric weights (1 - xi - eta, xi, eta), one batched matmul."""
+    e1, e2 = verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    bary = np.column_stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts])
+    return det, bary @ verts
 
 
 def edge_ref_points(k: int, s: np.ndarray) -> np.ndarray:

@@ -122,10 +122,11 @@ def _connect(triangles: np.ndarray):
     a = triangles
     b = np.roll(triangles, -1, axis=1)
     pairs = np.stack([a, b], axis=2).reshape(-1, 2)  # local edge k = (v_k, v_{k+1})
-    lo = pairs.min(axis=1)
-    hi = pairs.max(axis=1)
-    keyed = np.stack([lo, hi], axis=1)
-    edges, inverse = np.unique(keyed, axis=0, return_inverse=True)
+    n = triangles.max() + 1
+    # (lo, hi) pairs sort as the 1-D keys lo * n + hi
+    keys, inverse = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1),
+                              return_inverse=True)
+    edges = np.column_stack([keys // n, keys % n])
     tri_edges = inverse.reshape(-1, 3)
     signs = np.where(pairs[:, 0] < pairs[:, 1], 1, -1).reshape(-1, 3)
     return edges, tri_edges, signs.astype(np.int8)

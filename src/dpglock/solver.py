@@ -93,16 +93,24 @@ def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray,
              load: np.ndarray, n_field: int) -> Condensed:
     """Condensed systems of a mesh from the (nc, ...) stacks of per-class G
     and B, the class of each element, the (nt, n_test) element loads and
-    the number of field slots."""
-    chol, ff, lift, schur = map(np.stack, zip(*(condense_local(g, bc, n_field)
-                                                for g, bc in zip(gram, b))))
-    field, rhs = condense_rhs(chol, b, ff, lift, cls, load)
+    the number of field slots.
+
+    Element systems that overflow (data of magnitude near the float64 limit)
+    raise SolverError here, before a non-finite matrix reaches the global
+    solve."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        chol, ff, lift, schur = map(np.stack, zip(*(condense_local(g, bc, n_field)
+                                                    for g, bc in zip(gram, b))))
+        field, rhs = condense_rhs(chol, b, ff, lift, cls, load)
+    if not all(np.isfinite(a).all() for a in (schur, field, rhs)):
+        raise SolverError("element systems overflowed: their condensed "
+                          "matrices or right sides are not finite")
     return Condensed(chol, b, schur, lift, cls, load, field, rhs)
 
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
 
 
@@ -128,7 +136,7 @@ def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     cols = np.broadcast_to(dofs[:, None, :], data.shape)
     keep = (rows >= 0) & (cols >= 0)
     matrix = sp.coo_matrix((data[keep], (rows[keep], cols[keep])),
-                           shape=(n, n)).tocsr()
+                           shape=(n, n)).tocsc()
 
     rhs = np.zeros(n)
     keep = dofs >= 0

@@ -149,7 +149,12 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
     jac = (verts[:, 1:] - verts[:, :1]).reshape(-1, 4)
     key = np.column_stack([np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64),
                            mesh.tri_edge_signs])
-    _, first, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    # classes in lexicographic order of the key rows, each led by its first element
+    order = np.lexsort(key.T[::-1])
+    rows = key[order]
+    new = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    first, cls = order[new], np.empty_like(order)
+    cls[order] = np.cumsum(new) - 1
     amaps = [fc.map_affine(mesh, t) for t in first]
     if cfg.problem == POISSON:
         gram = [pw.local_gram_poisson(amap, d) for amap in amaps]
@@ -162,8 +167,7 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
         load = plw.local_load_plate(verts, f)
         n_field = plw.N_FIELD
     try:
-        # numpy 2.0.0 returns the inverse of a unique over rows as a column
-        return slv.condense(np.stack(gram), np.stack(b), cls.reshape(-1), load, n_field)
+        return slv.condense(np.stack(gram), np.stack(b), cls, load, n_field)
     except slv.NotSPDError as exc:
         raise slv.NotSPDError(f"d = {d}: {exc}") from exc
 
@@ -192,14 +196,12 @@ def compute_errors(mesh: msh.Mesh, dofmap, x: np.ndarray, exact: ExactBundle) ->
     xq, yq = phys[..., 0], phys[..., 1]
 
     fields = x[dofmap.field]
-    err_u_sq = np.einsum("tq,q,t->", (exact.u(xq, yq) - fields[:, :1]) ** 2,
-                         rule.weights, det)
+    err_u_sq = det @ ((exact.u(xq, yq) - fields[:, :1]) ** 2 @ rule.weights)
     if isinstance(dofmap, pw.PoissonDofMap):
         flux, weight = exact.grad(xq, yq), np.ones(2)
     else:
         flux, weight = -exact.hess(xq, yq), np.array(plw.COMPONENT_WEIGHT)
-    diff = flux - fields[:, None, 1:]
-    err_flux_sq = np.einsum("tqc,tqc,c,q,t->", diff, diff, weight, rule.weights, det)
+    err_flux_sq = det @ ((flux - fields[:, None, 1:]) ** 2 @ weight @ rule.weights)
     return float(np.sqrt(err_u_sq)), float(np.sqrt(err_flux_sq))
 
 

@@ -189,3 +189,16 @@ def test_edge_ref_points():
     s = np.array([0.0, 0.5, 1.0])
     pts = fc.edge_ref_points(1, s)
     assert np.allclose(pts, [[1, 0], [0.5, 0.5], [0, 1]])
+
+
+def test_affine_points_match_the_element_maps():
+    # reference: each element's own affine map, x = v0 + J xi
+    m = msh.refine_uniform(msh.refine_uniform(msh.make_rect_mesh(100.0, 30.0, 2)))
+    ref = fc.quad_triangle(10).points
+    det, phys = fc.affine_points(m.vertices[m.triangles], ref)
+    assert phys.shape == (m.n_triangles, len(ref), 2)
+    for t in range(m.n_triangles):
+        amap = fc.affine_map_from_vertices(m.vertices[m.triangles[t]])
+        expected = amap.verts[0] + ref @ amap.jac.T
+        assert np.abs(phys[t] - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert abs(det[t] - amap.det) <= 1e-14 * amap.det

@@ -127,3 +127,23 @@ def test_refine_inherits_tags():
     assert (r.edge_tags == fresh.edge_tags).all()
     assert (r.vertex_tags == fresh.vertex_tags).all()
 
+
+
+def connect_rowwise(triangles):
+    """Reference edge table: a unique over the (lower, higher) vertex rows."""
+    pairs = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2).reshape(-1, 2)
+    edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+    signs = np.where(pairs[:, 0] < pairs[:, 1], 1, -1).reshape(-1, 3)
+    return edges, inverse.reshape(-1, 3), signs.astype(np.int8)
+
+
+def test_connect_matches_rowwise_unique():
+    m = msh.classify_boundary(msh.make_rect_mesh(10.0, 1.0, 1), msh.LEFT_RIGHT_DIRICHLET)
+    for _ in range(3):
+        m = msh.refine_uniform(m)
+    shuffled = np.random.default_rng(5).permutation(m.triangles)
+    for tris, built in ((m.triangles, (m.edges, m.tri_edges, m.tri_edge_signs)),
+                        (shuffled, msh._connect(shuffled))):
+        for got, ref in zip(built, connect_rowwise(tris)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,33 @@ def test_condense_mesh_separates_similar_elements_of_different_size():
         assert np.allclose(cond.schur[cond.cls[t]], schur, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("perturb", [0.0, 0.1])
+def test_condense_mesh_classes_match_rowwise_unique(perturb, monkeypatch):
+    # perturbing the interior vertices makes every element its own class;
+    # the unperturbed mesh has few classes, each led by its first element
+    mesh = msh.refine_uniform(msh.refine_uniform(msh.make_rect_mesh(3.0, 2.0, 2)))
+    interior = mesh.vertex_tags == msh.INTERIOR
+    h = 0.25  # the cell size
+    rng = np.random.default_rng(8)
+    vertices = mesh.vertices.copy()
+    vertices[interior] += perturb * h * rng.uniform(-1.0, 1.0, (interior.sum(), 2))
+    mesh = replace(mesh, vertices=vertices)
+    verts = mesh.vertices[mesh.triangles]
+    jac = (verts[:, 1:] - verts[:, :1]).reshape(-1, 4)
+    key = np.column_stack([np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64),
+                           mesh.tri_edge_signs])
+    _, first, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    assert (len(first) == mesh.n_triangles) == (perturb > 0)
+
+    mapped = []
+    map_affine = fc.map_affine
+    monkeypatch.setattr(fc, "map_affine", lambda m, t: mapped.append(t) or map_affine(m, t))
+    cfg = sc.StudyConfig(problem="poisson")
+    cond = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
+    assert np.array_equal(mapped, first)
+    assert np.array_equal(cond.cls, cls.reshape(-1))
+
+
 def test_assemble_single_element_is_free_submatrix():
     rng = np.random.default_rng(3)
     cond = condense_one(random_spd(6, rng), rng.standard_normal((6, 5)),
@@ -113,6 +142,7 @@ def test_assemble_single_element_is_free_submatrix():
     gs = slv.assemble_global(np.array([[1, -1, 0, 2]]), 3, cond)
     keep = [0, 2, 3]
     perm = [1, 0, 2]  # local slots of global dofs 0, 1, 2
+    assert gs.matrix.format == "csc"  # factor_spd's tocsc is then a no-op
     dense = gs.matrix.toarray()
     expected = cond.schur[0][np.ix_(keep, keep)][np.ix_(perm, perm)]
     assert np.allclose(dense, expected, rtol=1e-14)

@@ -251,13 +251,19 @@ def test_cli_solver_failure_exits_two(monkeypatch, capsys):
     assert "solver failure" in err and "level 0" in err
 
 
-def test_cli_nan_solution_exits_two(capsys):
-    # gamma = 1e300 overflows the element systems into a NaN trace solution
-    with np.errstate(all="ignore"):
-        code = sc.main(["--problem", "poisson", "--gamma", "1e300", "--levels", "1",
-                        "--ny0", "1"])
+def test_cli_overflowing_element_systems_exit_two(monkeypatch, capsys):
+    # gamma = 1e300 overflows B^T G^-1 B: condensation stops the run with one
+    # message, without numpy warnings and before anything is factored
+    factored = []
+    factor_spd = slv.factor_spd
+    monkeypatch.setattr(slv, "factor_spd", lambda a: factored.append(a) or factor_spd(a))
+    code = sc.main(["--problem", "poisson", "--gamma", "1e300", "--levels", "1",
+                    "--ny0", "1"])
     assert code == 2
-    assert "solver failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "solver failure" in err and "overflowed" in err
+    assert factored == []
 
 
 def test_cli_entry_point_runs():
