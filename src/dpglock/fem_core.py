@@ -29,7 +29,6 @@ class QuadRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
 
 
 def _gauss01(n: int):
@@ -43,7 +42,7 @@ def quad_edge(degree: int) -> QuadRule:
         raise ValueError(f"unsupported edge quadrature degree {degree}")
     n = degree // 2 + 1
     x, w = _gauss01(n)
-    return QuadRule(x, w, 2 * n - 1)
+    return QuadRule(x, w)
 
 
 def quad_triangle(degree: int) -> QuadRule:
@@ -62,7 +61,7 @@ def quad_triangle(degree: int) -> QuadRule:
     wu2, wv2 = np.meshgrid(wu, wv)
     pts = np.column_stack([u.ravel(), (v * (1.0 - u)).ravel()])
     w = (wu2 * wv2 * (1.0 - u)).ravel()
-    return QuadRule(pts, w, degree)
+    return QuadRule(pts, w)
 
 
 def _monomial_powers(p: int) -> np.ndarray:

@@ -4,8 +4,8 @@ Meshes are immutable value objects: triangles are stored counterclockwise,
 edges with the lower vertex index first, and every triangle records for each
 of its edges whether its outward normal agrees with the global edge normal
 (the normal obtained by rotating the lower-to-higher-index direction
-clockwise by 90 degrees).  A DofMap numbers the unknowns that live on the
-triangles, vertices and edges of a mesh.
+clockwise by 90 degrees).  A DofMap numbers the trace unknowns that live on
+the vertices and edges of a mesh.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ class Mesh:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def boundary_edge_mask(self) -> np.ndarray:
         """Edges incident to exactly one triangle."""
         counts = np.bincount(self.tri_edges.ravel(), minlength=self.n_edges)
@@ -71,47 +65,40 @@ class Mesh:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global numbering of the free unknowns of an ultraweak system.
+    """Global numbering of the free trace unknowns of an ultraweak system.
 
-    field:  (nt, n_field) piecewise-constant fields; column 0 numbers u
     vertex: (nv, k) trace components per vertex
     edge:   (ne, k) trace components per edge
 
-    Unknowns are numbered u by triangle, then the other field components
-    triangle by triangle, then the free vertex components in vertex order,
-    then the free edge components in edge order.  Fixed slots hold -1.
+    The free vertex components are numbered from 0 in vertex order, then the
+    free edge components in edge order; fixed slots hold -1.  The n_field
+    piecewise-constant fields of each triangle couple only inside it and are
+    eliminated element by element, so they get no number; n_free counts
+    them next to the n_trace traces.
     """
 
     n_free: int
-    field: np.ndarray
+    n_trace: int
     vertex: np.ndarray
     edge: np.ndarray
 
     @classmethod
     def number(cls, mesh: Mesh, n_field: int, vertex_fixed: np.ndarray,
                edge_fixed: np.ndarray):
-        """Number the unknowns, leaving out the slots set in the (nv, k)
-        and (ne, k) masks."""
-        nt = mesh.n_triangles
-        field = np.column_stack([
-            np.arange(nt, dtype=np.int64),
-            nt + np.arange(nt * (n_field - 1), dtype=np.int64).reshape(nt, -1)])
-        offset = n_field * nt
-        blocks = []
-        for fixed in (vertex_fixed, edge_fixed):
-            ids = np.full(fixed.shape, -1, dtype=np.int64)
-            free = ~fixed
-            ids[free] = offset + np.arange(free.sum())
-            offset += free.sum()
-            blocks.append(ids)
-        return cls(int(offset), field, *blocks)
+        """Number the traces, leaving out the slots set in the (nv, k) and
+        (ne, k) masks."""
+        free = ~np.concatenate([vertex_fixed.ravel(), edge_fixed.ravel()])
+        ids = np.where(free, np.cumsum(free) - 1, -1)
+        n_trace = int(free.sum())
+        vertex, edge = np.split(ids, [vertex_fixed.size])
+        return cls(n_field * mesh.n_triangles + n_trace, n_trace,
+                   vertex.reshape(vertex_fixed.shape), edge.reshape(edge_fixed.shape))
 
     def all_element_dofs(self, mesh: Mesh) -> np.ndarray:
-        """(nt, n_field + 3 k_vertex + 3 k_edge) global index of every local
-        trial slot, -1 where fixed."""
+        """(nt, 3 k_vertex + 3 k_edge) global index of every local trace
+        slot, -1 where fixed."""
         nt = mesh.n_triangles
         return np.column_stack([
-            self.field,
             self.vertex[mesh.triangles].reshape(nt, -1),
             self.edge[mesh.tri_edges].reshape(nt, -1),
         ])
@@ -160,17 +147,11 @@ def make_rect_mesh(r1: float, r2: float, ny: int) -> Mesh:
     xg, yg = np.meshgrid(xs, ys)  # row j = line y = ys[j]
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def vid(i, j):
-        return i + j * (nx + 1)
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    triangles = np.array(tris, dtype=np.int64)
+    # lower-left vertex of every cell, row by row; the cell's two triangles
+    # (ll, lr, ur) and (ll, ur, ul) follow each other
+    ll = (np.arange(nx) + (nx + 1) * np.arange(ny)[:, None]).ravel()
+    triangles = np.stack([ll, ll + 1, ll + nx + 2,
+                          ll, ll + nx + 2, ll + nx + 1], axis=1).reshape(-1, 3)
 
     edges, tri_edges, signs = _connect(triangles)
     mesh = Mesh(vertices, triangles, edges, tri_edges, signs,
@@ -243,12 +224,4 @@ def classify_boundary(mesh: Mesh, layout: str) -> Mesh:
 
     vertex_tags = _vertex_tags_from_edges(mesh.n_vertices, mesh.edges, edge_tags)
     return replace(mesh, edge_tags=edge_tags, vertex_tags=vertex_tags)
-
-
-def shape_regularity(mesh: Mesh) -> float:
-    """max over triangles of diam(T)^2 / |T|."""
-    p = mesh.vertices[mesh.triangles]
-    sides = p - np.roll(p, 1, axis=1)
-    diam = np.sqrt((sides ** 2).sum(axis=2)).max(axis=1)
-    return float((diam ** 2 / mesh.signed_areas()).max())
 

@@ -205,8 +205,8 @@ def local_load_plate(verts: np.ndarray, f) -> np.ndarray:
 
 
 class PlateDofMap(msh.DofMap):
-    """Columns: field (u, M11, M12, M22), vertex (w, w_x, w_y), edge (m_nn,
-    q_eff, m_tn)."""
+    """Columns: vertex (w, w_x, w_y), edge (m_nn, q_eff, m_tn); the fields
+    (u, M11, M12, M22) are condensed and count in n_free only."""
 
 
 def dof_map_plate(mesh: msh.Mesh) -> PlateDofMap:

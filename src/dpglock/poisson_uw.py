@@ -111,7 +111,8 @@ def local_load_poisson(verts: np.ndarray, f) -> np.ndarray:
 
 
 class PoissonDofMap(msh.DofMap):
-    """Columns: field (u, sigma_x, sigma_y), vertex (uhat), edge (sighat)."""
+    """Columns: vertex (uhat), edge (sighat); the fields (u, sigma_x,
+    sigma_y) are condensed and count in n_free only."""
 
 
 def dof_map_poisson(mesh: msh.Mesh) -> PoissonDofMap:

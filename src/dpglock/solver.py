@@ -114,17 +114,10 @@ class GlobalSystem:
     rhs: np.ndarray
 
 
-def trace_dofs(dofs: np.ndarray, n_field: int) -> np.ndarray:
-    """Index of every element's trace slots among the trace unknowns, from
-    the (nt, n_trial) element-dof array whose n_field * nt field unknowns
-    are numbered first; -1 where fixed."""
-    traces = dofs[:, n_field:]
-    return np.where(traces >= 0, traces - n_field * len(dofs), -1)
-
-
 def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     """Sum the element trace systems over the n free trace unknowns, given
-    the (nt, n_trace) trace_dofs of every element.
+    the (nt, n_trial - n_field) global index of every element's trace slots
+    (DofMap.all_element_dofs).
 
     Constrained slots are marked -1 and simply dropped, which imposes the
     (homogeneous) essential conditions.
@@ -144,18 +137,13 @@ def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     return GlobalSystem(matrix, rhs)
 
 
-def solve_condensed(dofs: np.ndarray, n_free: int, cond: Condensed) -> np.ndarray:
-    """All n_free unknowns, given the (nt, n_trial) element-dof array: the
-    traces from the assembled trace system, then the fields of every
+def solve_condensed(dofs: np.ndarray, n_trace: int, cond: Condensed):
+    """(fields, traces): the n_trace traces from the assembled trace system,
+    given the element trace dofs, and the (nt, n_field) fields of every
     element from its traces."""
-    n_field = cond.lift.shape[1]
-    n_fields = n_field * len(dofs)  # numbered first
-    traces = trace_dofs(dofs, n_field)
-    x = np.empty(n_free)
-    x[n_fields:] = solve_spd(assemble_global(traces, n_free - n_fields, cond))
-    local = gather_local(traces, x[n_fields:])
-    x[dofs[:, :n_field]] = cond.field - np.einsum("tfk,tk->tf", cond.lift[cond.cls], local)
-    return x
+    traces = solve_spd(assemble_global(dofs, n_trace, cond))
+    local = gather_local(dofs, traces)
+    return cond.field - np.einsum("tfk,tk->tf", cond.lift[cond.cls], local), traces
 
 
 def factor_spd(a: sp.spmatrix):
@@ -227,10 +215,12 @@ def gather_local(dofs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def energy_residual(cond: Condensed, element_dofs: np.ndarray, x: np.ndarray):
+def energy_residual(cond: Condensed, dofs: np.ndarray, fields: np.ndarray,
+                    traces: np.ndarray):
     """Per-element and global energy error: eta_T^2 = r^T G^-1 r with
-    r = l - B x restricted to the element."""
-    local = gather_local(element_dofs, x)
+    r = l - B x, x the element's fields and its traces gathered through
+    its trace dofs."""
+    local = np.hstack([fields, gather_local(dofs, traces)])
     eta_sq = np.empty(len(cond.cls))
     for c in range(len(cond.chol)):
         sel = cond.cls == c

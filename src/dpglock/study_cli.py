@@ -99,14 +99,23 @@ def pick_d(cfg: StudyConfig) -> float:
 class ExactBundle:
     """Vectorized evaluators of the manufactured solution.
 
-    grad returns (..., 2); hess returns the (xx, xy, yy) components as
-    (..., 3); f is the matching load (-lap u + gamma u, or the bilaplacian).
+    du(x, y, *orders) returns [d^(i+j) u / dx^i dy^j for (i, j) in orders]
+    from one sine evaluation per coordinate; f is the matching load
+    (-lap u + gamma u, or the bilaplacian).  grad returns (..., 2); hess
+    returns the (xx, xy, yy) components as (..., 3).
     """
 
-    u: Callable
-    grad: Callable
-    hess: Callable
+    du: Callable
     f: Callable
+
+    def u(self, x, y):
+        return self.du(x, y, (0, 0))[0]
+
+    def grad(self, x, y):
+        return np.stack(self.du(x, y, (1, 0), (0, 1)), axis=-1)
+
+    def hess(self, x, y):
+        return np.stack(self.du(x, y, (2, 0), (1, 1), (0, 2)), axis=-1)
 
 
 def sine_power(p: int, c: float, t: np.ndarray, orders) -> dict:
@@ -130,10 +139,7 @@ def exact_bundle(cfg: StudyConfig) -> ExactBundle:
 
     op = ({(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0} if cfg.problem == PLATE  # bilaplacian
           else {(0, 0): cfg.gamma, (2, 0): -1.0, (0, 2): -1.0})  # gamma u - lap u
-    return ExactBundle(u=lambda x, y: du(x, y, (0, 0))[0],
-                       grad=lambda x, y: np.stack(du(x, y, (1, 0), (0, 1)), axis=-1),
-                       hess=lambda x, y: np.stack(du(x, y, (2, 0), (1, 1), (0, 2)), axis=-1),
-                       f=lambda x, y: sum(c * d for c, d in zip(op.values(), du(x, y, *op))))
+    return ExactBundle(du, lambda x, y: sum(c * d for c, d in zip(op.values(), du(x, y, *op))))
 
 
 def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condensed:
@@ -174,8 +180,8 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
 
 @dataclass(frozen=True)
 class LevelSolution:
-    dofmap: msh.DofMap
-    x: np.ndarray
+    n_free: int
+    fields: np.ndarray
     eta: float
 
 
@@ -183,24 +189,25 @@ def solve_level(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> LevelSolution:
     dofmap = (pw.dof_map_poisson if cfg.problem == POISSON else plw.dof_map_plate)(mesh)
     cond = condense_mesh(mesh, cfg, d, f)
     dofs = dofmap.all_element_dofs(mesh)
-    x = slv.solve_condensed(dofs, dofmap.n_free, cond)
-    _, eta = slv.energy_residual(cond, dofs, x)
-    return LevelSolution(dofmap, x, eta)
+    fields, traces = slv.solve_condensed(dofs, dofmap.n_trace, cond)
+    _, eta = slv.energy_residual(cond, dofs, fields, traces)
+    return LevelSolution(dofmap.n_free, fields, eta)
 
 
-def compute_errors(mesh: msh.Mesh, dofmap, x: np.ndarray, exact: ExactBundle) -> tuple:
-    """(errU, errSigma): L2 errors of the piecewise-constant field variables
-    by degree-10 quadrature."""
+def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
+                   exact: ExactBundle) -> tuple:
+    """(errU, errSigma): L2 errors of the (nt, n_field) piecewise-constant
+    fields by degree-10 quadrature; the flux is grad u for Poisson and the
+    moment -hess u for the plate."""
     rule = fc.quad_triangle(ERROR_QUAD_DEGREE)
     det, phys = fc.affine_points(mesh.vertices[mesh.triangles], rule.points)
-    xq, yq = phys[..., 0], phys[..., 1]
-
-    fields = x[dofmap.field]
-    err_u_sq = det @ ((exact.u(xq, yq) - fields[:, :1]) ** 2 @ rule.weights)
-    if isinstance(dofmap, pw.PoissonDofMap):
-        flux, weight = exact.grad(xq, yq), np.ones(2)
+    if cfg.problem == POISSON:
+        u, *flux = exact.du(phys[..., 0], phys[..., 1], (0, 0), (1, 0), (0, 1))
+        flux, weight = np.stack(flux, axis=-1), np.ones(2)
     else:
-        flux, weight = -exact.hess(xq, yq), np.array(plw.COMPONENT_WEIGHT)
+        u, *flux = exact.du(phys[..., 0], phys[..., 1], (0, 0), (2, 0), (1, 1), (0, 2))
+        flux, weight = -np.stack(flux, axis=-1), np.array(plw.COMPONENT_WEIGHT)
+    err_u_sq = det @ ((u - fields[:, :1]) ** 2 @ rule.weights)
     err_flux_sq = det @ ((flux - fields[:, None, 1:]) ** 2 @ weight @ rule.weights)
     return float(np.sqrt(err_u_sq)), float(np.sqrt(err_flux_sq))
 
@@ -221,8 +228,8 @@ def run_study(cfg: StudyConfig):
             sol = solve_level(mesh, cfg, d, exact.f)
         except slv.SolverError as exc:
             raise slv.SolverError(f"level {level}: {exc}") from exc
-        err_u, err_flux = compute_errors(mesh, sol.dofmap, sol.x, exact)
-        rows.append((sol.dofmap.n_free, err_u, err_flux, sol.eta))
+        err_u, err_flux = compute_errors(mesh, cfg, sol.fields, exact)
+        rows.append((sol.n_free, err_u, err_flux, sol.eta))
         if level + 1 < cfg.levels:
             mesh = msh.refine_uniform(mesh)
     return rows

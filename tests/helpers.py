@@ -244,13 +244,28 @@ def permuted(cond, order):
                    field=cond.field[order], rhs=cond.rhs[order])
 
 
+def full_dofs(dofs, n_field):
+    """Element dofs over all unknowns, from the element trace dofs: the
+    fields of triangle t are numbered t * n_field ... first, the traces
+    after all n_field * nt of them; -1 where fixed."""
+    nt = len(dofs)
+    fields = np.arange(nt * n_field).reshape(nt, n_field)
+    return np.column_stack([fields, np.where(dofs >= 0, dofs + nt * n_field, -1)])
+
+
+def full_solution(fields, traces):
+    """The solution over all unknowns, numbered as by full_dofs."""
+    return np.concatenate([fields.ravel(), traces])
+
+
 def full_normal_equations(dofs, n_free, cond):
     """Dense normal equations B^T G^-1 B x = B^T G^-1 l over all n_free
-    unknowns, fields included, summed element by element from the Gram
-    factors, B and loads of the condensed systems."""
+    unknowns, fields included and numbered as by full_dofs, summed element
+    by element from the Gram factors, B and loads of the condensed
+    systems."""
     a = np.zeros((n_free, n_free))
     r = np.zeros(n_free)
-    for t, row in enumerate(dofs):
+    for t, row in enumerate(full_dofs(dofs, cond.lift.shape[1])):
         chol, b = cond.chol[cond.cls[t]], cond.b[cond.cls[t]]
         ginv_b = np.linalg.solve(chol.T, np.linalg.solve(chol, b))
         free = row >= 0
@@ -259,14 +274,15 @@ def full_normal_equations(dofs, n_free, cond):
     return a, r
 
 
-def _dense_minres(mesh, dm, n_test, gram, bmat, loads):
+def _dense_minres(mesh, dm, n_field, n_test, gram, bmat, loads):
     """Assemble the full block-diagonal test Gram matrix and the stacked
-    trial-to-test matrix, invert the Gram matrix through its
-    eigendecomposition, and solve the explicit dense normal equations."""
+    trial-to-test matrix over all unknowns (numbered as by full_dofs),
+    invert the Gram matrix through its eigendecomposition, and solve the
+    explicit dense normal equations."""
     nt = mesh.n_triangles
     big_b = np.zeros((nt * n_test, dm.n_free))
     big_g = np.zeros((nt * n_test, nt * n_test))
-    for t, dofs in enumerate(dm.all_element_dofs(mesh)):
+    for t, dofs in enumerate(full_dofs(dm.all_element_dofs(mesh), n_field)):
         amap = fc.map_affine(mesh, t)
         rows = slice(t * n_test, (t + 1) * n_test)
         big_g[rows, rows] = gram(amap)
@@ -288,7 +304,7 @@ def poisson_dense_minres(mesh, d, gamma, f):
     from dpglock import poisson_uw as pw
 
     return _dense_minres(
-        mesh, pw.dof_map_poisson(mesh), pw.N_TEST,
+        mesh, pw.dof_map_poisson(mesh), pw.N_FIELD, pw.N_TEST,
         lambda amap: pw.local_gram_poisson(amap, d),
         lambda amap: pw.local_b_poisson(amap, gamma),
         pw.local_load_poisson(mesh.vertices[mesh.triangles], f))
@@ -299,6 +315,21 @@ def plate_dense_minres(mesh, d, f):
     from dpglock import plate_uw as plw
 
     return _dense_minres(
-        mesh, plw.dof_map_plate(mesh), plw.N_TEST,
+        mesh, plw.dof_map_plate(mesh), plw.N_FIELD, plw.N_TEST,
         lambda amap: plw.local_gram_plate(amap, d), plw.local_b_plate,
         plw.local_load_plate(mesh.vertices[mesh.triangles], f))
+
+
+def signed_areas(mesh):
+    p = mesh.vertices[mesh.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def shape_regularity(mesh):
+    """max over triangles of diam(T)^2 / |T|."""
+    p = mesh.vertices[mesh.triangles]
+    sides = p - np.roll(p, 1, axis=1)
+    diam = np.sqrt((sides ** 2).sum(axis=2)).max(axis=1)
+    return float((diam ** 2 / signed_areas(mesh)).max())

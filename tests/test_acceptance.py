@@ -18,8 +18,8 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import (permuted, plate_consistency_residual, poisson_consistency_residual,
-                     poisson_dense_minres)
+from helpers import (full_solution, permuted, plate_consistency_residual,
+                     poisson_consistency_residual, poisson_dense_minres)
 
 _RUNS = {}
 
@@ -56,7 +56,8 @@ def test_criterion_01_dense_minimum_residual_equivalence():
     for _ in range(2):  # the 2- and 8-triangle unit-square meshes
         dm = pw.dof_map_poisson(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        x = slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_free, condensed)
+        x = full_solution(*slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_trace,
+                                               condensed))
         x_dense, _, _ = poisson_dense_minres(mesh, 1.0, 0.0, exact.f)
         worst = max(worst, float(np.abs(x - x_dense).max()))
         mesh = msh.refine_uniform(mesh)
@@ -247,8 +248,7 @@ def test_criterion_10_invariant_suite():
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
     dofs = dm.all_element_dofs(mesh)
-    traces, n_traces = slv.trace_dofs(dofs, pw.N_FIELD), dm.n_free - dm.field.size
-    gs = slv.assemble_global(traces, n_traces, condensed)
+    gs = slv.assemble_global(dofs, dm.n_trace, condensed)
     dense = gs.matrix.toarray()
     cholesky(dense, lower=True)
     checks["spd"] = np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
@@ -262,8 +262,8 @@ def test_criterion_10_invariant_suite():
     checks["quadrature"] = worst < 1e-12
 
     # energy residual equals the dense Riesz value
-    x = slv.solve_condensed(dofs, dm.n_free, condensed)
-    _, eta = slv.energy_residual(condensed, dofs, x)
+    fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
+    _, eta = slv.energy_residual(condensed, dofs, fields, traces)
     n_test = mesh.n_triangles * pw.N_TEST
     big_g = np.zeros((n_test, n_test))
     resid = np.zeros(n_test)
@@ -271,18 +271,19 @@ def test_criterion_10_invariant_suite():
         rows = slice(t * pw.N_TEST, (t + 1) * pw.N_TEST)
         big_g[rows, rows] = pw.local_gram_poisson(fc.map_affine(mesh, t), 1.0)
         b = condensed.b[condensed.cls[t]]
-        resid[rows] = condensed.load[t] - b @ slv.gather_local(dofs[t], x)
+        x_t = np.concatenate([fields[t], slv.gather_local(dofs[t], traces)])
+        resid[rows] = condensed.load[t] - b @ x_t
     checks["riesz"] = abs(eta ** 2 - resid @ np.linalg.solve(big_g, resid)) \
         <= 1e-10 * max(1.0, eta ** 2)
 
     # zero load produces the zero solution
     zero_cond = sc.condense_mesh(mesh, cfg, 1.0, lambda x_, y_: 0.0 * x_)
-    x_zero = slv.solve_condensed(dofs, dm.n_free, zero_cond)
+    x_zero = full_solution(*slv.solve_condensed(dofs, dm.n_trace, zero_cond))
     checks["zero"] = np.abs(x_zero).max() <= 1e-14
 
     # element-order permutation invariance
     order = np.arange(mesh.n_triangles)[::-1]
-    gs_perm = slv.assemble_global(traces[order], n_traces, permuted(condensed, order))
+    gs_perm = slv.assemble_global(dofs[order], dm.n_trace, permuted(condensed, order))
     diff = np.abs((gs.matrix - gs_perm.matrix).toarray()).max()
     checks["permutation"] = diff <= 1e-14 * np.abs(dense).max()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dpglock import mesh as msh
+from helpers import shape_regularity, signed_areas
 
 
 def euler(m):
@@ -19,6 +20,21 @@ def test_rect_mesh_counts(r1, r2, ny, nv, nt, ne):
     assert euler(m) == 1
 
 
+@pytest.mark.parametrize("r1,r2,ny", [(1, 1, 1), (10, 1, 1), (3, 2, 4), (1, 5, 3)])
+def test_rect_mesh_triangles_match_cell_loop(r1, r2, ny):
+    # cells row by row, each split into (ll, lr, ur) and (ll, ur, ul)
+    m = msh.make_rect_mesh(r1, r2, ny)
+    nx = max(1, int(np.floor(ny * r1 / r2 + 0.5)))
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            ll, ul = i + j * (nx + 1), i + (j + 1) * (nx + 1)
+            tris += [(ll, ll + 1, ul + 1), (ll, ul + 1, ul)]
+    expected = np.array(tris, dtype=np.int64)
+    assert m.triangles.dtype == expected.dtype
+    assert (m.triangles == expected).all() and m.triangles.shape == expected.shape
+
+
 def test_rect_mesh_rejects_bad_input():
     with pytest.raises(ValueError):
         msh.make_rect_mesh(-1.0, 1.0, 1)
@@ -30,7 +46,7 @@ def test_rect_mesh_rejects_bad_input():
 
 def test_positive_areas_and_total_area():
     m = msh.make_rect_mesh(3.0, 2.0, 4)
-    areas = m.signed_areas()
+    areas = signed_areas(m)
     assert (areas > 0).all()
     assert np.isclose(areas.sum(), 6.0, rtol=1e-14)
 
@@ -51,17 +67,17 @@ def test_refine_counts_and_area():
     r = msh.refine_uniform(m)
     assert (r.n_vertices, r.n_triangles, r.n_edges) == (9, 8, 16)
     assert euler(r) == 1
-    assert np.isclose(r.signed_areas().sum(), m.signed_areas().sum(), rtol=1e-12)
+    assert np.isclose(signed_areas(r).sum(), signed_areas(m).sum(), rtol=1e-12)
     rr = msh.refine_uniform(r)
     assert rr.n_triangles == 16 * m.n_triangles
 
 
 def test_refine_preserves_shape_regularity():
     m = msh.make_rect_mesh(10.0, 1.0, 2)
-    c0 = msh.shape_regularity(m)
+    c0 = shape_regularity(m)
     for _ in range(3):
         m = msh.refine_uniform(m)
-        assert np.isclose(msh.shape_regularity(m), c0, rtol=1e-12)
+        assert np.isclose(shape_regularity(m), c0, rtol=1e-12)
     assert c0 < 8.0
 
 

@@ -290,7 +290,7 @@ def test_dof_map_clamped_unit_square():
     assert (dm.vertex == -1).all()
     assert (dm.edge[1:] >= 0).all()
     # m_tn of the first boundary edge, (0, 1), fixes the twisting-moment kernel
-    assert dm.edge[0].tolist() == [8, 9, -1]
+    assert dm.edge[0].tolist() == [0, 1, -1]
 
 
 def test_dof_map_refined_clamped():
@@ -316,6 +316,7 @@ def test_dof_map_mixed_free_strip():
 def test_element_dofs_layout():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     dm = plw.dof_map_plate(mesh)
-    # [u, M (3), clamped deflection traces (9), mhat of edges (0,3) (2,3) (0,2)]
-    assert dm.all_element_dofs(mesh)[1].tolist() == [1, 5, 6, 7] + [-1] * 9 + [
-        13, 14, 15, 19, 20, 21, 10, 11, 12]
+    # [clamped deflection traces (9), mhat of edges (0,3) (2,3) (0,2)]; the
+    # fields u and M get no number
+    assert dm.all_element_dofs(mesh)[1].tolist() == [-1] * 9 + [
+        5, 6, 7, 11, 12, 13, 2, 3, 4]

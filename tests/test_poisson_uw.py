@@ -162,9 +162,10 @@ def test_dof_map_unit_square_all_dirichlet():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     dm = pw.dof_map_poisson(mesh)
     assert dm.n_free == 11  # u: 2, sigma: 4, uhat: 0, sighat: 5
+    assert dm.n_trace == 5
     assert (dm.vertex == -1).all()
     assert (dm.edge >= 0).all()
-    assert (np.sort(dm.edge[:, 0]) == np.arange(6, 11)).all()
+    assert (np.sort(dm.edge[:, 0]) == np.arange(5)).all()
 
 
 def test_dof_map_refined_unit_square():
@@ -173,7 +174,7 @@ def test_dof_map_refined_unit_square():
     assert dm.n_free == 41  # u: 8, sigma: 16, uhat: 1, sighat: 16
     assert (dm.vertex >= 0).sum() == 1
     center = np.nonzero((np.abs(mesh.vertices - 0.5) < 1e-12).all(axis=1))[0]
-    assert dm.vertex[center[0], 0] == 24
+    assert dm.vertex[center[0], 0] == 0  # the traces are numbered from 0
 
 
 def test_dof_map_strip_mixed():
@@ -190,9 +191,9 @@ def test_dof_map_strip_mixed():
 def test_element_dofs_layout():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     dm = pw.dof_map_poisson(mesh)
-    # [u, sigma_x, sigma_y, uhat (Dirichlet), sighat in edge order 6..10]
-    assert dm.all_element_dofs(mesh).tolist() == [[0, 2, 3, -1, -1, -1, 6, 9, 8],
-                                                  [1, 4, 5, -1, -1, -1, 8, 10, 7]]
+    # [uhat (Dirichlet), sighat in edge order 0..4]; the fields get no number
+    assert dm.all_element_dofs(mesh).tolist() == [[-1, -1, -1, 0, 3, 2],
+                                                  [-1, -1, -1, 2, 4, 1]]
 
 
 def test_dof_map_unit_square_left_right():

@@ -9,7 +9,8 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import full_normal_equations, permuted, plate_dense_minres, poisson_dense_minres
+from helpers import (full_normal_equations, full_solution, permuted, plate_dense_minres,
+                     poisson_dense_minres)
 
 
 def random_spd(n, rng):
@@ -155,8 +156,8 @@ def test_assemble_element_order_invariance():
     exact = sc.exact_bundle(cfg)
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-    dofs = slv.trace_dofs(dm.all_element_dofs(mesh), pw.N_FIELD)
-    n = dofs.max() + 1
+    dofs = dm.all_element_dofs(mesh)
+    n = dm.n_trace
     gs = slv.assemble_global(dofs, n, condensed)
 
     order = np.arange(mesh.n_triangles)[::-1]
@@ -167,25 +168,39 @@ def test_assemble_element_order_invariance():
     assert np.allclose(gs.rhs, gs_perm.rhs, atol=1e-14 * max(1, np.abs(gs.rhs).max()))
 
 
+@pytest.mark.parametrize("bc", [msh.ALL_DIRICHLET, msh.LEFT_RIGHT_DIRICHLET])
+@pytest.mark.parametrize("model, dof_map", [(pw, pw.dof_map_poisson),
+                                            (plw, plw.dof_map_plate)])
+def test_dof_map_numbers_the_free_traces_only(model, dof_map, bc):
+    # a 3-by-1 strip refined twice (96 triangles)
+    mesh = msh.classify_boundary(msh.make_rect_mesh(3.0, 1.0, 1), bc)
+    for _ in range(2):
+        mesh = msh.refine_uniform(mesh)
+    dm = dof_map(mesh)
+    dofs = dm.all_element_dofs(mesh)
+    assert dofs.shape == (mesh.n_triangles, model.N_TRIAL - model.N_FIELD)
+    # each free trace slot has one number, the numbers are 0 ... n_trace - 1,
+    # and every one of them is a slot of some element
+    ids = np.concatenate([dm.vertex.ravel(), dm.edge.ravel()])
+    assert (np.sort(ids[ids >= 0]) == np.arange(dm.n_trace)).all()
+    assert (np.unique(dofs[dofs >= 0]) == np.arange(dm.n_trace)).all()
+    assert dm.n_free == model.N_FIELD * mesh.n_triangles + dm.n_trace
+
+
 def test_assemble_against_hand_assembled_two_triangle_matrix():
     # unit square, two triangles (0,1,3) and (0,3,2); edges sorted
     # lexicographically: (0,1) (0,2) (0,3) (1,3) (2,3); all vertices are
-    # Dirichlet, so the 11 unknowns are u0 u1 | sx0 sy0 sx1 sy1 | 5 fluxes,
-    # and the 5 fluxes are the unknowns of the trace system
+    # Dirichlet, so the 5 fluxes are the unknowns of the trace system, and
+    # the 6 fields (u, sigma_x, sigma_y per triangle) are condensed
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     assert mesh.triangles.tolist() == [[0, 1, 3], [0, 3, 2]]
     assert mesh.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]
-    hand_dofs = np.array([
-        [0, 2, 3, -1, -1, -1, 6, 9, 8],
-        [1, 4, 5, -1, -1, -1, 8, 10, 7],
-    ])
     cfg = sc.StudyConfig(problem="poisson")
     condensed = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
     dm = pw.dof_map_poisson(mesh)
-    assert (dm.all_element_dofs(mesh) == hand_dofs).all()
-
     hand_traces = np.array([[-1, -1, -1, 0, 3, 2], [-1, -1, -1, 2, 4, 1]])
-    assert (slv.trace_dofs(hand_dofs, pw.N_FIELD) == hand_traces).all()
+    assert (dm.all_element_dofs(mesh) == hand_traces).all()
+    assert (dm.n_free, dm.n_trace) == (11, 5)
 
     hand = np.zeros((5, 5))
     for t in range(2):
@@ -325,8 +340,8 @@ def test_trace_ordering_cuts_the_fill_of_column_ordering(argv, monkeypatch, tmp_
 
 
 def solved_poisson(levels=1):
-    """A solved unit-square Poisson level: its trace system and the full
-    solution vector."""
+    """A solved unit-square Poisson level: its trace system, the element
+    fields and the traces."""
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     for _ in range(levels):
         mesh = msh.refine_uniform(mesh)
@@ -335,17 +350,16 @@ def solved_poisson(levels=1):
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
     dofs = dm.all_element_dofs(mesh)
-    gs = slv.assemble_global(slv.trace_dofs(dofs, pw.N_FIELD),
-                             dm.n_free - dm.field.size, condensed)
-    x = slv.solve_condensed(dofs, dm.n_free, condensed)
-    return mesh, dm, condensed, gs, x
+    gs = slv.assemble_global(dofs, dm.n_trace, condensed)
+    fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
+    return mesh, dm, condensed, gs, fields, traces
 
 
 @pytest.mark.parametrize("levels", [1, 2])
 def test_trace_solve_matches_dense_solve(levels):
     # the sparse factor, its ordering and the refinement loop against a
     # dense LAPACK solve of the same assembled trace system
-    *_, gs, _ = solved_poisson(levels)
+    *_, gs, _, _ = solved_poisson(levels)
     x = slv.solve_spd(gs)
     x_dense = np.linalg.solve(gs.matrix.toarray(), gs.rhs)
     assert np.abs(x - x_dense).max() < 1e-9 * np.abs(x_dense).max()
@@ -357,7 +371,8 @@ def test_energy_residual_zero_for_zero_data():
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
     eta_t, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh),
-                                     np.zeros(dm.n_free))
+                                     np.zeros((mesh.n_triangles, pw.N_FIELD)),
+                                     np.zeros(dm.n_trace))
     assert eta == 0.0
     assert (eta_t == 0.0).all()
 
@@ -367,13 +382,13 @@ def test_zero_load_gives_zero_solution():
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    x = slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_free, condensed)
-    assert np.allclose(x, 0.0, atol=1e-14)
+    fields, traces = slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_trace, condensed)
+    assert np.allclose(full_solution(fields, traces), 0.0, atol=1e-14)
 
 
 def test_energy_residual_matches_dense_riesz_oracle():
-    mesh, dm, condensed, gs, x = solved_poisson(levels=0)
-    eta_t, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh), x)
+    mesh, dm, condensed, gs, fields, traces = solved_poisson(levels=0)
+    eta_t, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh), fields, traces)
 
     # dense global Riesz lift: eta^2 = r^T G_global^{-1} r
     n_test = mesh.n_triangles * pw.N_TEST
@@ -385,35 +400,38 @@ def test_energy_residual_matches_dense_riesz_oracle():
         amap = fc.map_affine(mesh, t)
         big_g[rows, rows] = pw.local_gram_poisson(amap, 1.0)
         b = condensed.b[condensed.cls[t]]
-        r_glob[rows] = condensed.load[t] - b @ slv.gather_local(dofs[t], x)
+        x_t = np.concatenate([fields[t], slv.gather_local(dofs[t], traces)])
+        r_glob[rows] = condensed.load[t] - b @ x_t
     y = np.linalg.solve(big_g, r_glob)
     assert np.isclose(eta ** 2, r_glob @ y, rtol=1e-10)
 
 
 def test_energy_residual_permutation_invariant():
-    mesh, dm, condensed, gs, x = solved_poisson()
+    mesh, dm, condensed, gs, fields, traces = solved_poisson()
     dofs = dm.all_element_dofs(mesh)
-    _, eta = slv.energy_residual(condensed, dofs, x)
+    _, eta = slv.energy_residual(condensed, dofs, fields, traces)
     order = np.arange(mesh.n_triangles)[::-1]
-    _, eta_perm = slv.energy_residual(permuted(condensed, order), dofs[order], x)
+    _, eta_perm = slv.energy_residual(permuted(condensed, order), dofs[order],
+                                      fields[order], traces)
     assert np.isclose(eta, eta_perm, rtol=1e-14)
 
 
 def test_galerkin_orthogonality():
-    mesh, dm, condensed, gs, x = solved_poisson()
-    grad = gs.matrix @ x[dm.field.size:] - gs.rhs
+    mesh, dm, condensed, gs, fields, traces = solved_poisson()
+    grad = gs.matrix @ traces - gs.rhs
     assert np.abs(grad).max() <= 1e-10 * max(1.0, np.abs(gs.rhs).max())
 
 
 def test_minimum_residual_convexity():
-    mesh, dm, condensed, gs, x = solved_poisson()
+    mesh, dm, condensed, gs, fields, traces = solved_poisson()
     dofs = dm.all_element_dofs(mesh)
-    _, eta = slv.energy_residual(condensed, dofs, x)
+    _, eta = slv.energy_residual(condensed, dofs, fields, traces)
     rng = np.random.default_rng(6)
     for _ in range(100):
-        p = rng.standard_normal(len(x))
+        p = rng.standard_normal(dm.n_free)  # fields, then traces
         p *= 0.1 / np.linalg.norm(p)
-        _, eta_p = slv.energy_residual(condensed, dofs, x + p)
+        _, eta_p = slv.energy_residual(condensed, dofs, fields + p[:fields.size].reshape(
+            fields.shape), traces + p[fields.size:])
         assert eta_p ** 2 >= eta ** 2 - 1e-12
 
 
@@ -426,10 +444,10 @@ def test_pipeline_matches_dense_minimum_residual():
         dm = pw.dof_map_poisson(mesh)
         dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        x = slv.solve_condensed(dofs, dm.n_free, condensed)
+        fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
         x_dense, eta_dense, _ = poisson_dense_minres(mesh, 1.0, 0.0, exact.f)
-        assert np.abs(x - x_dense).max() < 1e-9
-        _, eta = slv.energy_residual(condensed, dofs, x)
+        assert np.abs(full_solution(fields, traces) - x_dense).max() < 1e-9
+        _, eta = slv.energy_residual(condensed, dofs, fields, traces)
         assert np.isclose(eta, eta_dense, rtol=1e-9)
         mesh = msh.refine_uniform(mesh)
 
@@ -446,10 +464,11 @@ def test_plate_pipeline_matches_dense_minimum_residual_clamped():
         dm = plw.dof_map_plate(mesh)
         dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        x = slv.solve_condensed(dofs, dm.n_free, condensed)
+        fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
         x_dense, eta_dense, _ = plate_dense_minres(mesh, 1.0, exact.f)
-        assert np.abs(x - x_dense).max() < 1e-9 * np.abs(x_dense).max()
-        _, eta = slv.energy_residual(condensed, dofs, x)
+        assert np.abs(full_solution(fields, traces) - x_dense).max() \
+            < 1e-9 * np.abs(x_dense).max()
+        _, eta = slv.energy_residual(condensed, dofs, fields, traces)
         assert np.isclose(eta, eta_dense, rtol=1e-9)
 
 
@@ -461,8 +480,7 @@ def test_plate_clamped_system_is_well_conditioned():
     for mesh in unit_square_meshes():
         dm = plw.dof_map_plate(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
-        gs = slv.assemble_global(slv.trace_dofs(dm.all_element_dofs(mesh), plw.N_FIELD),
-                                 dm.n_free - dm.field.size, condensed)
+        gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_trace, condensed)
         lam = np.linalg.eigvalsh(gs.matrix.toarray())
         assert lam[0] / lam[-1] > 1e-10
 
@@ -477,10 +495,10 @@ def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
     dm = plw.dof_map_plate(mesh)
     dofs = dm.all_element_dofs(mesh)
     condensed = sc.condense_mesh(mesh, cfg, d, exact.f)
-    x = slv.solve_condensed(dofs, dm.n_free, condensed)
+    fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
     x_dense, eta_dense, _ = plate_dense_minres(mesh, d, exact.f)
-    assert np.abs(x - x_dense).max() < 1e-6 * np.abs(x_dense).max()
-    _, eta = slv.energy_residual(condensed, dofs, x)
+    assert np.abs(full_solution(fields, traces) - x_dense).max() < 1e-6 * np.abs(x_dense).max()
+    _, eta = slv.energy_residual(condensed, dofs, fields, traces)
     assert np.isclose(eta, eta_dense, rtol=1e-9)
 
 
@@ -495,19 +513,18 @@ def test_trace_system_is_the_schur_complement_of_the_full_system(problem, bc, r1
     mesh = msh.classify_boundary(msh.make_rect_mesh(r1, 1.0, 1), bc)
     if refine:
         mesh = msh.refine_uniform(mesh)
-    model, dof_map = ((pw, pw.dof_map_poisson) if problem == "poisson"
-                      else (plw, plw.dof_map_plate))
+    dof_map = pw.dof_map_poisson if problem == "poisson" else plw.dof_map_plate
     dm = dof_map(mesh)
     cond = sc.condense_mesh(mesh, cfg, sc.pick_d(cfg), sc.exact_bundle(cfg).f)
     dofs = dm.all_element_dofs(mesh)
     a, r = full_normal_equations(dofs, dm.n_free, cond)
 
-    nf = dm.field.size  # the field unknowns are numbered first
+    nf = dm.n_free - dm.n_trace  # the field unknowns are numbered first
     f, t = slice(0, nf), slice(nf, None)
     schur = a[t, t] - a[t, f] @ np.linalg.solve(a[f, f], a[f, t])
-    gs = slv.assemble_global(slv.trace_dofs(dofs, model.N_FIELD), dm.n_free - nf, cond)
+    gs = slv.assemble_global(dofs, dm.n_trace, cond)
     assert np.abs(gs.matrix.toarray() - schur).max() <= 1e-12 * np.abs(schur).max()
 
-    x = slv.solve_condensed(dofs, dm.n_free, cond)
+    x = full_solution(*slv.solve_condensed(dofs, dm.n_trace, cond))
     x_full = np.linalg.solve(a, r)
     assert np.abs(x - x_full).max() <= 1e-10 * np.abs(x_full).max()

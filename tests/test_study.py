@@ -8,6 +8,7 @@ from dpglock import mesh as msh
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
+from helpers import full_solution
 
 
 def cfg_poisson(**kw):
@@ -126,21 +127,35 @@ def test_compute_errors_zero_solution_norm():
     cfg = cfg_poisson()
     exact = sc.exact_bundle(cfg)
     mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 2), msh.ALL_DIRICHLET)
-    dm = pw.dof_map_poisson(mesh)
-    err_u, err_flux = sc.compute_errors(mesh, dm, np.zeros(dm.n_free), exact)
+    fields = np.zeros((mesh.n_triangles, pw.N_FIELD))
+    err_u, err_flux = sc.compute_errors(mesh, cfg, fields, exact)
     assert np.isclose(err_u, 0.5, rtol=1e-9)
     assert np.isclose(err_flux, np.pi / np.sqrt(2), rtol=1e-9)
 
 
 def test_compute_errors_exactly_zero_for_zero_problem():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
-    dm = pw.dof_map_poisson(mesh)
-    zero = lambda x, y: 0.0 * x
-    bundle = sc.ExactBundle(
-        u=zero, grad=lambda x, y: np.stack([0.0 * x, 0.0 * x], -1),
-        hess=lambda x, y: np.stack([0.0 * x] * 3, -1), f=zero)
-    errs = sc.compute_errors(mesh, dm, np.zeros(dm.n_free), bundle)
+    bundle = sc.ExactBundle(du=lambda x, y, *orders: [0.0 * x for _ in orders],
+                            f=lambda x, y: 0.0 * x)
+    fields = np.zeros((mesh.n_triangles, pw.N_FIELD))
+    errs = sc.compute_errors(mesh, cfg_poisson(), fields, bundle)
     assert errs == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_compute_errors_evaluates_each_sine_profile_once(problem, monkeypatch):
+    # u and its flux derivatives come from one sine_power call per coordinate
+    cfg = sc.StudyConfig(problem=problem)
+    exact = sc.exact_bundle(cfg)
+    mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 2))
+    calls = []
+    sine_power = sc.sine_power
+    monkeypatch.setattr(sc, "sine_power",
+                        lambda *args: calls.append(args) or sine_power(*args))
+    fields = np.zeros((mesh.n_triangles, 3 if problem == "poisson" else 4))
+    errs = sc.compute_errors(mesh, cfg, fields, exact)
+    assert len(calls) == 2
+    assert all(np.isfinite(errs)) and min(errs) > 0
 
 
 def test_run_study_errors_decrease():
@@ -290,5 +305,5 @@ def test_plate_clamped_zero_load_gives_zero_solution():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     dm = plw.dof_map_plate(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    x = slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_free, condensed)
+    x = full_solution(*slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_trace, condensed))
     assert np.allclose(x, 0.0, atol=1e-13)
