@@ -61,6 +61,9 @@ TEST_V = 10
 N_TEST = 55
 N_TRIAL = 22
 N_FIELD = 4         # u, M11, M12, M22 lead the trial columns
+# trace slots (trial column - N_FIELD) of q_eff on edges 0..2, the only
+# columns of B that carry an edge orientation sign
+SIGNED_TRACE = (10, 13, 16)
 
 VOLUME_DEGREE = 8   # products of two P4 quantities
 EDGE_DEGREE = 9

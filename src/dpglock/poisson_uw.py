@@ -25,6 +25,9 @@ TEST_V = 6
 N_TEST = 18
 N_TRIAL = 9
 N_FIELD = 3         # u, sigma_x, sigma_y lead the trial columns
+# trace slots (trial column - N_FIELD) of sighat on edges 0..2, the only
+# columns of B that carry an edge orientation sign
+SIGNED_TRACE = (3, 4, 5)
 
 VOLUME_DEGREE = 4   # products of two P2 quantities
 EDGE_DEGREE = 9

@@ -1,16 +1,18 @@
 """Static condensation, global sparse assembly, linear solve, energy residual.
 
-Each element contributes normal equations S = B^T G^-1 B obtained by solving
-with the Cholesky factor of its test Gram matrix; the sum of S over the free
-trial unknowns is the SPD system of the minimum-residual scheme, and the
-element residuals measured through G^-1 give the energy error estimator
-exactly.  The piecewise-constant field unknowns couple only inside their own
-element, so they are eliminated element by element (static condensation):
-the global system holds the traces alone, with matrix the sum of the trace
-Schur complements S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered
-from the solved traces afterwards.  Congruent elements share G and B, so
-factorizations and solves run once per congruence class, batched over the
-class's elements.
+Each element contributes normal equations S = B^T G^-1 B; the sum of S over
+the free trial unknowns is the SPD system of the minimum-residual scheme, and
+the element residuals measured through G^-1 give the energy error estimator
+exactly.  With the Cholesky factor G = L L^T both are computed in whitened
+form: C = L^-1 B gives S = C^T C, the whitened load z = L^-1 l gives the
+right side C^T z, and eta_T^2 = |z - C x|^2.  The piecewise-constant field
+unknowns couple only inside their own element, so they are eliminated
+element by element (static condensation): the global system holds the traces
+alone, with matrix the sum of the trace Schur complements
+S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered from the solved traces
+afterwards.  Congruent elements share G and, up to the orientation signs of
+their edge traces, B, so factorizations and inverses run once per congruence
+class and the per-element work is matrix products over the class's elements.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg.lapack import dtrtri
 from scipy.sparse.linalg import splu
 
 SOLVE_TOLERANCE = 1e-10
@@ -38,20 +41,23 @@ class Condensed:
     """Element normal equations of a mesh with the fields eliminated, stored
     once per congruence class.
 
-    Elements equal up to translation share the test Gram matrix G and the
-    trial-to-test matrix B; only their loads differ.  The first n_field
-    local trial slots are the fields f, the rest the traces t.  Given the
-    element's traces x_t, its fields are field - lift x_t.
+    Elements equal up to translation share the test Gram matrix G = L L^T
+    and the whitened trial-to-test matrix C = L^-1 B of their class, up to
+    the orientation of their edge traces: sign flips the trace slots whose
+    element orientation differs from the class's.  The first n_field local
+    trial slots are the fields f, the rest the traces t.  Given the
+    element's traces x_t (in the global orientation), its fields are
+    field - lift (sign x_t).
     """
 
-    chol: np.ndarray   # (nc, n_test, n_test) lower Cholesky factors of G
-    b: np.ndarray      # (nc, n_test, n_trial)
-    schur: np.ndarray  # (nc, n_trace, n_trace) S_tt - S_tf S_ff^-1 S_ft
+    c: np.ndarray      # (nc, n_test, n_trial) L^-1 B
+    schur: np.ndarray  # (nc, n_trace, n_trace) S_tt - S_tf S_ff^-1 S_ft, S = C^T C
     lift: np.ndarray   # (nc, n_field, n_trace) S_ff^-1 S_ft
     cls: np.ndarray    # (nt,) congruence class of each element
-    load: np.ndarray   # (nt, n_test)
-    field: np.ndarray  # (nt, n_field) S_ff^-1 r_f, with r = B^T G^-1 l
-    rhs: np.ndarray    # (nt, n_trace) r_t - S_tf S_ff^-1 r_f
+    sign: np.ndarray   # (nt, n_trace) +-1, element trace orientation relative to its class
+    z: np.ndarray      # (nt, n_test) L^-1 l, the whitened load
+    field: np.ndarray  # (nt, n_field) S_ff^-1 r_f, with r = C^T z
+    rhs: np.ndarray    # (nt, n_trace) sign (r_t - S_tf S_ff^-1 r_f)
 
 
 def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
@@ -62,50 +68,58 @@ def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def condense_local(gram: np.ndarray, b: np.ndarray, n_field: int):
-    """Cholesky factors of one element's G and of the field block S_ff of
-    its normal matrix S = B^T G^-1 B, the lift S_ff^-1 S_ft and the trace
-    Schur complement S_tt - S_tf S_ff^-1 S_ft."""
-    chol = _cholesky(gram, "element Gram matrix")
-    s = b.T @ cho_solve((chol, True), b, check_finite=False)
+    """Whitening of one element and its condensed normal equations: L^-1
+    for the Cholesky factor L of G, C = L^-1 B, the inverse of the field
+    block S_ff of S = C^T C, the lift S_ff^-1 S_ft and the trace Schur
+    complement S_tt - S_tf S_ff^-1 S_ft."""
+    linv = dtrtri(_cholesky(gram, "element Gram matrix"), lower=1)[0]
+    c = linv @ b
+    s = c.T @ c
     s = 0.5 * (s + s.T)
-    ff = _cholesky(s[:n_field, :n_field], "element field block")
-    lift = cho_solve((ff, True), s[:n_field, n_field:], check_finite=False)
+    ff = (_cholesky(s[:n_field, :n_field], "element field block"), True)
+    lift = cho_solve(ff, s[:n_field, n_field:], check_finite=False)
+    ff_inv = cho_solve(ff, np.eye(n_field), check_finite=False)
     schur = s[n_field:, n_field:] - s[n_field:, :n_field] @ lift
-    return chol, ff, lift, 0.5 * (schur + schur.T)
+    return linv, c, ff_inv, lift, 0.5 * (schur + schur.T)
 
 
-def condense_rhs(chol: np.ndarray, b: np.ndarray, ff: np.ndarray, lift: np.ndarray,
-                 cls: np.ndarray, load: np.ndarray):
-    """Field parts S_ff^-1 r_f and trace right sides r_t - S_tf S_ff^-1 r_f
-    of all elements, r = B^T G^-1 l, with one batched solve per class."""
+def condense_rhs(linv: np.ndarray, c: np.ndarray, ff_inv: np.ndarray, lift: np.ndarray,
+                 cls: np.ndarray, sign: np.ndarray, load: np.ndarray):
+    """Whitened loads z = L^-1 l, field parts S_ff^-1 r_f and signed trace
+    right sides sign (r_t - S_tf S_ff^-1 r_f) of all elements, r = C^T z,
+    by matrix products over each class's elements."""
     n_field = lift.shape[1]
+    z = np.empty(load.shape)
     field = np.empty((len(cls), n_field))
-    rhs = np.empty((len(cls), lift.shape[2]))
-    for c in range(len(chol)):
-        sel = cls == c
-        r = cho_solve((chol[c], True), load[sel].T, check_finite=False).T @ b[c]
-        field[sel] = cho_solve((ff[c], True), r[:, :n_field].T, check_finite=False).T
-        rhs[sel] = r[:, n_field:] - r[:, :n_field] @ lift[c]
-    return field, rhs
+    rhs = np.empty(sign.shape)
+    for k in range(len(c)):
+        sel = cls == k
+        zk = load[sel] @ linv[k].T
+        r = zk @ c[k]
+        z[sel] = zk
+        field[sel] = r[:, :n_field] @ ff_inv[k].T
+        rhs[sel] = r[:, n_field:] - r[:, :n_field] @ lift[k]
+    return z, field, rhs * sign
 
 
-def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray,
+def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray, sign: np.ndarray,
              load: np.ndarray, n_field: int) -> Condensed:
     """Condensed systems of a mesh from the (nc, ...) stacks of per-class G
-    and B, the class of each element, the (nt, n_test) element loads and
-    the number of field slots.
+    and B, the class of each element, the (nt, n_trace) trace signs of each
+    element relative to its class, the (nt, n_test) element loads and the
+    number of field slots.
 
     Element systems that overflow (data of magnitude near the float64 limit)
     raise SolverError here, before a non-finite matrix reaches the global
     solve."""
     with np.errstate(over="ignore", invalid="ignore"):
-        chol, ff, lift, schur = map(np.stack, zip(*(condense_local(g, bc, n_field)
-                                                    for g, bc in zip(gram, b))))
-        field, rhs = condense_rhs(chol, b, ff, lift, cls, load)
-    if not all(np.isfinite(a).all() for a in (schur, field, rhs)):
+        linv, c, ff_inv, lift, schur = map(np.stack, zip(*(
+            condense_local(g, bc, n_field) for g, bc in zip(gram, b))))
+        z, field, rhs = condense_rhs(linv, c, ff_inv, lift, cls, sign, load)
+    if not all(np.isfinite(a).all() for a in (schur, z, field, rhs)):
         raise SolverError("element systems overflowed: their condensed "
                           "matrices or right sides are not finite")
-    return Condensed(chol, b, schur, lift, cls, load, field, rhs)
+    return Condensed(c, schur, lift, cls, sign, z, field, rhs)
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,8 @@ class GlobalSystem:
 def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     """Sum the element trace systems over the n free trace unknowns, given
     the (nt, n_trial - n_field) global index of every element's trace slots
-    (DofMap.all_element_dofs).
+    (DofMap.all_element_dofs).  Each element's Schur complement is its
+    class's with the rows and columns of its flipped trace slots negated.
 
     Constrained slots are marked -1 and simply dropped, which imposes the
     (homogeneous) essential conditions.
@@ -125,6 +140,8 @@ def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     if dofs.max() >= n:
         raise IndexError("dof map addresses beyond the free unknown count")
     data = cond.schur[cond.cls]
+    data *= cond.sign[:, :, None]
+    data *= cond.sign[:, None, :]
     rows = np.broadcast_to(dofs[:, :, None], data.shape)
     cols = np.broadcast_to(dofs[:, None, :], data.shape)
     keep = (rows >= 0) & (cols >= 0)
@@ -142,7 +159,7 @@ def solve_condensed(dofs: np.ndarray, n_trace: int, cond: Condensed):
     given the element trace dofs, and the (nt, n_field) fields of every
     element from its traces."""
     traces = solve_spd(assemble_global(dofs, n_trace, cond))
-    local = gather_local(dofs, traces)
+    local = cond.sign * gather_local(dofs, traces)
     return cond.field - np.einsum("tfk,tk->tf", cond.lift[cond.cls], local), traces
 
 
@@ -219,13 +236,11 @@ def energy_residual(cond: Condensed, dofs: np.ndarray, fields: np.ndarray,
                     traces: np.ndarray):
     """Per-element and global energy error: eta_T^2 = r^T G^-1 r with
     r = l - B x, x the element's fields and its traces gathered through
-    its trace dofs."""
-    local = np.hstack([fields, gather_local(dofs, traces)])
+    its trace dofs, computed as |z - C x|^2."""
+    local = np.hstack([fields, cond.sign * gather_local(dofs, traces)])
     eta_sq = np.empty(len(cond.cls))
-    for c in range(len(cond.chol)):
-        sel = cond.cls == c
-        r = cond.load[sel] - local[sel] @ cond.b[c].T
-        ginv_r = cho_solve((cond.chol[c], True), r.T, check_finite=False)
-        eta_sq[sel] = np.einsum("ti,it->t", r, ginv_r)
-    eta_sq = np.maximum(eta_sq, 0.0)
+    for k, c in enumerate(cond.c):
+        sel = cond.cls == k
+        r = cond.z[sel] - local[sel] @ c.T
+        eta_sq[sel] = np.einsum("ti,ti->t", r, r)
     return np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))

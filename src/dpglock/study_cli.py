@@ -101,21 +101,11 @@ class ExactBundle:
 
     du(x, y, *orders) returns [d^(i+j) u / dx^i dy^j for (i, j) in orders]
     from one sine evaluation per coordinate; f is the matching load
-    (-lap u + gamma u, or the bilaplacian).  grad returns (..., 2); hess
-    returns the (xx, xy, yy) components as (..., 3).
+    (-lap u + gamma u, or the bilaplacian).
     """
 
     du: Callable
     f: Callable
-
-    def u(self, x, y):
-        return self.du(x, y, (0, 0))[0]
-
-    def grad(self, x, y):
-        return np.stack(self.du(x, y, (1, 0), (0, 1)), axis=-1)
-
-    def hess(self, x, y):
-        return np.stack(self.du(x, y, (2, 0), (1, 1), (0, 2)), axis=-1)
 
 
 def sine_power(p: int, c: float, t: np.ndarray, orders) -> dict:
@@ -148,13 +138,14 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
     Structured meshes contain only a handful of element shapes, so Gram and
     trial-to-test matrices are built and condensed once per congruence class:
     elements whose Jacobians agree to 1e-12 of the largest Jacobian entry of
-    the mesh and whose edge orientation signs agree.  Only the load depends
-    on the element position.
+    the mesh.  Within a class, B differs only in the sign of the one
+    orientation-odd trace slot of each edge (SIGNED_TRACE of the model
+    module); those signs, relative to the class's first element, go to
+    Condensed.sign.  Only the load depends on the element position.
     """
     verts = mesh.vertices[mesh.triangles]
     jac = (verts[:, 1:] - verts[:, :1]).reshape(-1, 4)
-    key = np.column_stack([np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64),
-                           mesh.tri_edge_signs])
+    key = np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64)
     # classes in lexicographic order of the key rows, each led by its first element
     order = np.lexsort(key.T[::-1])
     rows = key[order]
@@ -163,17 +154,20 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
     cls[order] = np.cumsum(new) - 1
     amaps = [fc.map_affine(mesh, t) for t in first]
     if cfg.problem == POISSON:
+        model = pw
         gram = [pw.local_gram_poisson(amap, d) for amap in amaps]
         b = [pw.local_b_poisson(amap, cfg.gamma) for amap in amaps]
         load = pw.local_load_poisson(verts, f)
-        n_field = pw.N_FIELD
     else:
+        model = plw
         gram = [plw.local_gram_plate(amap, d) for amap in amaps]
         b = [plw.local_b_plate(amap) for amap in amaps]
         load = plw.local_load_plate(verts, f)
-        n_field = plw.N_FIELD
+    edge_signs = mesh.tri_edge_signs
+    sign = np.ones((mesh.n_triangles, model.N_TRIAL - model.N_FIELD))
+    sign[:, model.SIGNED_TRACE] = edge_signs * edge_signs[first[cls]]
     try:
-        return slv.condense(np.stack(gram), np.stack(b), cls, load, n_field)
+        return slv.condense(np.stack(gram), np.stack(b), cls, sign, load, model.N_FIELD)
     except slv.NotSPDError as exc:
         raise slv.NotSPDError(f"d = {d}: {exc}") from exc
 

@@ -238,9 +238,17 @@ def plate_consistency_residual(mesh, u, grad_u, hess_u, div_m, f):
     return worst
 
 
+def exact_u_grad_hess(exact):
+    """u, grad u (..., 2) and the (xx, xy, yy) Hessian (..., 3) of a
+    manufactured solution, as callables of (x, y) built on exact.du."""
+    return (lambda x, y: exact.du(x, y, (0, 0))[0],
+            lambda x, y: np.stack(exact.du(x, y, (1, 0), (0, 1)), axis=-1),
+            lambda x, y: np.stack(exact.du(x, y, (2, 0), (1, 1), (0, 2)), axis=-1))
+
+
 def permuted(cond, order):
     """The same condensed systems with the elements taken in the given order."""
-    return replace(cond, cls=cond.cls[order], load=cond.load[order],
+    return replace(cond, cls=cond.cls[order], sign=cond.sign[order], z=cond.z[order],
                    field=cond.field[order], rhs=cond.rhs[order])
 
 
@@ -261,16 +269,17 @@ def full_solution(fields, traces):
 def full_normal_equations(dofs, n_free, cond):
     """Dense normal equations B^T G^-1 B x = B^T G^-1 l over all n_free
     unknowns, fields included and numbered as by full_dofs, summed element
-    by element from the Gram factors, B and loads of the condensed
-    systems."""
+    by element from the whitened matrices C = L^-1 B (columns signed by the
+    element's trace orientation) and whitened loads z = L^-1 l of the
+    condensed systems: B^T G^-1 B = C^T C and B^T G^-1 l = C^T z."""
     a = np.zeros((n_free, n_free))
     r = np.zeros(n_free)
-    for t, row in enumerate(full_dofs(dofs, cond.lift.shape[1])):
-        chol, b = cond.chol[cond.cls[t]], cond.b[cond.cls[t]]
-        ginv_b = np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+    n_field = cond.lift.shape[1]
+    for t, row in enumerate(full_dofs(dofs, n_field)):
+        c = cond.c[cond.cls[t]] * np.concatenate([np.ones(n_field), cond.sign[t]])
         free = row >= 0
-        a[np.ix_(row[free], row[free])] += (b.T @ ginv_b)[np.ix_(free, free)]
-        r[row[free]] += (ginv_b.T @ cond.load[t])[free]
+        a[np.ix_(row[free], row[free])] += (c.T @ c)[np.ix_(free, free)]
+        r[row[free]] += (c.T @ cond.z[t])[free]
     return a, r
 
 

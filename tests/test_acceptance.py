@@ -18,7 +18,7 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import (full_solution, permuted, plate_consistency_residual,
+from helpers import (exact_u_grad_hess, full_solution, permuted, plate_consistency_residual,
                      poisson_consistency_residual, poisson_dense_minres)
 
 _RUNS = {}
@@ -70,15 +70,15 @@ def test_criterion_01_dense_minimum_residual_equivalence():
 def test_criterion_02_integration_by_parts_consistency():
     t0 = time.time()
     pcfg = sc.StudyConfig(problem="poisson")
-    pex = sc.exact_bundle(pcfg)
+    pu, pgrad, _ = exact_u_grad_hess(sc.exact_bundle(pcfg))
     mesh2 = msh.make_rect_mesh(1.0, 1.0, 1)
     mesh8 = msh.refine_uniform(mesh2)
     worst = 0.0
     for gamma in (0.0, 1.0):
-        f = lambda x, y: (2 * np.pi ** 2 + gamma) * pex.u(x, y)
+        f = lambda x, y: (2 * np.pi ** 2 + gamma) * pu(x, y)
         for mesh in (mesh2, mesh8):
             worst = max(worst, poisson_consistency_residual(
-                mesh, pex.u, pex.grad, f, gamma))
+                mesh, pu, pgrad, f, gamma))
 
     kcfg = sc.StudyConfig(problem="plate")
     kex = sc.exact_bundle(kcfg)
@@ -93,7 +93,7 @@ def test_criterion_02_integration_by_parts_consistency():
 
     for mesh in (mesh2, mesh8):
         worst = max(worst, plate_consistency_residual(
-            mesh, kex.u, kex.grad, kex.hess, div_m, kex.f))
+            mesh, *exact_u_grad_hess(kex), div_m, kex.f))
     elapsed = time.time() - t0
     report(2, worst < 1e-8 and elapsed < 5.0,
            f"largest consistency residual {worst:.2e} (tol 1e-8), {elapsed:.1f}s")
@@ -267,12 +267,13 @@ def test_criterion_10_invariant_suite():
     n_test = mesh.n_triangles * pw.N_TEST
     big_g = np.zeros((n_test, n_test))
     resid = np.zeros(n_test)
+    loads = pw.local_load_poisson(mesh.vertices[mesh.triangles], exact.f)
     for t in range(mesh.n_triangles):
         rows = slice(t * pw.N_TEST, (t + 1) * pw.N_TEST)
-        big_g[rows, rows] = pw.local_gram_poisson(fc.map_affine(mesh, t), 1.0)
-        b = condensed.b[condensed.cls[t]]
+        amap = fc.map_affine(mesh, t)
+        big_g[rows, rows] = pw.local_gram_poisson(amap, 1.0)
         x_t = np.concatenate([fields[t], slv.gather_local(dofs[t], traces)])
-        resid[rows] = condensed.load[t] - b @ x_t
+        resid[rows] = loads[t] - pw.local_b_poisson(amap, 0.0) @ x_t
     checks["riesz"] = abs(eta ** 2 - resid @ np.linalg.solve(big_g, resid)) \
         <= 1e-10 * max(1.0, eta ** 2)
 

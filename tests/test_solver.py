@@ -20,8 +20,8 @@ def random_spd(n, rng):
 
 def condense_one(gram, b, load, n_field=1):
     """Condensed system of a single element."""
-    return slv.condense(gram[None], b[None], np.zeros(1, dtype=np.int64), load[None],
-                        n_field)
+    return slv.condense(gram[None], b[None], np.zeros(1, dtype=np.int64),
+                        np.ones((1, b.shape[1] - n_field)), load[None], n_field)
 
 
 def eliminated(s, r, n_field):
@@ -112,7 +112,8 @@ def test_condense_mesh_separates_similar_elements_of_different_size():
 @pytest.mark.parametrize("perturb", [0.0, 0.1])
 def test_condense_mesh_classes_match_rowwise_unique(perturb, monkeypatch):
     # perturbing the interior vertices makes every element its own class;
-    # the unperturbed mesh has few classes, each led by its first element
+    # the unperturbed mesh has few classes, each led by its first element;
+    # the key is the element shape alone, edge orientations do not split classes
     mesh = msh.refine_uniform(msh.refine_uniform(msh.make_rect_mesh(3.0, 2.0, 2)))
     interior = mesh.vertex_tags == msh.INTERIOR
     h = 0.25  # the cell size
@@ -122,8 +123,7 @@ def test_condense_mesh_classes_match_rowwise_unique(perturb, monkeypatch):
     mesh = replace(mesh, vertices=vertices)
     verts = mesh.vertices[mesh.triangles]
     jac = (verts[:, 1:] - verts[:, :1]).reshape(-1, 4)
-    key = np.column_stack([np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64),
-                           mesh.tri_edge_signs])
+    key = np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64)
     _, first, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
     assert (len(first) == mesh.n_triangles) == (perturb > 0)
 
@@ -134,6 +134,62 @@ def test_condense_mesh_classes_match_rowwise_unique(perturb, monkeypatch):
     cond = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
     assert np.array_equal(mapped, first)
     assert np.array_equal(cond.cls, cls.reshape(-1))
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_condense_mesh_signs_match_each_elements_own_system(problem):
+    # every element's signed class data against condense_local and
+    # condense_rhs of its own map, orientation signs included
+    mesh = msh.refine_uniform(msh.refine_uniform(msh.make_rect_mesh(3.0, 2.0, 2)))
+    cfg = sc.StudyConfig(problem=problem, gamma=1.0 if problem == "poisson" else 0.0)
+    f = sc.exact_bundle(cfg).f
+    cond = sc.condense_mesh(mesh, cfg, 1.0, f)
+    verts = mesh.vertices[mesh.triangles]
+    if problem == "poisson":
+        model, loads = pw, pw.local_load_poisson(verts, f)
+        local = lambda amap: (pw.local_gram_poisson(amap, 1.0), pw.local_b_poisson(amap, 1.0))
+    else:
+        model, loads = plw, plw.local_load_plate(verts, f)
+        local = lambda amap: (plw.local_gram_plate(amap, 1.0), plw.local_b_plate(amap))
+    # some class holds both orientations of an edge, and only the odd trace
+    # slots are ever flipped
+    assert (cond.sign < 0).any()
+    unsigned = np.setdiff1d(np.arange(cond.sign.shape[1]), model.SIGNED_TRACE)
+    assert (cond.sign[:, unsigned] == 1).all()
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    for t in range(mesh.n_triangles):
+        linv, c, ff_inv, lift, schur = slv.condense_local(*local(fc.map_affine(mesh, t)),
+                                                          model.N_FIELD)
+        z, field, rhs = slv.condense_rhs(linv[None], c[None], ff_inv[None], lift[None],
+                                         np.zeros(1, dtype=np.int64),
+                                         np.ones((1, len(schur))), loads[t][None])
+        k, sign = cond.cls[t], cond.sign[t]
+        close(sign[:, None] * cond.schur[k] * sign[None, :], schur)
+        close(cond.lift[k] * sign, lift)
+        close(cond.rhs[t], rhs[0])
+        close(cond.field[t], field[0])
+
+
+@pytest.mark.parametrize("problem, model, gram_name", [
+    ("poisson", pw, "local_gram_poisson"), ("plate", plw, "local_gram_plate")],
+    ids=["poisson", "plate"])
+def test_condense_mesh_builds_one_system_per_element_shape(problem, model, gram_name,
+                                                           monkeypatch, tmp_path):
+    # a 10-by-10 square over four levels holds 2, 3, 4 and 5 element shapes;
+    # a class key that also held the edge orientation signs would build
+    # 2 + 7 + 18 + 24 Gram matrices
+    grams, classes = [], []
+    gram, condense = getattr(model, gram_name), slv.condense
+    monkeypatch.setattr(model, gram_name, lambda *a: grams.append(a) or gram(*a))
+    monkeypatch.setattr(slv, "condense", lambda g, *a: classes.append(len(g)) or
+                        condense(g, *a))
+    argv = ["--problem", problem, "--r1", "10", "--r2", "10", "--levels", "4"]
+    assert sc.main([*argv, "--out", str(tmp_path / "study.csv")]) == 0
+    assert classes == [2, 3, 4, 5]
+    assert len(grams) == 14
 
 
 def test_assemble_single_element_is_free_submatrix():
@@ -386,24 +442,50 @@ def test_zero_load_gives_zero_solution():
     assert np.allclose(full_solution(fields, traces), 0.0, atol=1e-14)
 
 
+def dense_riesz_eta_sq(mesh, dofs, fields, traces, n_test, gram, bmat, loads):
+    """eta^2 = r^T G_global^-1 r from the dense block-diagonal Gram matrix
+    and the residual r = l - B x of every element, both built from the
+    element's own map."""
+    big_g = np.zeros((mesh.n_triangles * n_test,) * 2)
+    r_glob = np.zeros(mesh.n_triangles * n_test)
+    for t in range(mesh.n_triangles):
+        rows = slice(t * n_test, (t + 1) * n_test)
+        amap = fc.map_affine(mesh, t)
+        big_g[rows, rows] = gram(amap)
+        x_t = np.concatenate([fields[t], slv.gather_local(dofs[t], traces)])
+        r_glob[rows] = loads[t] - bmat(amap) @ x_t
+    return r_glob @ np.linalg.solve(big_g, r_glob)
+
+
 def test_energy_residual_matches_dense_riesz_oracle():
     mesh, dm, condensed, gs, fields, traces = solved_poisson(levels=0)
-    eta_t, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh), fields, traces)
-
-    # dense global Riesz lift: eta^2 = r^T G_global^{-1} r
-    n_test = mesh.n_triangles * pw.N_TEST
-    big_g = np.zeros((n_test, n_test))
-    r_glob = np.zeros(n_test)
     dofs = dm.all_element_dofs(mesh)
-    for t in range(mesh.n_triangles):
-        rows = slice(t * pw.N_TEST, (t + 1) * pw.N_TEST)
-        amap = fc.map_affine(mesh, t)
-        big_g[rows, rows] = pw.local_gram_poisson(amap, 1.0)
-        b = condensed.b[condensed.cls[t]]
-        x_t = np.concatenate([fields[t], slv.gather_local(dofs[t], traces)])
-        r_glob[rows] = condensed.load[t] - b @ x_t
-    y = np.linalg.solve(big_g, r_glob)
-    assert np.isclose(eta ** 2, r_glob @ y, rtol=1e-10)
+    eta_t, eta = slv.energy_residual(condensed, dofs, fields, traces)
+    loads = pw.local_load_poisson(mesh.vertices[mesh.triangles],
+                                  sc.exact_bundle(sc.StudyConfig(problem="poisson")).f)
+    riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, pw.N_TEST,
+                               lambda amap: pw.local_gram_poisson(amap, 1.0),
+                               lambda amap: pw.local_b_poisson(amap, 0.0), loads)
+    assert np.isclose(eta ** 2, riesz, rtol=1e-10)
+
+
+def test_plate_energy_residual_matches_dense_riesz_oracle():
+    # the clamped unit square at 32 triangles: a dense 1,760^2 Gram matrix
+    mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 2))
+    cfg = sc.StudyConfig(problem="plate")
+    f = sc.exact_bundle(cfg).f
+    dm = plw.dof_map_plate(mesh)
+    dofs = dm.all_element_dofs(mesh)
+    condensed = sc.condense_mesh(mesh, cfg, 1.0, f)
+    assert (condensed.sign < 0).any()
+    fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
+    eta_t, eta = slv.energy_residual(condensed, dofs, fields, traces)
+    riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, plw.N_TEST,
+                               lambda amap: plw.local_gram_plate(amap, 1.0),
+                               plw.local_b_plate,
+                               plw.local_load_plate(mesh.vertices[mesh.triangles], f))
+    assert np.isclose(eta ** 2, riesz, rtol=1e-10)
+    assert np.isclose(eta ** 2, (eta_t ** 2).sum(), rtol=1e-14)
 
 
 def test_energy_residual_permutation_invariant():

@@ -8,7 +8,7 @@ from dpglock import mesh as msh
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import full_solution
+from helpers import exact_u_grad_hess, full_solution
 
 
 def cfg_poisson(**kw):
@@ -70,19 +70,20 @@ def test_exact_bundle_dirichlet_rhs_value():
 def test_exact_bundle_boundary_conditions(problem, bc):
     r1, r2 = 2.0, 3.0
     exact = sc.exact_bundle(sc.StudyConfig(problem=problem, r1=r1, r2=r2, bc=bc))
+    u, grad, hess = exact_u_grad_hess(exact)
     t = np.linspace(0.0, 1.0, 7)
     left_right = (np.repeat([0.0, r1], 7), np.tile(r2 * t, 2))
     bottom_top = (np.tile(r1 * t, 2), np.repeat([0.0, r2], 7))
     for x, y in [left_right] + ([bottom_top] if bc == "dirichlet" else []):
-        assert np.allclose(exact.u(x, y), 0.0, atol=1e-14)
+        assert np.allclose(u(x, y), 0.0, atol=1e-14)
         if problem == "plate":  # clamped
-            assert np.allclose(exact.grad(x, y), 0.0, atol=1e-13)
+            assert np.allclose(grad(x, y), 0.0, atol=1e-13)
     if bc == "mixed":  # free on y = 0 and y = R2
         x, y = bottom_top
         if problem == "poisson":
-            assert np.allclose(exact.grad(x, y)[..., 1], 0.0, atol=1e-14)
+            assert np.allclose(grad(x, y)[..., 1], 0.0, atol=1e-14)
         else:
-            assert np.allclose(exact.hess(x, y)[..., 1:], 0.0, atol=1e-13)
+            assert np.allclose(hess(x, y)[..., 1:], 0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -94,25 +95,25 @@ def test_exact_bundle_boundary_conditions(problem, bc):
 ])
 def test_exact_bundle_consistency_by_finite_differences(cfg):
     exact = sc.exact_bundle(cfg)
+    u, grad, hess = exact_u_grad_hess(exact)
     rng = np.random.default_rng(9)
     x = rng.uniform(0.3 * cfg.r1, 0.7 * cfg.r1, 5)
     y = rng.uniform(0.3 * cfg.r2, 0.7 * cfg.r2, 5)
     h = 1e-5 * min(cfg.r1, cfg.r2)
 
-    fd_grad = np.stack([(exact.u(x + h, y) - exact.u(x - h, y)) / (2 * h),
-                        (exact.u(x, y + h) - exact.u(x, y - h)) / (2 * h)], axis=-1)
-    assert np.allclose(exact.grad(x, y), fd_grad, atol=1e-5)
+    fd_grad = np.stack([(u(x + h, y) - u(x - h, y)) / (2 * h),
+                        (u(x, y + h) - u(x, y - h)) / (2 * h)], axis=-1)
+    assert np.allclose(grad(x, y), fd_grad, atol=1e-5)
 
-    gx = lambda xx, yy: exact.grad(xx, yy)[..., 0]
-    gy = lambda xx, yy: exact.grad(xx, yy)[..., 1]
+    gx = lambda xx, yy: grad(xx, yy)[..., 0]
+    gy = lambda xx, yy: grad(xx, yy)[..., 1]
     fd_hess = np.stack([(gx(x + h, y) - gx(x - h, y)) / (2 * h),
                         (gx(x, y + h) - gx(x, y - h)) / (2 * h),
                         (gy(x, y + h) - gy(x, y - h)) / (2 * h)], axis=-1)
-    assert np.allclose(exact.hess(x, y), fd_hess, atol=1e-5)
+    assert np.allclose(hess(x, y), fd_hess, atol=1e-5)
 
-    hess = exact.hess
     if cfg.problem == "poisson":
-        fd_f = -(hess(x, y)[..., 0] + hess(x, y)[..., 2]) + cfg.gamma * exact.u(x, y)
+        fd_f = -(hess(x, y)[..., 0] + hess(x, y)[..., 2]) + cfg.gamma * u(x, y)
         assert np.allclose(exact.f(x, y), fd_f, atol=1e-10)
     else:
         fd_f = ((hess(x + h, y)[..., 0] - 2 * hess(x, y)[..., 0] + hess(x - h, y)[..., 0]) / h ** 2
