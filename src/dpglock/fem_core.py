@@ -157,7 +157,7 @@ class AffineMap:
     Physical gradients are jac_inv_t @ reference gradients, physical Hessians
     jac_inv_t @ H_ref @ jac_inv_t.T.  Edge data follow the local edge order
     k = (vertex k, vertex k+1): outward unit normal, counterclockwise unit
-    tangent, length, and the mesh orientation sign of the underlying edge.
+    tangent and length.
     """
 
     verts: np.ndarray
@@ -167,7 +167,6 @@ class AffineMap:
     edge_normals: np.ndarray
     edge_tangents: np.ndarray
     edge_lengths: np.ndarray
-    edge_signs: np.ndarray
 
     def push_gradients(self, ref_grads: np.ndarray) -> np.ndarray:
         """(..., 2) reference gradients to physical ones."""
@@ -179,7 +178,7 @@ class AffineMap:
         return np.einsum("ab,...bc,dc->...ad", a, ref_hess, a)
 
 
-def affine_map_from_vertices(verts: np.ndarray, edge_signs=(1, 1, 1)) -> AffineMap:
+def affine_map_from_vertices(verts: np.ndarray) -> AffineMap:
     verts = np.asarray(verts, float)
     jac = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
     det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
@@ -195,15 +194,12 @@ def affine_map_from_vertices(verts: np.ndarray, edge_signs=(1, 1, 1)) -> AffineM
         t = d / lengths[k]
         tangents[k] = t
         normals[k] = (t[1], -t[0])  # outward for counterclockwise traversal
-    return AffineMap(verts, jac, det, jac_inv.T,
-                     normals, tangents, lengths,
-                     np.asarray(edge_signs, dtype=np.int8))
+    return AffineMap(verts, jac, det, jac_inv.T, normals, tangents, lengths)
 
 
 def map_affine(mesh: Mesh, t: int) -> AffineMap:
-    """Affine map of triangle t, carrying the mesh's edge orientation signs."""
-    return affine_map_from_vertices(mesh.vertices[mesh.triangles[t]],
-                                    mesh.tri_edge_signs[t])
+    """Affine map of triangle t."""
+    return affine_map_from_vertices(mesh.vertices[mesh.triangles[t]])
 
 
 def affine_points(verts: np.ndarray, ref_pts: np.ndarray):

@@ -10,8 +10,8 @@ H^2-conforming deflection and an H(div div)-conforming moment:
   normal derivatives;
 * per edge a triple (m_nn, q_eff, m_tn): the constant normal-normal moment
   (even in the edge normal), the constant effective transverse shear
-  n . div M + d/dt (t . M n) (odd in the normal, so element contributions
-  carry the edge orientation sign), and the constant twisting moment
+  n . div M + d/dt (t . M n) (odd in the normal; B takes it along the
+  element's outward normal), and the constant twisting moment
   t . M n (even).  The twisting unknown acts through the endpoint
   differences of the test function along each traversed edge; those
   differences are exactly the corner terms produced when the tangential part
@@ -35,7 +35,7 @@ obtained by integrating (w, div div Q)_T - (hess w, Q)_T by parts twice and
 splitting the boundary gradient of w into normal and tangential parts.  The
 moment pairing is
 
-    <m, v> = sum_e { int_e [ s_e q_eff v - m_nn dv/dn ] ds
+    <m, v> = sum_e { int_e [ q_eff v - m_nn dv/dn ] ds
                      - m_tn [ v(end) - v(start) ] },
 
 the edge-wise tangential integration by parts of int_dT [ v (n . div M)
@@ -61,8 +61,8 @@ TEST_V = 10
 N_TEST = 55
 N_TRIAL = 22
 N_FIELD = 4         # u, M11, M12, M22 lead the trial columns
-# trace slots (trial column - N_FIELD) of q_eff on edges 0..2, the only
-# columns of B that carry an edge orientation sign
+# trace slots (trial column - N_FIELD) of q_eff on edges 0..2: odd in the edge
+# normal, outward in B and turned to the mesh orientation by Condensed.sign
 SIGNED_TRACE = (10, 13, 16)
 
 VOLUME_DEGREE = 8   # products of two P4 quantities
@@ -156,7 +156,6 @@ def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
         w = edge.weights * length
         n = amap.edge_normals[k]
         tg = amap.edge_tangents[k]
-        sign = amap.edge_signs[k]
         vv = edge_v3[k].values
         vg = amap.push_gradients(edge_v3[k].gradients)
         qv = edge_q4[k].values
@@ -191,7 +190,7 @@ def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
                 b[TEST_V:, col] += np.einsum("q,qi->i", w * dt_tr, tqn)
 
         b[:TEST_V, 13 + 3 * k] -= np.einsum("q,qi->i", w, vg @ n)
-        b[:TEST_V, 14 + 3 * k] += sign * (w @ vv)
+        b[:TEST_V, 14 + 3 * k] += w @ vv
         b[:TEST_V, 15 + 3 * k] = v3_verts[k] - v3_verts[(k + 1) % 3]
     return b
 

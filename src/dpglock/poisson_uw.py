@@ -25,8 +25,8 @@ TEST_V = 6
 N_TEST = 18
 N_TRIAL = 9
 N_FIELD = 3         # u, sigma_x, sigma_y lead the trial columns
-# trace slots (trial column - N_FIELD) of sighat on edges 0..2, the only
-# columns of B that carry an edge orientation sign
+# trace slots (trial column - N_FIELD) of sighat on edges 0..2: odd in the edge
+# normal, outward in B and turned to the mesh orientation by Condensed.sign
 SIGNED_TRACE = (3, 4, 5)
 
 VOLUME_DEGREE = 4   # products of two P2 quantities
@@ -69,8 +69,7 @@ def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
 
     Volume part: (u, div tau + gamma v)_T + (sigma, tau + grad v)_T.
     Skeleton part: -int_dT uhat (tau . n) for the piecewise-linear hat traces,
-    and -s_e sighat int_e v per edge, with s_e the orientation sign relating
-    the element's outward normal to the global edge normal.
+    and -sighat int_e v per edge, sighat taken along the outward normal.
     """
     if gamma < 0:
         raise ValueError(f"reaction coefficient must be nonnegative, got {gamma}")
@@ -98,7 +97,7 @@ def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
             flux = np.einsum("q,q,qi->i", w, hat, vals)
             b[6:12, 3 + vloc] -= nx * flux
             b[12:18, 3 + vloc] -= ny * flux
-        b[:6, 6 + k] = -amap.edge_signs[k] * (w @ vals)
+        b[:6, 6 + k] = -(w @ vals)
     return b
 
 

@@ -10,8 +10,8 @@ unknowns couple only inside their own element, so they are eliminated
 element by element (static condensation): the global system holds the traces
 alone, with matrix the sum of the trace Schur complements
 S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered from the solved traces
-afterwards.  Congruent elements share G and, up to the orientation signs of
-their edge traces, B, so factorizations and inverses run once per congruence
+afterwards.  B is built in the element's outward orientation, so congruent
+elements share G and B; factorizations and inverses run once per congruence
 class and the per-element work is matrix products over the class's elements.
 """
 
@@ -42,11 +42,11 @@ class Condensed:
     once per congruence class.
 
     Elements equal up to translation share the test Gram matrix G = L L^T
-    and the whitened trial-to-test matrix C = L^-1 B of their class, up to
-    the orientation of their edge traces: sign flips the trace slots whose
-    element orientation differs from the class's.  The first n_field local
-    trial slots are the fields f, the rest the traces t.  Given the
-    element's traces x_t (in the global orientation), its fields are
+    and the whitened trial-to-test matrix C = L^-1 B of their class, both in
+    the element's outward orientation; sign holds the mesh's edge
+    orientation signs on the orientation-odd trace slots.  The first
+    n_field local trial slots are the fields f, the rest the traces t.  Given
+    the element's traces x_t (in the mesh orientation), its fields are
     field - lift (sign x_t).
     """
 
@@ -54,7 +54,7 @@ class Condensed:
     schur: np.ndarray  # (nc, n_trace, n_trace) S_tt - S_tf S_ff^-1 S_ft, S = C^T C
     lift: np.ndarray   # (nc, n_field, n_trace) S_ff^-1 S_ft
     cls: np.ndarray    # (nt,) congruence class of each element
-    sign: np.ndarray   # (nt, n_trace) +-1, element trace orientation relative to its class
+    sign: np.ndarray   # (nt, n_trace) +-1, the mesh orientation of each trace slot
     z: np.ndarray      # (nt, n_test) L^-1 l, the whitened load
     field: np.ndarray  # (nt, n_field) S_ff^-1 r_f, with r = C^T z
     rhs: np.ndarray    # (nt, n_trace) sign (r_t - S_tf S_ff^-1 r_f)
@@ -105,9 +105,9 @@ def condense_rhs(linv: np.ndarray, c: np.ndarray, ff_inv: np.ndarray, lift: np.n
 def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray, sign: np.ndarray,
              load: np.ndarray, n_field: int) -> Condensed:
     """Condensed systems of a mesh from the (nc, ...) stacks of per-class G
-    and B, the class of each element, the (nt, n_trace) trace signs of each
-    element relative to its class, the (nt, n_test) element loads and the
-    number of field slots.
+    and B, the class of each element, the (nt, n_trace) mesh orientation
+    signs of each element's trace slots, the (nt, n_test) element loads and
+    the number of field slots.
 
     Element systems that overflow (data of magnitude near the float64 limit)
     raise SolverError here, before a non-finite matrix reaches the global
@@ -204,7 +204,9 @@ def solve_spd(gs: GlobalSystem) -> np.ndarray:
     cancellation (|A||x| >> |b|, the signature of the unscaled norm on large
     domains) the former has a double-precision floor above 1e-10 while the
     latter certifies the solve is as accurate as the arithmetic permits.
-    Neither looks at definiteness; factor_spd says why that is left
+    A residual above |b| is never accepted: x = 0 would do better, and a
+    huge |x| can meet the backward error test with any residual.  None of
+    these tests looks at definiteness; factor_spd says why that is left
     unchecked.
     """
     a, b = gs.matrix, gs.rhs
@@ -219,7 +221,8 @@ def solve_spd(gs: GlobalSystem) -> np.ndarray:
     residual = np.linalg.norm(a @ x - b)
     scale = abs(a).sum(axis=1).max() * np.linalg.norm(x) + norm_b
     # written so that a NaN residual, scale or right side fails the test
-    if not (residual <= SOLVE_TOLERANCE * norm_b or residual <= 1e-14 * scale):
+    if not (residual <= norm_b
+            and (residual <= SOLVE_TOLERANCE * norm_b or residual <= 1e-14 * scale)):
         raise SolverError(
             f"solve reached relative residual {residual / norm_b:.2e} "
             f"(backward error {residual / scale:.2e}) only")

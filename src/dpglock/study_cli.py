@@ -69,6 +69,8 @@ class StudyConfig:
             raise ConfigError("gamma must be nonnegative")
         if self.problem == PLATE and self.gamma != 0:
             raise ConfigError("the plate model has no reaction term")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.levels, self.ny0)):
+            raise ConfigError("levels and ny0 must be integers")
         if self.levels < 1:
             raise ConfigError("need at least one refinement level")
         if self.ny0 < 1:
@@ -138,10 +140,10 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
     Structured meshes contain only a handful of element shapes, so Gram and
     trial-to-test matrices are built and condensed once per congruence class:
     elements whose Jacobians agree to 1e-12 of the largest Jacobian entry of
-    the mesh.  Within a class, B differs only in the sign of the one
-    orientation-odd trace slot of each edge (SIGNED_TRACE of the model
-    module); those signs, relative to the class's first element, go to
-    Condensed.sign.  Only the load depends on the element position.
+    the mesh.  B is built in the element's outward orientation; the mesh's
+    edge signs go to the one orientation-odd trace slot of each edge
+    (SIGNED_TRACE of the model module) in Condensed.sign.  Only the load
+    depends on the element position.
     """
     verts = mesh.vertices[mesh.triangles]
     jac = (verts[:, 1:] - verts[:, :1]).reshape(-1, 4)
@@ -163,9 +165,8 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
         gram = [plw.local_gram_plate(amap, d) for amap in amaps]
         b = [plw.local_b_plate(amap) for amap in amaps]
         load = plw.local_load_plate(verts, f)
-    edge_signs = mesh.tri_edge_signs
     sign = np.ones((mesh.n_triangles, model.N_TRIAL - model.N_FIELD))
-    sign[:, model.SIGNED_TRACE] = edge_signs * edge_signs[first[cls]]
+    sign[:, model.SIGNED_TRACE] = mesh.tri_edge_signs
     try:
         return slv.condense(np.stack(gram), np.stack(b), cls, sign, load, model.N_FIELD)
     except slv.NotSPDError as exc:

@@ -283,19 +283,29 @@ def full_normal_equations(dofs, n_free, cond):
     return a, r
 
 
-def _dense_minres(mesh, dm, n_field, n_test, gram, bmat, loads):
+def trial_signs(mesh, t, model):
+    """(n_trial,) signs that turn the trial columns of triangle t from the
+    element's outward orientation, in which the model builds B, to the
+    mesh's: the edge orientation signs on the model's SIGNED_TRACE slots,
+    1 elsewhere."""
+    sign = np.ones(model.N_TRIAL)
+    sign[model.N_FIELD + np.array(model.SIGNED_TRACE)] = mesh.tri_edge_signs[t]
+    return sign
+
+
+def _dense_minres(mesh, dm, model, gram, bmat, loads):
     """Assemble the full block-diagonal test Gram matrix and the stacked
-    trial-to-test matrix over all unknowns (numbered as by full_dofs),
-    invert the Gram matrix through its eigendecomposition, and solve the
-    explicit dense normal equations."""
-    nt = mesh.n_triangles
+    trial-to-test matrix over all unknowns (numbered as by full_dofs, in the
+    mesh's edge orientation), invert the Gram matrix through its
+    eigendecomposition, and solve the explicit dense normal equations."""
+    nt, n_test = mesh.n_triangles, model.N_TEST
     big_b = np.zeros((nt * n_test, dm.n_free))
     big_g = np.zeros((nt * n_test, nt * n_test))
-    for t, dofs in enumerate(full_dofs(dm.all_element_dofs(mesh), n_field)):
+    for t, dofs in enumerate(full_dofs(dm.all_element_dofs(mesh), model.N_FIELD)):
         amap = fc.map_affine(mesh, t)
         rows = slice(t * n_test, (t + 1) * n_test)
         big_g[rows, rows] = gram(amap)
-        b = bmat(amap)
+        b = bmat(amap) * trial_signs(mesh, t, model)
         for j, dof in enumerate(dofs):
             if dof >= 0:
                 big_b[rows, dof] += b[:, j]
@@ -313,7 +323,7 @@ def poisson_dense_minres(mesh, d, gamma, f):
     from dpglock import poisson_uw as pw
 
     return _dense_minres(
-        mesh, pw.dof_map_poisson(mesh), pw.N_FIELD, pw.N_TEST,
+        mesh, pw.dof_map_poisson(mesh), pw,
         lambda amap: pw.local_gram_poisson(amap, d),
         lambda amap: pw.local_b_poisson(amap, gamma),
         pw.local_load_poisson(mesh.vertices[mesh.triangles], f))
@@ -324,7 +334,7 @@ def plate_dense_minres(mesh, d, f):
     from dpglock import plate_uw as plw
 
     return _dense_minres(
-        mesh, plw.dof_map_plate(mesh), plw.N_FIELD, plw.N_TEST,
+        mesh, plw.dof_map_plate(mesh), plw,
         lambda amap: plw.local_gram_plate(amap, d), plw.local_b_plate,
         plw.local_load_plate(mesh.vertices[mesh.triangles], f))
 

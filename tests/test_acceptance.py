@@ -19,7 +19,7 @@ from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
 from helpers import (exact_u_grad_hess, full_solution, permuted, plate_consistency_residual,
-                     poisson_consistency_residual, poisson_dense_minres)
+                     poisson_consistency_residual, poisson_dense_minres, trial_signs)
 
 _RUNS = {}
 
@@ -229,6 +229,18 @@ def test_criterion_09_plate_dichotomy():
     stalls = sum(1 for q in ratios(std, 2) if q < 1.3)
     ok &= stalls >= 1
     details.append(f"clamped R=10 standard stalled pairs {stalls} (need >= 1)")
+
+    # the R=100 mixed strip: the standard norm stalls errU and loses field
+    # control (errU/err about 1e5), the scaled norm halves errU per level
+    strip = dict(problem="plate", r1=100.0, r2=1.0, bc="mixed", levels=3, ny0=1)
+    std, scl = run(norm="standard", **strip), run(norm="scaled", **strip)
+    std_ratio, scl_ratio = std[-1][1] / std[-1][3], scl[-1][1] / scl[-1][3]
+    ok &= all(q < 1.3 for q in ratios(std, 1)) and std_ratio >= 1e4
+    ok &= all(q >= 1.8 for q in ratios(scl, 1)) and scl_ratio <= 1e3
+    details.append(f"mixed strip R=100 errU ratios standard "
+                   f"{min(ratios(std, 1)):.2f}-{max(ratios(std, 1)):.2f}, scaled "
+                   f"{min(ratios(scl, 1)):.2f}-{max(ratios(scl, 1)):.2f}; top errU/err "
+                   f"{std_ratio:.1e} vs {scl_ratio:.0f}")
     elapsed = time.time() - t0
     report(9, ok and elapsed < 600.0, "; ".join(details) + f"; {elapsed:.0f}s")
 
@@ -238,10 +250,9 @@ def test_criterion_10_invariant_suite():
 
     # SPD of representative element Gram matrices and a global matrix
     for d in (1.0, 100.0):
-        amap = fc.affine_map_from_vertices(d / 4.0 * fc.REF_VERTICES, (1, 1, -1))
+        amap = fc.affine_map_from_vertices(d / 4.0 * fc.REF_VERTICES)
         cholesky(pw.local_gram_poisson(amap, d), lower=True)
-        cholesky(plw.local_gram_plate(fc.affine_map_from_vertices(
-            d / 4.0 * fc.REF_VERTICES, (1, 1, -1)), d), lower=True)
+        cholesky(plw.local_gram_plate(amap, d), lower=True)
     cfg = sc.StudyConfig(problem="poisson")
     exact = sc.exact_bundle(cfg)
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
@@ -273,7 +284,8 @@ def test_criterion_10_invariant_suite():
         amap = fc.map_affine(mesh, t)
         big_g[rows, rows] = pw.local_gram_poisson(amap, 1.0)
         x_t = np.concatenate([fields[t], slv.gather_local(dofs[t], traces)])
-        resid[rows] = loads[t] - pw.local_b_poisson(amap, 0.0) @ x_t
+        b = pw.local_b_poisson(amap, 0.0) * trial_signs(mesh, t, pw)
+        resid[rows] = loads[t] - b @ x_t
     checks["riesz"] = abs(eta ** 2 - resid @ np.linalg.solve(big_g, resid)) \
         <= 1e-10 * max(1.0, eta ** 2)
 

@@ -143,14 +143,6 @@ def test_map_rejects_degenerate():
         fc.affine_map_from_vertices(np.array([[0, 0], [0, 1], [1, 0]], float))
 
 
-def test_map_from_mesh_carries_signs():
-    m = msh.make_rect_mesh(1.0, 1.0, 1)
-    for t in range(m.n_triangles):
-        amap = fc.map_affine(m, t)
-        assert (amap.edge_signs == m.tri_edge_signs[t]).all()
-        assert amap.det > 0
-
-
 def test_hessian_pushforward_vs_finite_differences():
     verts = np.array([[0.0, 0.0], [0.8, 0.1], [0.2, 0.9]])
     amap = fc.affine_map_from_vertices(verts)

@@ -10,7 +10,7 @@ from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
 from helpers import (full_normal_equations, full_solution, permuted, plate_dense_minres,
-                     poisson_dense_minres)
+                     poisson_dense_minres, trial_signs)
 
 
 def random_spd(n, rng):
@@ -139,7 +139,7 @@ def test_condense_mesh_classes_match_rowwise_unique(perturb, monkeypatch):
 @pytest.mark.parametrize("problem", ["poisson", "plate"])
 def test_condense_mesh_signs_match_each_elements_own_system(problem):
     # every element's signed class data against condense_local and
-    # condense_rhs of its own map, orientation signs included
+    # condense_rhs of its own map, with B turned to the mesh orientation
     mesh = msh.refine_uniform(msh.refine_uniform(msh.make_rect_mesh(3.0, 2.0, 2)))
     cfg = sc.StudyConfig(problem=problem, gamma=1.0 if problem == "poisson" else 0.0)
     f = sc.exact_bundle(cfg).f
@@ -161,8 +161,9 @@ def test_condense_mesh_signs_match_each_elements_own_system(problem):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     for t in range(mesh.n_triangles):
-        linv, c, ff_inv, lift, schur = slv.condense_local(*local(fc.map_affine(mesh, t)),
-                                                          model.N_FIELD)
+        gram, b = local(fc.map_affine(mesh, t))
+        linv, c, ff_inv, lift, schur = slv.condense_local(
+            gram, b * trial_signs(mesh, t, model), model.N_FIELD)
         z, field, rhs = slv.condense_rhs(linv[None], c[None], ff_inv[None], lift[None],
                                          np.zeros(1, dtype=np.int64),
                                          np.ones((1, len(schur))), loads[t][None])
@@ -171,6 +172,27 @@ def test_condense_mesh_signs_match_each_elements_own_system(problem):
         close(cond.lift[k] * sign, lift)
         close(cond.rhs[t], rhs[0])
         close(cond.field[t], field[0])
+
+
+@pytest.mark.parametrize("problem, model", [("poisson", pw), ("plate", plw)],
+                         ids=["poisson", "plate"])
+def test_flipping_one_elements_edge_signs_flips_only_its_signed_slots(problem, model):
+    # class data depend on element shape alone: the mesh orientation reaches
+    # the condensed systems only through sign (and the signed right side),
+    # also for element 0, the first element of its class
+    mesh = msh.refine_uniform(msh.make_rect_mesh(3.0, 2.0, 2))
+    cfg = sc.StudyConfig(problem=problem)
+    f = sc.exact_bundle(cfg).f
+    signs = mesh.tri_edge_signs.copy()
+    signs[0] *= -1
+    cond = sc.condense_mesh(mesh, cfg, 1.0, f)
+    flipped = sc.condense_mesh(replace(mesh, tri_edge_signs=signs), cfg, 1.0, f)
+    odd = np.zeros(cond.sign.shape, dtype=bool)
+    odd[0, model.SIGNED_TRACE] = True
+    assert np.array_equal(flipped.sign, np.where(odd, -cond.sign, cond.sign))
+    assert np.array_equal(flipped.rhs, np.where(odd, -cond.rhs, cond.rhs))
+    for name in ("c", "schur", "lift", "cls", "z", "field"):
+        assert np.array_equal(getattr(flipped, name), getattr(cond, name))
 
 
 @pytest.mark.parametrize("problem, model, gram_name", [
@@ -260,7 +282,8 @@ def test_assemble_against_hand_assembled_two_triangle_matrix():
 
     hand = np.zeros((5, 5))
     for t in range(2):
-        s = condensed.schur[condensed.cls[t]]
+        sign = trial_signs(mesh, t, pw)[pw.N_FIELD:]
+        s = sign[:, None] * condensed.schur[condensed.cls[t]] * sign[None, :]
         for i in range(6):
             for j in range(6):
                 gi, gj = hand_traces[t, i], hand_traces[t, j]
@@ -313,6 +336,18 @@ def test_solve_rejects_off_diagonal_pivot():
     a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(slv.NotSPDError):
         slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 2.0])))
+
+
+def test_solve_rejects_a_residual_above_the_right_side():
+    # eigenvalues 1 ... 1e-20: the factor returns |x| ~ 1e17, which meets the
+    # backward error test, with a residual about twice |b|, worse than x = 0
+    import scipy.sparse as sp
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    a = q @ np.diag(np.logspace(0, -20, 20)) @ q.T
+    gs = slv.GlobalSystem(sp.csc_matrix(a), rng.standard_normal(20))
+    with pytest.raises(slv.SolverError, match="relative residual"):
+        slv.solve_spd(gs)
 
 
 def test_solve_rejects_a_nan_solution():
@@ -442,10 +477,11 @@ def test_zero_load_gives_zero_solution():
     assert np.allclose(full_solution(fields, traces), 0.0, atol=1e-14)
 
 
-def dense_riesz_eta_sq(mesh, dofs, fields, traces, n_test, gram, bmat, loads):
+def dense_riesz_eta_sq(mesh, dofs, fields, traces, model, gram, bmat, loads):
     """eta^2 = r^T G_global^-1 r from the dense block-diagonal Gram matrix
     and the residual r = l - B x of every element, both built from the
-    element's own map."""
+    element's own map, B turned to the mesh orientation."""
+    n_test = model.N_TEST
     big_g = np.zeros((mesh.n_triangles * n_test,) * 2)
     r_glob = np.zeros(mesh.n_triangles * n_test)
     for t in range(mesh.n_triangles):
@@ -453,7 +489,7 @@ def dense_riesz_eta_sq(mesh, dofs, fields, traces, n_test, gram, bmat, loads):
         amap = fc.map_affine(mesh, t)
         big_g[rows, rows] = gram(amap)
         x_t = np.concatenate([fields[t], slv.gather_local(dofs[t], traces)])
-        r_glob[rows] = loads[t] - bmat(amap) @ x_t
+        r_glob[rows] = loads[t] - (bmat(amap) * trial_signs(mesh, t, model)) @ x_t
     return r_glob @ np.linalg.solve(big_g, r_glob)
 
 
@@ -463,7 +499,7 @@ def test_energy_residual_matches_dense_riesz_oracle():
     eta_t, eta = slv.energy_residual(condensed, dofs, fields, traces)
     loads = pw.local_load_poisson(mesh.vertices[mesh.triangles],
                                   sc.exact_bundle(sc.StudyConfig(problem="poisson")).f)
-    riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, pw.N_TEST,
+    riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, pw,
                                lambda amap: pw.local_gram_poisson(amap, 1.0),
                                lambda amap: pw.local_b_poisson(amap, 0.0), loads)
     assert np.isclose(eta ** 2, riesz, rtol=1e-10)
@@ -480,7 +516,7 @@ def test_plate_energy_residual_matches_dense_riesz_oracle():
     assert (condensed.sign < 0).any()
     fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
     eta_t, eta = slv.energy_residual(condensed, dofs, fields, traces)
-    riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, plw.N_TEST,
+    riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, plw,
                                lambda amap: plw.local_gram_plate(amap, 1.0),
                                plw.local_b_plate,
                                plw.local_load_plate(mesh.vertices[mesh.triangles], f))

@@ -46,7 +46,8 @@ def test_config_validation():
         cfg_poisson(problem="heat").validate()
     for bad in (dict(r1=np.inf), dict(r2=np.nan), dict(gamma=np.nan), dict(gamma=np.inf),
                 dict(norm="scaled", d_override=np.nan),
-                dict(norm="scaled", d_override=np.inf)):
+                dict(norm="scaled", d_override=np.inf),
+                dict(levels=2.5), dict(ny0=1.5), dict(levels=np.nan)):
         with pytest.raises(sc.ConfigError):
             cfg_poisson(**bad).validate()
 
