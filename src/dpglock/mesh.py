@@ -35,6 +35,7 @@ class Mesh:
     tri_edge_signs: (nt, 3) +1 if local traversal runs lower->higher index
     edge_tags:      (ne,) INTERIOR / DIRICHLET / NEUMANN
     vertex_tags:    (nv,) same encoding; DIRICHLET wins at corners
+    depth:          number of refine_uniform steps from the coarse mesh
     """
 
     vertices: np.ndarray
@@ -44,6 +45,7 @@ class Mesh:
     tri_edge_signs: np.ndarray
     edge_tags: np.ndarray
     vertex_tags: np.ndarray
+    depth: int = 0
 
     @property
     def n_vertices(self) -> int:
@@ -164,7 +166,11 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     Midpoint vertices are appended after the parent vertices in edge order,
     children of boundary edges inherit the parent tag, and all edges created
-    inside a parent triangle are interior.
+    inside a parent triangle are interior.  Child k of triangle t is
+    triangle t + k nt, and child 0 keeps the vertex order of t at half its
+    Jacobian.  So after d refinements of a mesh of n triangles, triangle i
+    descends from triangle i mod n of that mesh, and triangle r < n is
+    triangle r scaled by 2^-d about its first vertex.
     """
     nv = mesh.n_vertices
     midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
@@ -190,7 +196,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     edge_tags[np.searchsorted(edges[:, 0] * n + edges[:, 1], halves)] = \
         mesh.edge_tags[tagged][:, None]
     vertex_tags = _vertex_tags_from_edges(len(vertices), edges, edge_tags)
-    return Mesh(vertices, children, edges, tri_edges, signs, edge_tags, vertex_tags)
+    return Mesh(vertices, children, edges, tri_edges, signs, edge_tags, vertex_tags,
+                mesh.depth + 1)
 
 
 def classify_boundary(mesh: Mesh, layout: str) -> Mesh:

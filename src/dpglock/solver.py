@@ -13,6 +13,10 @@ S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered from the solved traces
 afterwards.  B is built in the element's outward orientation, so congruent
 elements share G and B; factorizations and inverses run once per congruence
 class and the per-element work is matrix products over the class's elements.
+The trace system is factored the same way one level up (TreeFactor): along
+the refinement tree, the traces inside each patch (the descendants of one
+coarser triangle) are eliminated once per patch shape, and only the traces
+on the edges of the coarsest mesh reach a sparse LU factorization.
 """
 
 from __future__ import annotations
@@ -128,6 +132,29 @@ class GlobalSystem:
     rhs: np.ndarray
 
 
+def sum_blocks(dofs: np.ndarray, n: int, blocks: np.ndarray, sign: np.ndarray):
+    """Sum of the (m, k, k) symmetric dense blocks over n unknowns, given
+    the (m, k) index of each block's slots (-1 slots are dropped) and the
+    (m, k) signs that turn its rows and columns (in place).  A sum with
+    entries for at least a quarter of the n x n matrix is accumulated
+    densely, which saves sorting them."""
+    blocks *= sign[:, :, None]
+    blocks *= sign[:, None, :]
+    if n * n <= 4 * blocks.size:
+        at = np.where(dofs >= 0, dofs, n)
+        dense = np.bincount((at[:, :, None] * (n + 1) + at[:, None, :]).ravel(),
+                            blocks.ravel(), (n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n]
+        # entries (i, j) and (j, i) sum the same terms in the same order, so
+        # the sum is exactly symmetric and its rows are its columns
+        nz = dense != 0
+        return sp.csc_matrix((dense[nz], np.broadcast_to(np.arange(n), (n, n))[nz],
+                              np.r_[0, np.cumsum(nz.sum(axis=1))]), shape=(n, n))
+    rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
+    cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((blocks[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsc()
+
+
 def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     """Sum the element trace systems over the n free trace unknowns, given
     the (nt, n_trial - n_field) global index of every element's trace slots
@@ -139,28 +166,10 @@ def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     """
     if dofs.max() >= n:
         raise IndexError("dof map addresses beyond the free unknown count")
-    data = cond.schur[cond.cls]
-    data *= cond.sign[:, :, None]
-    data *= cond.sign[:, None, :]
-    rows = np.broadcast_to(dofs[:, :, None], data.shape)
-    cols = np.broadcast_to(dofs[:, None, :], data.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    matrix = sp.coo_matrix((data[keep], (rows[keep], cols[keep])),
-                           shape=(n, n)).tocsc()
-
     rhs = np.zeros(n)
     keep = dofs >= 0
     np.add.at(rhs, dofs[keep], cond.rhs[keep])
-    return GlobalSystem(matrix, rhs)
-
-
-def solve_condensed(dofs: np.ndarray, n_trace: int, cond: Condensed):
-    """(fields, traces): the n_trace traces from the assembled trace system,
-    given the element trace dofs, and the (nt, n_field) fields of every
-    element from its traces."""
-    traces = solve_spd(assemble_global(dofs, n_trace, cond))
-    local = cond.sign * gather_local(dofs, traces)
-    return cond.field - np.einsum("tfk,tk->tf", cond.lift[cond.cls], local), traces
+    return GlobalSystem(sum_blocks(dofs, n, cond.schur[cond.cls], cond.sign), rhs)
 
 
 def factor_spd(a: sp.spmatrix):
@@ -169,18 +178,12 @@ def factor_spd(a: sp.spmatrix):
     SuperLU in symmetric mode: the minimum-degree ordering of the structure
     of A + A^T permutes rows and columns alike, and only diagonal pivots are
     taken, which is stable for SPD matrices.  A singular matrix fails its
-    factorization rather than being pivoted past, running out of memory
-    raises SolverError, and a factor that had to pivot off the diagonal (an
-    exactly zero diagonal entry) raises NotSPDError.
-
-    Negative pivots are not checked: [[1, 2], [2, 1]] factors, and
-    solve_spd returns (1, 0) for the right side (1, 2).  Every matrix the
-    harness factors is a sum of element trace Schur complements, each of
-    which condense_local certifies positive semidefinite through its
-    Cholesky factors, so an indefinite global matrix can come only from
-    round-off.  Reading the pivots through lu.U would copy the factor
-    (+80-100 MB on the plate R10 top level) for a check that only round-off
-    could trip.
+    factorization rather than being pivoted past, and running out of memory
+    raises SolverError.  A factor that had to pivot off the diagonal (an
+    exactly zero diagonal entry) or met a pivot that is not positive raises
+    NotSPDError: [[1, 2], [2, 1]] factors into the pivots 1 and -3.  The
+    trace solve factors only coarse-skeleton systems here (TreeFactor), so
+    reading the pivots through lu.U costs little.
     """
     try:
         # relax=1 turns off relaxed supernodes: their explicit zeros raise
@@ -191,12 +194,16 @@ def factor_spd(a: sp.spmatrix):
         raise SolverError(f"direct factorization failed: {exc}") from exc
     if (lu.perm_r != lu.perm_c).any():
         raise NotSPDError("direct factorization pivoted off the diagonal")
+    if not (lu.U.diagonal() > 0).all():
+        raise NotSPDError("direct factorization met a pivot that is not positive")
     return lu
 
 
-def solve_spd(gs: GlobalSystem) -> np.ndarray:
-    """Solve the assembled SPD system by the no-pivoting sparse LU of
-    factor_spd with up to three steps of iterative refinement.
+def solve_spd(gs: GlobalSystem, *, factor) -> np.ndarray:
+    """Solve the assembled SPD system by the factor that factor(gs.matrix)
+    returns (anything with a solve method: factor_spd, or a TreeFactor of the
+    elements that sum to the matrix), with up to three steps of iterative
+    refinement on the assembled matrix.
 
     A solution is accepted when the residual relative to the right side
     reaches 1e-10, or when the normwise backward error
@@ -205,13 +212,13 @@ def solve_spd(gs: GlobalSystem) -> np.ndarray:
     domains) the former has a double-precision floor above 1e-10 while the
     latter certifies the solve is as accurate as the arithmetic permits.
     A residual above |b| is never accepted: x = 0 would do better, and a
-    huge |x| can meet the backward error test with any residual.  None of
-    these tests looks at definiteness; factor_spd says why that is left
-    unchecked.
+    huge |x| can meet the backward error test with any residual.
+    Definiteness is the factor's to check: factor_spd and TreeFactor take
+    positive pivots only.
     """
     a, b = gs.matrix, gs.rhs
     norm_b = np.linalg.norm(b)
-    lu = factor_spd(a)
+    lu = factor(a)
     x = lu.solve(b)
     for _ in range(3):
         r = b - a @ x
@@ -227,6 +234,114 @@ def solve_spd(gs: GlobalSystem) -> np.ndarray:
             f"solve reached relative residual {residual / norm_b:.2e} "
             f"(backward error {residual / scale:.2e}) only")
     return x
+
+
+class TreeFactor:
+    """Factor of a mesh's trace system by nested dissection along its
+    refinement tree, once per patch class.
+
+    On a mesh refined d times (Mesh.depth), the triangles r + m n with
+    m < 4^h and n = nt / 4^h form the height-h patch under triangle r of the
+    mesh h refinements coarser.  Triangle r is that triangle scaled down
+    (refine_uniform), so the patch's shape class is cls[r].  The four
+    children of a patch leave Schur complements on their boundary traces.
+    Merged, the traces strictly inside the patch's triangle are eliminated
+    by one checked Cholesky factor per height and class, which leaves the
+    patch's Schur complement on its boundary.  The patches of a class share
+    local numbering and matrices up to a +-1 per local trace, as elements
+    do in Condensed.sign.  No interior trace touches the domain boundary, so
+    constrained slots ride along to the coarse skeleton, the boundaries of
+    the coarse mesh's triangles, whose system alone goes to factor_spd.
+    solve takes the right side up the tree and the traces down, as matrix
+    products over each class's patches.
+    """
+
+    def __init__(self, mesh, dofmap, cond: Condensed):
+        # trace slot s is component s % kv of vertex s // kv, the ke
+        # components of every edge follow; dof numbers the free slots, -1 others
+        kv, ke, nt = dofmap.vertex.shape[1], dofmap.edge.shape[1], mesh.n_triangles
+        self.dof = np.concatenate([dofmap.vertex.ravel(), dofmap.edge.ravel()])
+        ids = np.hstack([(kv * mesh.triangles[:, :, None] + np.arange(kv)).reshape(nt, -1),
+                         (kv * mesh.n_vertices + ke * mesh.tri_edges[:, :, None]
+                          + np.arange(ke)).reshape(nt, -1)])
+        sign, schur = cond.sign, dict(enumerate(cond.schur))
+        # per height and class: (interior slots, signs, boundary slots, signs)
+        # of each patch and the operator that eliminates the interior
+        self.steps = []
+        for h in range(1, mesh.depth + 1):
+            n, nb = nt >> 2 * h, ids.shape[1]
+            cat, cat_sign = (a.reshape(4, n, nb).transpose(1, 0, 2).reshape(n, 4 * nb)
+                             for a in (ids, sign))
+            # patch 0 numbers the merged traces, interior first; its boundary
+            # is the edges of one of its triangles and their vertices
+            on_edge = np.bincount(mesh.tri_edges[::n].ravel(), minlength=mesh.n_edges) == 1
+            on_vertex = np.zeros(mesh.n_vertices, bool)
+            on_vertex[mesh.edges[on_edge]] = True
+            u, first, inv = np.unique(cat[0], return_index=True, return_inverse=True)
+            on_boundary = np.r_[np.repeat(on_vertex, kv), np.repeat(on_edge, ke)][u]
+            order, ni = np.argsort(on_boundary, kind="stable"), len(u) - on_boundary.sum()
+            pos = np.argsort(order)[inv]  # merged position of every child slot
+            ids, sign = cat[:, first[order]], cat_sign[:, first[order]]
+            rel = cat_sign * sign[:, pos]
+            step, schur_up = [], {}
+            for c in np.unique(cond.cls[:n]):
+                sel = np.flatnonzero(cond.cls[:n] == c)
+                m = np.zeros((len(u), len(u)))
+                for k in range(4):
+                    p, r = pos[k * nb:(k + 1) * nb], rel[sel[0], k * nb:(k + 1) * nb]
+                    m[np.ix_(p, p)] += r[:, None] * schur[cond.cls[sel[0] + k * n]] * r
+                # numpy's LAPACK, not scipy's: each bundles an OpenBLAS, and
+                # the idle threads of one slow the other down
+                try:
+                    linv = np.linalg.inv(np.linalg.cholesky(m[:ni, :ni]))
+                except np.linalg.LinAlgError as exc:
+                    raise NotSPDError(f"interior block of height {h}, class {c} "
+                                      f"is not SPD: {exc}") from exc
+                w = linv @ m[:ni, ni:]
+                s = m[ni:, ni:] - w.T @ w
+                schur_up[c] = 0.5 * (s + s.T)
+                # [M_II^-1 | X], X = M_II^-1 M_IB
+                step.append((ids[sel, :ni], sign[sel, :ni], ids[sel, ni:], sign[sel, ni:],
+                             linv.T @ np.hstack([linv, w])))
+            self.steps.append(step)
+            ids, sign, schur = ids[:, ni:], sign[:, ni:], schur_up
+        free = self.dof[ids] >= 0
+        self.coarse = np.unique(ids[free])  # the free slots of the coarse skeleton
+        self.lu = factor_spd(sum_blocks(np.where(free, np.searchsorted(self.coarse, ids), -1),
+                                        len(self.coarse),
+                                        np.stack([schur[c] for c in cond.cls[:len(ids)]]), sign))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The traces x with A x = b, A the sum of the element systems."""
+        free = self.dof >= 0
+        w = np.zeros(len(self.dof))
+        w[free] = b[self.dof[free]]
+        y = []  # M_II^-1 f_I of every patch, f_I its interior right side
+        for step in self.steps:
+            for inner, inner_sign, outer, outer_sign, k in step:
+                g = (w[inner] * inner_sign) @ k
+                y.append(g[:, :len(k)])
+                w -= np.bincount(outer.ravel(), (g[:, len(k):] * outer_sign).ravel(), len(w))
+        xs = np.zeros(len(self.dof))
+        xs[self.coarse] = self.lu.solve(w[self.coarse])
+        for step in reversed(self.steps):
+            for inner, inner_sign, outer, outer_sign, k in reversed(step):
+                xs[inner] = (y.pop() - (xs[outer] * outer_sign) @ k[:, len(k):].T) * inner_sign
+        out = np.empty(len(b))
+        out[self.dof[free]] = xs[free]
+        return out
+
+
+def solve_condensed(mesh, dofmap, cond: Condensed):
+    """(fields, traces): the dofmap.n_trace traces of the mesh's assembled
+    trace system, solved by its TreeFactor, and the (nt, n_field) fields of
+    every element from its traces."""
+    dofs = dofmap.all_element_dofs(mesh)
+    # the tree factors the element Schur complements that sum to the matrix
+    traces = solve_spd(assemble_global(dofs, dofmap.n_trace, cond),
+                       factor=lambda a: TreeFactor(mesh, dofmap, cond))
+    local = cond.sign * gather_local(dofs, traces)
+    return cond.field - np.einsum("tfk,tk->tf", cond.lift[cond.cls], local), traces
 
 
 def gather_local(dofs: np.ndarray, x: np.ndarray) -> np.ndarray:

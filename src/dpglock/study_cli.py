@@ -183,9 +183,8 @@ class LevelSolution:
 def solve_level(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> LevelSolution:
     dofmap = (pw.dof_map_poisson if cfg.problem == POISSON else plw.dof_map_plate)(mesh)
     cond = condense_mesh(mesh, cfg, d, f)
-    dofs = dofmap.all_element_dofs(mesh)
-    fields, traces = slv.solve_condensed(dofs, dofmap.n_trace, cond)
-    _, eta = slv.energy_residual(cond, dofs, fields, traces)
+    fields, traces = slv.solve_condensed(mesh, dofmap, cond)
+    _, eta = slv.energy_residual(cond, dofmap.all_element_dofs(mesh), fields, traces)
     return LevelSolution(dofmap.n_free, fields, eta)
 
 

@@ -163,3 +163,33 @@ def test_connect_matches_rowwise_unique():
         for got, ref in zip(built, connect_rowwise(tris)):
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("r1", [1.0, 10.0])  # the unit square and the R = 10 strip
+def test_refined_triangles_descend_from_triangle_i_mod_n(r1):
+    # the indexing the refinement-tree factor relies on: after three
+    # refinements triangle i lies in coarse triangle i mod n, and triangle
+    # r < n is coarse triangle r scaled by 1/8 about its first vertex, so it
+    # falls in the coarse triangle's shape class
+    from dpglock import study_cli as sc
+    root = msh.make_rect_mesh(r1, 1.0, 1)
+    mesh = root
+    for _ in range(3):
+        mesh = msh.refine_uniform(mesh)
+    assert (root.depth, mesh.depth) == (0, 3)
+    n = root.n_triangles
+    coarse = root.vertices[root.triangles[np.arange(mesh.n_triangles) % n]]
+    fine = mesh.vertices[mesh.triangles]
+    # barycentric coordinates of every fine vertex in its ancestor
+    bary = np.einsum("tvk,tkj->tvj", fine - coarse[:, :1],
+                     np.linalg.inv(coarse[:, 1:] - coarse[:, :1]))
+    assert (bary >= -1e-12).all() and (bary.sum(axis=2) <= 1 + 1e-12).all()
+    assert np.allclose(fine[:n] - fine[:n, :1], (coarse[:n] - coarse[:n, :1]) / 8,
+                       rtol=0, atol=1e-14 * r1)
+
+    cfg = sc.StudyConfig(problem="poisson")
+    cls_root, cls = (sc.condense_mesh(m, cfg, 1.0, lambda x, y: 0 * x).cls
+                     for m in (root, mesh))
+    same = (cls[np.arange(mesh.n_triangles) % n, None] == cls[None, :n])
+    assert (same == (cls_root[np.arange(mesh.n_triangles) % n, None]
+                     == cls_root[None, :])).all()

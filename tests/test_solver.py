@@ -228,6 +228,21 @@ def test_assemble_single_element_is_free_submatrix():
     assert np.allclose(gs.rhs, cond.rhs[0][keep][perm], rtol=1e-14)
 
 
+def test_sum_blocks_dense_and_sparse_sums_agree():
+    # 8 unknowns take the dense accumulator, the same blocks over 100 the
+    # sorted sparse sum; the dense sum is exactly symmetric
+    rng = np.random.default_rng(7)
+    blocks = rng.standard_normal((6, 5, 5))
+    blocks += blocks.transpose(0, 2, 1)
+    sign = rng.choice([-1.0, 1.0], (6, 5))
+    dofs = np.array([rng.permutation(9)[:5] - 1 for _ in range(6)])
+    dense = slv.sum_blocks(dofs, 8, blocks.copy(), sign)
+    sparse = slv.sum_blocks(dofs, 100, blocks.copy(), sign)
+    assert dense.format == sparse.format == "csc"
+    assert (dense.toarray() == dense.toarray().T).all()
+    assert np.allclose(dense.toarray(), sparse.toarray()[:8, :8], rtol=1e-14, atol=1e-14)
+
+
 def test_assemble_element_order_invariance():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     cfg = sc.StudyConfig(problem="poisson")
@@ -300,10 +315,10 @@ def test_assemble_against_hand_assembled_two_triangle_matrix():
 def test_solve_identity_and_small_symmetric():
     import scipy.sparse as sp
     gs = slv.GlobalSystem(sp.eye(4, format="csr"), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(slv.solve_spd(gs), gs.rhs)
+    assert np.allclose(slv.solve_spd(gs, factor=slv.factor_spd), gs.rhs)
     gs = slv.GlobalSystem(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])),
                           np.array([3.0, 3.0]))
-    assert np.allclose(slv.solve_spd(gs), [1.0, 1.0], rtol=1e-12)
+    assert np.allclose(slv.solve_spd(gs, factor=slv.factor_spd), [1.0, 1.0], rtol=1e-12)
 
 
 def test_solve_matches_dense_oracle():
@@ -311,7 +326,7 @@ def test_solve_matches_dense_oracle():
     rng = np.random.default_rng(4)
     a = random_spd(50, rng)
     b = rng.standard_normal(50)
-    x = slv.solve_spd(slv.GlobalSystem(sp.csr_matrix(a), b))
+    x = slv.solve_spd(slv.GlobalSystem(sp.csr_matrix(a), b), factor=slv.factor_spd)
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
 
 
@@ -319,14 +334,14 @@ def test_solve_reports_singular_matrix():
     import scipy.sparse as sp
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 0.0])))
+        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 0.0])), factor=slv.factor_spd)
 
 
 def test_solve_refuses_to_pivot_past_a_kernel():
     import scipy.sparse as sp
     a = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 1.0, 1.0])))
+        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 1.0, 1.0])), factor=slv.factor_spd)
 
 
 def test_solve_rejects_off_diagonal_pivot():
@@ -335,19 +350,29 @@ def test_solve_rejects_off_diagonal_pivot():
     import scipy.sparse as sp
     a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(slv.NotSPDError):
-        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 2.0])))
+        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 2.0])), factor=slv.factor_spd)
 
 
 def test_solve_rejects_a_residual_above_the_right_side():
-    # eigenvalues 1 ... 1e-20: the factor returns |x| ~ 1e17, which meets the
-    # backward error test, with a residual about twice |b|, worse than x = 0
+    # eigenvalues 1 ... 1e-20: round-off leaves a pivot that is not positive,
+    # which factor_spd rejects.  The same factor without that check returns
+    # |x| ~ 1e17, which meets the backward error test, with a residual about
+    # twice |b|, worse than x = 0: the certificate must reject it too
     import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     a = q @ np.diag(np.logspace(0, -20, 20)) @ q.T
     gs = slv.GlobalSystem(sp.csc_matrix(a), rng.standard_normal(20))
+    with pytest.raises(slv.NotSPDError, match="pivot"):
+        slv.solve_spd(gs, factor=slv.factor_spd)
+
+    def unchecked(a):
+        return splu(a, permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+
     with pytest.raises(slv.SolverError, match="relative residual"):
-        slv.solve_spd(gs)
+        slv.solve_spd(gs, factor=unchecked)
 
 
 def test_solve_rejects_a_nan_solution():
@@ -356,8 +381,8 @@ def test_solve_rejects_a_nan_solution():
     import scipy.sparse as sp
     a = sp.eye(2, format="csr")
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(slv.GlobalSystem(a, np.array([np.nan, 1.0])))
-    assert (slv.solve_spd(slv.GlobalSystem(a, np.zeros(2))) == 0).all()
+        slv.solve_spd(slv.GlobalSystem(a, np.array([np.nan, 1.0])), factor=slv.factor_spd)
+    assert (slv.solve_spd(slv.GlobalSystem(a, np.zeros(2)), factor=slv.factor_spd) == 0).all()
 
 
 def test_factorization_out_of_memory_is_a_solver_failure(monkeypatch, capsys):
@@ -371,7 +396,7 @@ def test_factorization_out_of_memory_is_a_solver_failure(monkeypatch, capsys):
     monkeypatch.setattr(slv, "splu", oom)
     gs = slv.GlobalSystem(sp.csr_matrix(np.eye(2)), np.ones(2))
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(gs)
+        slv.solve_spd(gs, factor=slv.factor_spd)
     assert sc.main(["--problem", "poisson", "--levels", "1"]) == 2
     assert "solver failure" in capsys.readouterr().err
 
@@ -397,9 +422,9 @@ def study_systems(argv, monkeypatch, tmp_path):
     systems = []
     solve = slv.solve_spd
 
-    def record(gs):
+    def record(gs, **kwargs):
         systems.append(gs)
-        return solve(gs)
+        return solve(gs, **kwargs)
 
     monkeypatch.setattr(slv, "solve_spd", record)
     assert sc.main([*argv.split(), "--out", str(tmp_path / "study.csv")]) == 0
@@ -442,16 +467,16 @@ def solved_poisson(levels=1):
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
     dofs = dm.all_element_dofs(mesh)
     gs = slv.assemble_global(dofs, dm.n_trace, condensed)
-    fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
+    fields, traces = slv.solve_condensed(mesh, dm, condensed)
     return mesh, dm, condensed, gs, fields, traces
 
 
 @pytest.mark.parametrize("levels", [1, 2])
 def test_trace_solve_matches_dense_solve(levels):
-    # the sparse factor, its ordering and the refinement loop against a
-    # dense LAPACK solve of the same assembled trace system
-    *_, gs, _, _ = solved_poisson(levels)
-    x = slv.solve_spd(gs)
+    # the tree factor and the refinement loop against a dense LAPACK solve
+    # of the same assembled trace system
+    mesh, dm, condensed, gs, _, _ = solved_poisson(levels)
+    x = slv.solve_spd(gs, factor=lambda a: slv.TreeFactor(mesh, dm, condensed))
     x_dense = np.linalg.solve(gs.matrix.toarray(), gs.rhs)
     assert np.abs(x - x_dense).max() < 1e-9 * np.abs(x_dense).max()
 
@@ -473,7 +498,7 @@ def test_zero_load_gives_zero_solution():
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    fields, traces = slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_trace, condensed)
+    fields, traces = slv.solve_condensed(mesh, dm, condensed)
     assert np.allclose(full_solution(fields, traces), 0.0, atol=1e-14)
 
 
@@ -514,7 +539,7 @@ def test_plate_energy_residual_matches_dense_riesz_oracle():
     dofs = dm.all_element_dofs(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, f)
     assert (condensed.sign < 0).any()
-    fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
+    fields, traces = slv.solve_condensed(mesh, dm, condensed)
     eta_t, eta = slv.energy_residual(condensed, dofs, fields, traces)
     riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, plw,
                                lambda amap: plw.local_gram_plate(amap, 1.0),
@@ -562,7 +587,7 @@ def test_pipeline_matches_dense_minimum_residual():
         dm = pw.dof_map_poisson(mesh)
         dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
+        fields, traces = slv.solve_condensed(mesh, dm, condensed)
         x_dense, eta_dense, _ = poisson_dense_minres(mesh, 1.0, 0.0, exact.f)
         assert np.abs(full_solution(fields, traces) - x_dense).max() < 1e-9
         _, eta = slv.energy_residual(condensed, dofs, fields, traces)
@@ -582,7 +607,7 @@ def test_plate_pipeline_matches_dense_minimum_residual_clamped():
         dm = plw.dof_map_plate(mesh)
         dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
+        fields, traces = slv.solve_condensed(mesh, dm, condensed)
         x_dense, eta_dense, _ = plate_dense_minres(mesh, 1.0, exact.f)
         assert np.abs(full_solution(fields, traces) - x_dense).max() \
             < 1e-9 * np.abs(x_dense).max()
@@ -613,7 +638,7 @@ def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
     dm = plw.dof_map_plate(mesh)
     dofs = dm.all_element_dofs(mesh)
     condensed = sc.condense_mesh(mesh, cfg, d, exact.f)
-    fields, traces = slv.solve_condensed(dofs, dm.n_trace, condensed)
+    fields, traces = slv.solve_condensed(mesh, dm, condensed)
     x_dense, eta_dense, _ = plate_dense_minres(mesh, d, exact.f)
     assert np.abs(full_solution(fields, traces) - x_dense).max() < 1e-6 * np.abs(x_dense).max()
     _, eta = slv.energy_residual(condensed, dofs, fields, traces)
@@ -643,6 +668,157 @@ def test_trace_system_is_the_schur_complement_of_the_full_system(problem, bc, r1
     gs = slv.assemble_global(dofs, dm.n_trace, cond)
     assert np.abs(gs.matrix.toarray() - schur).max() <= 1e-12 * np.abs(schur).max()
 
-    x = full_solution(*slv.solve_condensed(dofs, dm.n_trace, cond))
+    x = full_solution(*slv.solve_condensed(mesh, dm, cond))
     x_full = np.linalg.solve(a, r)
     assert np.abs(x - x_full).max() <= 1e-10 * np.abs(x_full).max()
+
+
+# the refinement-tree factor on a clamped plate, the mixed plate strip and the
+# mixed Poisson strip, each on one row of coarse cells
+TREE_CASES = {
+    "clamped plate": sc.StudyConfig(problem="plate", norm="scaled", ny0=1),
+    "mixed plate strip": sc.StudyConfig(problem="plate", r1=10.0, bc="mixed", norm="scaled",
+                                        ny0=1),
+    "mixed poisson strip": sc.StudyConfig(problem="poisson", r1=10.0, bc="mixed", ny0=1),
+}
+
+
+def tree_level(cfg, depth):
+    """A level of the study cfg refined depth times: mesh, dof map,
+    condensed systems, assembled trace system and its TreeFactor."""
+    mesh = msh.classify_boundary(msh.make_rect_mesh(cfg.r1, cfg.r2, cfg.ny0), cfg.bc)
+    for _ in range(depth):
+        mesh = msh.refine_uniform(mesh)
+    dm = (pw.dof_map_poisson if cfg.problem == "poisson" else plw.dof_map_plate)(mesh)
+    cond = sc.condense_mesh(mesh, cfg, sc.pick_d(cfg), sc.exact_bundle(cfg).f)
+    gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_trace, cond)
+    return mesh, dm, cond, gs, slv.TreeFactor(mesh, dm, cond)
+
+
+def trace_slots(mesh, dm):
+    """The (nt, n_trace) slot of every element trace, and a function that
+    looks slots up in a (vertex, edge) pair of masks.  Slot s is component
+    s % kv of vertex s // kv for s < nv kv; the ke components of each edge
+    follow."""
+    kv, ke, nt = dm.vertex.shape[1], dm.edge.shape[1], mesh.n_triangles
+    nvk = kv * mesh.n_vertices
+    ids = np.hstack([(kv * mesh.triangles[:, :, None] + np.arange(kv)).reshape(nt, -1),
+                     (nvk + ke * mesh.tri_edges[:, :, None] + np.arange(ke)).reshape(nt, -1)])
+
+    def lookup(s, vertex, edge):
+        on_vertex = s < nvk
+        return np.where(on_vertex, vertex[np.where(on_vertex, s // kv, 0)],
+                        edge[np.where(on_vertex, 0, (s - nvk) // ke)])
+
+    return ids, lookup
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+def test_tree_patches_of_a_class_match_their_representative(case):
+    mesh, dm, cond, _, tree = tree_level(TREE_CASES[case], 3)
+    nt = mesh.n_triangles
+    ids, lookup = trace_slots(mesh, dm)
+    child = {r: (ids[r], cond.sign[r]) for r in range(nt)}  # boundary of each height-0 patch
+    for h, step in enumerate(tree.steps, start=1):
+        n = nt >> 2 * h
+        classes = np.unique(cond.cls[:n])
+        assert len(step) == len(classes)
+        parent = {}
+        for c, (inner, inner_sign, outer, outer_sign, _) in zip(classes, step):
+            roots = np.flatnonzero(cond.cls[:n] == c)
+            assert len(roots) == len(inner)
+            pattern = None
+            for r, *merged in zip(roots, inner, inner_sign, outer, outer_sign):
+                slots = np.concatenate([merged[0], merged[2]])
+                signs = np.concatenate([merged[1], merged[3]])
+                at = {s: i for i, s in enumerate(slots)}
+                assert len(at) == len(slots)
+                # local numbering and relative signs of the children's slots
+                pos = np.array([at[s] for k in range(4) for s in child[r + k * n][0]])
+                rel = np.concatenate([child[r + k * n][1] for k in range(4)]) * signs[pos]
+                assert len(set(pos)) == len(slots)  # every trace is some child's
+                # the interior: traces off the edges of one triangle of the
+                # patch and off their vertices
+                tris = r + n * np.arange(4 ** h)
+                count = np.bincount(mesh.tri_edges[tris].ravel(), minlength=mesh.n_edges)
+                on_vertex = np.zeros(mesh.n_vertices, bool)
+                on_vertex[mesh.edges[count == 1]] = True
+                interior = ~lookup(slots, on_vertex, count == 1)
+                assert (interior == (np.arange(len(slots)) < inner.shape[1])).all()
+                if pattern is None:
+                    pattern = pos, rel
+                assert (pos == pattern[0]).all() and (rel == pattern[1]).all()
+                parent[r] = (merged[2], merged[3])
+        child = parent
+    assert len(child) == nt >> 2 * mesh.depth
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+def test_tree_interior_traces_are_free_and_off_the_domain_boundary(case):
+    mesh, dm, _, _, tree = tree_level(TREE_CASES[case], 3)
+    _, lookup = trace_slots(mesh, dm)
+    inner = np.concatenate([i.ravel() for step in tree.steps for i, *_ in step])
+    assert len(np.unique(inner)) == len(inner)
+    assert (tree.dof[inner] >= 0).all()
+    assert (lookup(inner, mesh.vertex_tags, mesh.edge_tags) == msh.INTERIOR).all()
+    # the coarse skeleton holds every other free trace
+    assert len(inner) + len(tree.coarse) == dm.n_trace
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_tree_solve_matches_dense_solve_on_the_poisson_strip(depth):
+    *_, gs, tree = tree_level(TREE_CASES["mixed poisson strip"], depth)
+    x = tree.solve(gs.rhs)
+    x_dense = np.linalg.solve(gs.matrix.toarray(), gs.rhs)
+    assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("case", ["clamped plate", "mixed plate strip"])
+def test_tree_solve_of_a_plate_meets_the_certificate(case, depth):
+    *_, gs, tree = tree_level(TREE_CASES[case], depth)
+    a, b = gs.matrix, gs.rhs
+    x = tree.solve(b)
+    residual = np.linalg.norm(a @ x - b)
+    scale = abs(a).sum(axis=1).max() * np.linalg.norm(x) + np.linalg.norm(b)
+    assert residual <= np.linalg.norm(b)
+    assert residual <= slv.SOLVE_TOLERANCE * np.linalg.norm(b) or residual <= 1e-14 * scale
+
+
+def negated_middle_child(cond):
+    """The condensed systems with the Schur complement of one element
+    negated: the middle child of triangle 0 of the mesh one refinement
+    coarser, which leads its class's height-1 patches."""
+    t = 3 * (len(cond.cls) // 4)
+    cls = cond.cls.copy()
+    cls[t] = len(cond.schur)
+    return replace(cond, cls=cls, schur=np.concatenate([cond.schur,
+                                                        -cond.schur[cond.cls[t]][None]]))
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+def test_tree_rejects_an_indefinite_interior_block(case):
+    mesh, dm, cond, *_ = tree_level(TREE_CASES[case], 1)
+    with pytest.raises(slv.NotSPDError, match=f"height 1, class {cond.cls[0]}"):
+        slv.TreeFactor(mesh, dm, negated_middle_child(cond))
+
+
+def test_cli_exits_two_on_an_indefinite_interior_block(monkeypatch, capsys):
+    condense = slv.condense
+
+    def negated(gram, b, cls, *args):  # on the refined level only
+        cond = condense(gram, b, cls, *args)
+        return negated_middle_child(cond) if len(cls) > 2 else cond
+
+    monkeypatch.setattr(slv, "condense", negated)
+    assert sc.main(["--problem", "poisson", "--levels", "2", "--ny0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "level 1" in err and "height 1, class" in err
+
+
+def test_factor_rejects_a_negative_pivot():
+    # [[1, 2], [2, 1]] factors without pivoting into the pivots 1 and -3
+    import scipy.sparse as sp
+    a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(slv.NotSPDError, match="pivot"):
+        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 2.0])), factor=slv.factor_spd)

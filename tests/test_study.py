@@ -258,7 +258,7 @@ def test_cli_configuration_errors_exit_one(argv, capsys):
 
 
 def test_cli_solver_failure_exits_two(monkeypatch, capsys):
-    def boom(gs):
+    def boom(gs, factor):
         raise slv.SolverError("synthetic breakdown")
 
     monkeypatch.setattr(slv, "solve_spd", boom)
@@ -307,5 +307,5 @@ def test_plate_clamped_zero_load_gives_zero_solution():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     dm = plw.dof_map_plate(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    x = full_solution(*slv.solve_condensed(dm.all_element_dofs(mesh), dm.n_trace, condensed))
+    x = full_solution(*slv.solve_condensed(mesh, dm, condensed))
     assert np.allclose(x, 0.0, atol=1e-13)
