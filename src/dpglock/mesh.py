@@ -96,14 +96,28 @@ class DofMap:
         return cls(n_field * mesh.n_triangles + n_trace, n_trace,
                    vertex.reshape(vertex_fixed.shape), edge.reshape(edge_fixed.shape))
 
+    def slot_values(self, vertex: np.ndarray, edge: np.ndarray) -> np.ndarray:
+        """Per-vertex and per-edge values ((nv,) or (nv, k), (ne,) or
+        (ne, k)) laid out over the trace slots: the components of every
+        vertex in vertex order, then those of every edge."""
+        return np.concatenate([
+            np.broadcast_to(np.reshape(v, (len(v), -1)), like.shape).ravel()
+            for v, like in ((vertex, self.vertex), (edge, self.edge))])
+
+    def element_slots(self, mesh: Mesh) -> np.ndarray:
+        """(nt, 3 k_vertex + 3 k_edge) trace slot (in the slot_values
+        layout) of every local trace of every triangle: the components of
+        its vertices, then those of its edges, in local order."""
+        kv, ke, nt = self.vertex.shape[1], self.edge.shape[1], mesh.n_triangles
+        return np.hstack([
+            (kv * mesh.triangles[:, :, None] + np.arange(kv)).reshape(nt, -1),
+            (self.vertex.size + ke * mesh.tri_edges[:, :, None] + np.arange(ke)).reshape(nt, -1),
+        ])
+
     def all_element_dofs(self, mesh: Mesh) -> np.ndarray:
         """(nt, 3 k_vertex + 3 k_edge) global index of every local trace
         slot, -1 where fixed."""
-        nt = mesh.n_triangles
-        return np.column_stack([
-            self.vertex[mesh.triangles].reshape(nt, -1),
-            self.edge[mesh.tri_edges].reshape(nt, -1),
-        ])
+        return self.slot_values(self.vertex, self.edge)[self.element_slots(mesh)]
 
 
 def _connect(triangles: np.ndarray):

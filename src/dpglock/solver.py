@@ -135,20 +135,9 @@ class GlobalSystem:
 def sum_blocks(dofs: np.ndarray, n: int, blocks: np.ndarray, sign: np.ndarray):
     """Sum of the (m, k, k) symmetric dense blocks over n unknowns, given
     the (m, k) index of each block's slots (-1 slots are dropped) and the
-    (m, k) signs that turn its rows and columns (in place).  A sum with
-    entries for at least a quarter of the n x n matrix is accumulated
-    densely, which saves sorting them."""
+    (m, k) signs that turn its rows and columns (in place)."""
     blocks *= sign[:, :, None]
     blocks *= sign[:, None, :]
-    if n * n <= 4 * blocks.size:
-        at = np.where(dofs >= 0, dofs, n)
-        dense = np.bincount((at[:, :, None] * (n + 1) + at[:, None, :]).ravel(),
-                            blocks.ravel(), (n + 1) ** 2).reshape(n + 1, n + 1)[:n, :n]
-        # entries (i, j) and (j, i) sum the same terms in the same order, so
-        # the sum is exactly symmetric and its rows are its columns
-        nz = dense != 0
-        return sp.csc_matrix((dense[nz], np.broadcast_to(np.arange(n), (n, n))[nz],
-                              np.r_[0, np.cumsum(nz.sum(axis=1))]), shape=(n, n))
     rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
     cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
     keep = (rows >= 0) & (cols >= 0)
@@ -257,13 +246,11 @@ class TreeFactor:
     """
 
     def __init__(self, mesh, dofmap, cond: Condensed):
-        # trace slot s is component s % kv of vertex s // kv, the ke
-        # components of every edge follow; dof numbers the free slots, -1 others
-        kv, ke, nt = dofmap.vertex.shape[1], dofmap.edge.shape[1], mesh.n_triangles
-        self.dof = np.concatenate([dofmap.vertex.ravel(), dofmap.edge.ravel()])
-        ids = np.hstack([(kv * mesh.triangles[:, :, None] + np.arange(kv)).reshape(nt, -1),
-                         (kv * mesh.n_vertices + ke * mesh.tri_edges[:, :, None]
-                          + np.arange(ke)).reshape(nt, -1)])
+        # ids are trace slots (DofMap.element_slots); dof numbers the free
+        # slots, -1 the others
+        nt = mesh.n_triangles
+        self.dof = dofmap.slot_values(dofmap.vertex, dofmap.edge)
+        ids = dofmap.element_slots(mesh)
         sign, schur = cond.sign, dict(enumerate(cond.schur))
         # per height and class: (interior slots, signs, boundary slots, signs)
         # of each patch and the operator that eliminates the interior
@@ -278,7 +265,7 @@ class TreeFactor:
             on_vertex = np.zeros(mesh.n_vertices, bool)
             on_vertex[mesh.edges[on_edge]] = True
             u, first, inv = np.unique(cat[0], return_index=True, return_inverse=True)
-            on_boundary = np.r_[np.repeat(on_vertex, kv), np.repeat(on_edge, ke)][u]
+            on_boundary = dofmap.slot_values(on_vertex, on_edge)[u]
             order, ni = np.argsort(on_boundary, kind="stable"), len(u) - on_boundary.sum()
             pos = np.argsort(order)[inv]  # merged position of every child slot
             ids, sign = cat[:, first[order]], cat_sign[:, first[order]]

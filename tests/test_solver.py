@@ -228,21 +228,6 @@ def test_assemble_single_element_is_free_submatrix():
     assert np.allclose(gs.rhs, cond.rhs[0][keep][perm], rtol=1e-14)
 
 
-def test_sum_blocks_dense_and_sparse_sums_agree():
-    # 8 unknowns take the dense accumulator, the same blocks over 100 the
-    # sorted sparse sum; the dense sum is exactly symmetric
-    rng = np.random.default_rng(7)
-    blocks = rng.standard_normal((6, 5, 5))
-    blocks += blocks.transpose(0, 2, 1)
-    sign = rng.choice([-1.0, 1.0], (6, 5))
-    dofs = np.array([rng.permutation(9)[:5] - 1 for _ in range(6)])
-    dense = slv.sum_blocks(dofs, 8, blocks.copy(), sign)
-    sparse = slv.sum_blocks(dofs, 100, blocks.copy(), sign)
-    assert dense.format == sparse.format == "csc"
-    assert (dense.toarray() == dense.toarray().T).all()
-    assert np.allclose(dense.toarray(), sparse.toarray()[:8, :8], rtol=1e-14, atol=1e-14)
-
-
 def test_assemble_element_order_invariance():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     cfg = sc.StudyConfig(problem="poisson")
@@ -278,6 +263,23 @@ def test_dof_map_numbers_the_free_traces_only(model, dof_map, bc):
     assert (np.sort(ids[ids >= 0]) == np.arange(dm.n_trace)).all()
     assert (np.unique(dofs[dofs >= 0]) == np.arange(dm.n_trace)).all()
     assert dm.n_free == model.N_FIELD * mesh.n_triangles + dm.n_trace
+
+
+@pytest.mark.parametrize("dof_map", [pw.dof_map_poisson, plw.dof_map_plate])
+def test_element_slots_list_each_triangles_vertices_then_edges(dof_map):
+    mesh = msh.refine_uniform(msh.make_rect_mesh(3.0, 1.0, 1))
+    dm = dof_map(mesh)
+    (nv, kv), (ne, ke) = dm.vertex.shape, dm.edge.shape
+    slots = dm.element_slots(mesh)
+    vertex = dm.slot_values(np.arange(nv), np.full(ne, -1))[slots]
+    edge = dm.slot_values(np.full(nv, -1), np.arange(ne))[slots]
+    comp = dm.slot_values(np.tile(np.arange(kv), (nv, 1)), np.tile(np.arange(ke), (ne, 1)))[slots]
+    assert (vertex[:, :3 * kv] == np.repeat(mesh.triangles, kv, axis=1)).all()
+    assert (edge[:, 3 * kv:] == np.repeat(mesh.tri_edges, ke, axis=1)).all()
+    assert (comp == np.r_[np.tile(np.arange(kv), 3), np.tile(np.arange(ke), 3)]).all()
+    # the layout of slot_values is DofMap.number's
+    assert (dm.slot_values(dm.vertex, dm.edge)
+            == np.concatenate([dm.vertex.ravel(), dm.edge.ravel()])).all()
 
 
 def test_assemble_against_hand_assembled_two_triangle_matrix():
@@ -697,20 +699,12 @@ def tree_level(cfg, depth):
 
 def trace_slots(mesh, dm):
     """The (nt, n_trace) slot of every element trace, and a function that
-    looks slots up in a (vertex, edge) pair of masks.  Slot s is component
-    s % kv of vertex s // kv for s < nv kv; the ke components of each edge
-    follow."""
-    kv, ke, nt = dm.vertex.shape[1], dm.edge.shape[1], mesh.n_triangles
-    nvk = kv * mesh.n_vertices
-    ids = np.hstack([(kv * mesh.triangles[:, :, None] + np.arange(kv)).reshape(nt, -1),
-                     (nvk + ke * mesh.tri_edges[:, :, None] + np.arange(ke)).reshape(nt, -1)])
+    looks slots up in a (vertex, edge) pair of per-entity values."""
 
     def lookup(s, vertex, edge):
-        on_vertex = s < nvk
-        return np.where(on_vertex, vertex[np.where(on_vertex, s // kv, 0)],
-                        edge[np.where(on_vertex, 0, (s - nvk) // ke)])
+        return dm.slot_values(vertex, edge)[s]
 
-    return ids, lookup
+    return dm.element_slots(mesh), lookup
 
 
 @pytest.mark.parametrize("case", TREE_CASES)
