@@ -11,12 +11,12 @@ element by element (static condensation): the global system holds the traces
 alone, with matrix the sum of the trace Schur complements
 S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered from the solved traces
 afterwards.  B is built in the element's outward orientation, so congruent
-elements share G and B; factorizations and inverses run once per congruence
-class and the per-element work is matrix products over the class's elements.
-The trace system is factored the same way one level up (TreeFactor): along
-the refinement tree, the traces inside each patch (the descendants of one
-coarser triangle) are eliminated once per patch shape, and only the traces
-on the edges of the coarsest mesh reach a sparse LU factorization.
+elements share G and B; factorizations run once per congruence class and the
+per-element work is matrix products over the class's elements.  The trace
+system is factored by the same elimination (eliminate) one level up
+(TreeFactor): the traces inside each patch of the refinement tree are
+eliminated once per patch shape.  Dense work runs on numpy's LAPACK; only
+the traces on the edges of the coarsest mesh reach scipy's sparse SuperLU.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve, cholesky
-from scipy.linalg.lapack import dtrtri
 from scipy.sparse.linalg import splu
 
 SOLVE_TOLERANCE = 1e-10
@@ -64,35 +62,44 @@ class Condensed:
     rhs: np.ndarray    # (nt, n_trace) sign (r_t - S_tf S_ff^-1 r_f)
 
 
-def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
+def inverse_factor(a: np.ndarray, what: str) -> np.ndarray:
+    """L^-1 for the Cholesky factor L (A = L L^T) of every matrix A of an
+    SPD (..., n, n) stack; a matrix that is not SPD raises NotSPDError."""
     try:
-        return cholesky(a, lower=True, check_finite=False)
-    except LinAlgError as exc:
+        return np.linalg.inv(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"{what} is not SPD: {exc}") from exc
 
 
+def eliminate(m: np.ndarray, ni: int, what: str):
+    """Elimination of the first ni unknowns of every symmetric matrix M of a
+    (..., n, n) stack: the operator [M_II^-1 | M_II^-1 M_IB] and the
+    symmetrized Schur complement M_BB - M_BI M_II^-1 M_IB."""
+    linv = inverse_factor(m[..., :ni, :ni], what)
+    w = linv @ m[..., :ni, ni:]
+    s = m[..., ni:, ni:] - w.swapaxes(-1, -2) @ w
+    op = linv.swapaxes(-1, -2) @ np.concatenate([linv, w], axis=-1)
+    return op, 0.5 * (s + s.swapaxes(-1, -2))
+
+
 def condense_local(gram: np.ndarray, b: np.ndarray, n_field: int):
-    """Whitening of one element and its condensed normal equations: L^-1
-    for the Cholesky factor L of G, C = L^-1 B, the inverse of the field
-    block S_ff of S = C^T C, the lift S_ff^-1 S_ft and the trace Schur
-    complement S_tt - S_tf S_ff^-1 S_ft."""
-    linv = dtrtri(_cholesky(gram, "element Gram matrix"), lower=1)[0]
+    """Whitening and condensed normal equations of an element, or of a
+    stack of them: L^-1 for the Cholesky factor L of G, C = L^-1 B, the
+    operator [S_ff^-1 | S_ff^-1 S_ft] that eliminates the field block of
+    S = C^T C, and the trace Schur complement S_tt - S_tf S_ff^-1 S_ft."""
+    linv = inverse_factor(gram, "element Gram matrix")
     c = linv @ b
-    s = c.T @ c
-    s = 0.5 * (s + s.T)
-    ff = (_cholesky(s[:n_field, :n_field], "element field block"), True)
-    lift = cho_solve(ff, s[:n_field, n_field:], check_finite=False)
-    ff_inv = cho_solve(ff, np.eye(n_field), check_finite=False)
-    schur = s[n_field:, n_field:] - s[n_field:, :n_field] @ lift
-    return linv, c, ff_inv, lift, 0.5 * (schur + schur.T)
+    s = c.swapaxes(-1, -2) @ c
+    op, schur = eliminate(0.5 * (s + s.swapaxes(-1, -2)), n_field, "element field block")
+    return linv, c, op, schur
 
 
-def condense_rhs(linv: np.ndarray, c: np.ndarray, ff_inv: np.ndarray, lift: np.ndarray,
+def condense_rhs(linv: np.ndarray, c: np.ndarray, op: np.ndarray,
                  cls: np.ndarray, sign: np.ndarray, load: np.ndarray):
     """Whitened loads z = L^-1 l, field parts S_ff^-1 r_f and signed trace
     right sides sign (r_t - S_tf S_ff^-1 r_f) of all elements, r = C^T z,
     by matrix products over each class's elements."""
-    n_field = lift.shape[1]
+    n_field = op.shape[1]
     z = np.empty(load.shape)
     field = np.empty((len(cls), n_field))
     rhs = np.empty(sign.shape)
@@ -100,9 +107,10 @@ def condense_rhs(linv: np.ndarray, c: np.ndarray, ff_inv: np.ndarray, lift: np.n
         sel = cls == k
         zk = load[sel] @ linv[k].T
         r = zk @ c[k]
+        g = r[:, :n_field] @ op[k]
         z[sel] = zk
-        field[sel] = r[:, :n_field] @ ff_inv[k].T
-        rhs[sel] = r[:, n_field:] - r[:, :n_field] @ lift[k]
+        field[sel] = g[:, :n_field]
+        rhs[sel] = r[:, n_field:] - g[:, n_field:]
     return z, field, rhs * sign
 
 
@@ -117,13 +125,12 @@ def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray, sign: np.ndarray,
     raise SolverError here, before a non-finite matrix reaches the global
     solve."""
     with np.errstate(over="ignore", invalid="ignore"):
-        linv, c, ff_inv, lift, schur = map(np.stack, zip(*(
-            condense_local(g, bc, n_field) for g, bc in zip(gram, b))))
-        z, field, rhs = condense_rhs(linv, c, ff_inv, lift, cls, sign, load)
+        linv, c, op, schur = condense_local(gram, b, n_field)
+        z, field, rhs = condense_rhs(linv, c, op, cls, sign, load)
     if not all(np.isfinite(a).all() for a in (schur, z, field, rhs)):
         raise SolverError("element systems overflowed: their condensed "
                           "matrices or right sides are not finite")
-    return Condensed(c, schur, lift, cls, sign, z, field, rhs)
+    return Condensed(c, schur, op[..., n_field:], cls, sign, z, field, rhs)
 
 
 @dataclass(frozen=True)
@@ -155,9 +162,8 @@ def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     """
     if dofs.max() >= n:
         raise IndexError("dof map addresses beyond the free unknown count")
-    rhs = np.zeros(n)
     keep = dofs >= 0
-    np.add.at(rhs, dofs[keep], cond.rhs[keep])
+    rhs = np.bincount(dofs[keep], cond.rhs[keep], minlength=n)
     return GlobalSystem(sum_blocks(dofs, n, cond.schur[cond.cls], cond.sign), rhs)
 
 
@@ -277,19 +283,8 @@ class TreeFactor:
                 for k in range(4):
                     p, r = pos[k * nb:(k + 1) * nb], rel[sel[0], k * nb:(k + 1) * nb]
                     m[np.ix_(p, p)] += r[:, None] * schur[cond.cls[sel[0] + k * n]] * r
-                # numpy's LAPACK, not scipy's: each bundles an OpenBLAS, and
-                # the idle threads of one slow the other down
-                try:
-                    linv = np.linalg.inv(np.linalg.cholesky(m[:ni, :ni]))
-                except np.linalg.LinAlgError as exc:
-                    raise NotSPDError(f"interior block of height {h}, class {c} "
-                                      f"is not SPD: {exc}") from exc
-                w = linv @ m[:ni, ni:]
-                s = m[ni:, ni:] - w.T @ w
-                schur_up[c] = 0.5 * (s + s.T)
-                # [M_II^-1 | X], X = M_II^-1 M_IB
-                step.append((ids[sel, :ni], sign[sel, :ni], ids[sel, ni:], sign[sel, ni:],
-                             linv.T @ np.hstack([linv, w])))
+                op, schur_up[c] = eliminate(m, ni, f"interior block of height {h}, class {c}")
+                step.append((ids[sel, :ni], sign[sel, :ni], ids[sel, ni:], sign[sel, ni:], op))
             self.steps.append(step)
             ids, sign, schur = ids[:, ni:], sign[:, ni:], schur_up
         free = self.dof[ids] >= 0

@@ -279,10 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = StudyConfig(problem=args.problem, gamma=args.gamma, r1=args.r1,
-                          r2=args.r2, bc=args.bc, norm=args.norm,
-                          d_override=args.d_override, levels=args.levels,
-                          ny0=args.ny0, out=args.out)
+        cfg = StudyConfig(**vars(args))
         cfg.validate()
     except ConfigError as exc:
         print(f"dpg-lock: configuration error: {exc}", file=sys.stderr)

@@ -92,6 +92,30 @@ def test_condense_rejects_indefinite():
         slv.condense_local(g, np.zeros((3, 2)), 1)
 
 
+def test_condense_local_of_a_class_stack_matches_each_class_and_the_dense_oracle():
+    rng = np.random.default_rng(3)
+    gram = np.stack([random_spd(9, rng) for _ in range(3)])
+    b = rng.standard_normal((3, 9, 6))
+    stacked = slv.condense_local(gram, b, 2)
+    for k in range(3):
+        one = slv.condense_local(gram[k], b[k], 2)
+        for got, want in zip(stacked, one):
+            assert np.allclose(got[k], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        s = b[k].T @ np.linalg.solve(gram[k], b[k])
+        schur, lift, *_ = eliminated(s, np.zeros(6), 2)
+        op = stacked[2][k]
+        assert np.allclose(op[:, :2], np.linalg.inv(s[:2, :2]), rtol=1e-13, atol=0.0)
+        assert np.allclose(op[:, 2:], lift, rtol=1e-13, atol=1e-13 * np.abs(lift).max())
+        assert np.allclose(stacked[3][k], schur, rtol=1e-13, atol=1e-13 * np.abs(schur).max())
+
+
+def test_condense_local_rejects_a_stack_with_one_indefinite_gram():
+    rng = np.random.default_rng(4)
+    gram = np.stack([random_spd(3, rng), np.diag([1.0, -1.0, 1.0]), random_spd(3, rng)])
+    with pytest.raises(slv.NotSPDError, match="element Gram matrix"):
+        slv.condense_local(gram, np.ones((3, 3, 2)), 1)
+
+
 def test_condense_mesh_separates_similar_elements_of_different_size():
     # a unit right triangle and a disjoint copy scaled by two: congruence
     # classes must tell them apart although their Jacobians are parallel
@@ -162,14 +186,14 @@ def test_condense_mesh_signs_match_each_elements_own_system(problem):
 
     for t in range(mesh.n_triangles):
         gram, b = local(fc.map_affine(mesh, t))
-        linv, c, ff_inv, lift, schur = slv.condense_local(
+        linv, c, op, schur = slv.condense_local(
             gram, b * trial_signs(mesh, t, model), model.N_FIELD)
-        z, field, rhs = slv.condense_rhs(linv[None], c[None], ff_inv[None], lift[None],
+        z, field, rhs = slv.condense_rhs(linv[None], c[None], op[None],
                                          np.zeros(1, dtype=np.int64),
                                          np.ones((1, len(schur))), loads[t][None])
         k, sign = cond.cls[t], cond.sign[t]
         close(sign[:, None] * cond.schur[k] * sign[None, :], schur)
-        close(cond.lift[k] * sign, lift)
+        close(cond.lift[k] * sign, op[:, model.N_FIELD:])
         close(cond.rhs[t], rhs[0])
         close(cond.field[t], field[0])
 
