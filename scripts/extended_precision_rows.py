@@ -7,8 +7,8 @@ how far the first two lie from the third, the most accurate.
 Takes the study options of dpg-lock.  The solves are
 
   tree      solve_spd with the refinement-tree factor, as the study solves;
-  superlu   solve_spd with one SuperLU factor of the whole trace matrix
-            (factor_spd), the path before the tree factor;
+  superlu   solve_spd with one SuperLU factor (factor_spd) of the whole
+            trace matrix gs.matrix, the path before the tree factor;
   extended  the SuperLU solution refined with residuals summed in
             np.longdouble (64-bit significand on x86-64) and corrections
             from the same SuperLU factor, EXTENDED_STEPS times.
@@ -58,7 +58,8 @@ def compare(cfg: sc.StudyConfig) -> dict:
     solve_spd, last_step = slv.solve_spd, []
     rows = {
         "tree": study_rows(cfg, solve_spd),
-        "superlu": study_rows(cfg, lambda gs, factor: solve_spd(gs, factor=slv.factor_spd)),
+        "superlu": study_rows(cfg, lambda gs, factor: solve_spd(
+            gs, factor=lambda gs: slv.factor_spd(gs.matrix))),
         "extended": study_rows(cfg, lambda gs, factor: extended_solve(gs, last_step)),
     }
     return {"study": sc.flag_echo(cfg), "rows": rows, "last_extended_step": last_step,

@@ -1,4 +1,4 @@
-"""Static condensation, global sparse assembly, linear solve, energy residual.
+"""Static condensation, the global trace system, linear solve, energy residual.
 
 Each element contributes normal equations S = B^T G^-1 B; the sum of S over
 the free trial unknowns is the SPD system of the minimum-residual scheme, and
@@ -17,11 +17,16 @@ system is factored by the same elimination (eliminate) one level up
 (TreeFactor): the traces inside each patch of the refinement tree are
 eliminated once per patch shape.  Dense work runs on numpy's LAPACK; only
 the traces on the edges of the coarsest mesh reach scipy's sparse SuperLU.
+The full trace matrix is never summed for the solve: its products A x, for
+the refinement residuals, are one matrix product per class of Schur
+complements (GlobalSystem.apply), and the backward error that certifies the
+solve is scaled by a lower bound on |A|_2 from the same blocks (solve_spd).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -135,8 +140,38 @@ def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray, sign: np.ndarray,
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    matrix: sp.csc_matrix
-    rhs: np.ndarray
+    """The SPD system A x = rhs over n = len(rhs) unknowns, A the sum of
+    symmetric dense blocks: block m is blocks[cls[m]] with the rows and
+    columns of its slots turned by sign[m] and placed at dofs[m] (-1 slots
+    are dropped).  A is applied block by block; the sparse matrix is summed
+    only when something reads it."""
+
+    dofs: np.ndarray    # (m, k) unknown of every block slot, -1 for none
+    blocks: np.ndarray  # (nc, k, k) symmetric block of each class
+    cls: np.ndarray     # (m,) class of each block
+    sign: np.ndarray    # (m, k) +-1 of each block slot
+    rhs: np.ndarray     # (n,)
+
+    @cached_property
+    def matrix(self) -> sp.csc_matrix:
+        return sum_blocks(self.dofs, len(self.rhs), self.blocks[self.cls], self.sign)
+
+    def local(self, x: np.ndarray) -> np.ndarray:
+        """(m, k) signed values of x on every block's slots, 0 on -1 slots."""
+        return self.sign * gather_local(self.dofs, x)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x: gather, one product per class, sum."""
+        y = self.local(x)
+        for k, block in enumerate(self.blocks):
+            sel = self.cls == k
+            y[sel] = y[sel] @ block.T
+        return scatter(self.dofs, self.sign * y, len(self.rhs))
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of A, the sum of the class diagonals (sign^2 = 1)."""
+        return scatter(self.dofs, np.diagonal(self.blocks, axis1=1, axis2=2)[self.cls],
+                       len(self.rhs))
 
 
 def sum_blocks(dofs: np.ndarray, n: int, blocks: np.ndarray, sign: np.ndarray):
@@ -152,19 +187,19 @@ def sum_blocks(dofs: np.ndarray, n: int, blocks: np.ndarray, sign: np.ndarray):
 
 
 def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
-    """Sum the element trace systems over the n free trace unknowns, given
-    the (nt, n_trial - n_field) global index of every element's trace slots
-    (DofMap.all_element_dofs).  Each element's Schur complement is its
+    """The sum of the element trace systems over the n free trace unknowns,
+    given the (nt, n_trial - n_field) global index of every element's trace
+    slots (DofMap.all_element_dofs).  Each element's Schur complement is its
     class's with the rows and columns of its flipped trace slots negated.
+    The right side is summed here, the matrix only when it is read
+    (GlobalSystem.matrix).
 
     Constrained slots are marked -1 and simply dropped, which imposes the
     (homogeneous) essential conditions.
     """
     if dofs.max() >= n:
         raise IndexError("dof map addresses beyond the free unknown count")
-    keep = dofs >= 0
-    rhs = np.bincount(dofs[keep], cond.rhs[keep], minlength=n)
-    return GlobalSystem(sum_blocks(dofs, n, cond.schur[cond.cls], cond.sign), rhs)
+    return GlobalSystem(dofs, cond.schur, cond.cls, cond.sign, scatter(dofs, cond.rhs, n))
 
 
 def factor_spd(a: sp.spmatrix):
@@ -195,33 +230,41 @@ def factor_spd(a: sp.spmatrix):
 
 
 def solve_spd(gs: GlobalSystem, *, factor) -> np.ndarray:
-    """Solve the assembled SPD system by the factor that factor(gs.matrix)
-    returns (anything with a solve method: factor_spd, or a TreeFactor of the
+    """Solve the SPD system by the factor that factor(gs) returns (anything
+    with a solve method: factor_spd of gs.matrix, or a TreeFactor of the
     elements that sum to the matrix), with up to three steps of iterative
-    refinement on the assembled matrix.
+    refinement on residuals b - A x from gs.apply.
 
     A solution is accepted when the residual relative to the right side
-    reaches 1e-10, or when the normwise backward error
-    |r| / (|A| |x| + |b|) reaches machine level: on systems with strong
-    cancellation (|A||x| >> |b|, the signature of the unscaled norm on large
-    domains) the former has a double-precision floor above 1e-10 while the
-    latter certifies the solve is as accurate as the arithmetic permits.
+    reaches 1e-10, or when the normwise backward error reaches machine
+    level: on systems with strong cancellation (|A||x| >> |b|, the signature
+    of the unscaled norm on large domains) the former has a double-precision
+    floor above 1e-10 while the latter certifies the solve is as accurate as
+    the arithmetic permits.  The backward error of Rigal and Gaches,
+    |r| / (|A| |x| + |b|) in the 2-norm, is the smallest relative change of
+    A and b that x solves exactly; any lower bound on |A|_2 in its place
+    bounds it from above.  For SPD A, both the largest diagonal entry and
+    |A x| / |x| lie below lambda_max = |A|_2 <= |A|_inf, so their maximum
+    yields a test that every accepted x would also pass with |A|_2 or with
+    the row sums of |A|, and it is computed without assembling A.
     A residual above |b| is never accepted: x = 0 would do better, and a
     huge |x| can meet the backward error test with any residual.
     Definiteness is the factor's to check: factor_spd and TreeFactor take
     positive pivots only.
     """
-    a, b = gs.matrix, gs.rhs
+    b = gs.rhs
     norm_b = np.linalg.norm(b)
-    lu = factor(a)
+    lu = factor(gs)
     x = lu.solve(b)
+    ax = gs.apply(x)
     for _ in range(3):
-        r = b - a @ x
+        r = b - ax
         if norm_b == 0.0 or np.linalg.norm(r) <= SOLVE_TOLERANCE * norm_b:
             break
         x = x + lu.solve(r)
-    residual = np.linalg.norm(a @ x - b)
-    scale = abs(a).sum(axis=1).max() * np.linalg.norm(x) + norm_b
+        ax = gs.apply(x)
+    residual = np.linalg.norm(ax - b)
+    scale = backward_scale(gs, x, ax)
     # written so that a NaN residual, scale or right side fails the test
     if not (residual <= norm_b
             and (residual <= SOLVE_TOLERANCE * norm_b or residual <= 1e-14 * scale)):
@@ -229,6 +272,13 @@ def solve_spd(gs: GlobalSystem, *, factor) -> np.ndarray:
             f"solve reached relative residual {residual / norm_b:.2e} "
             f"(backward error {residual / scale:.2e}) only")
     return x
+
+
+def backward_scale(gs: GlobalSystem, x: np.ndarray, ax: np.ndarray) -> float:
+    """max(max_i A_ii, |A x| / |x|) |x| + |b|, the denominator of the
+    backward error that solve_spd certifies, given ax = A x."""
+    return (max(gs.diagonal().max(initial=0.0) * np.linalg.norm(x), np.linalg.norm(ax))
+            + np.linalg.norm(gs.rhs))
 
 
 class TreeFactor:
@@ -315,15 +365,14 @@ class TreeFactor:
 
 
 def solve_condensed(mesh, dofmap, cond: Condensed):
-    """(fields, traces): the dofmap.n_trace traces of the mesh's assembled
-    trace system, solved by its TreeFactor, and the (nt, n_field) fields of
-    every element from its traces."""
-    dofs = dofmap.all_element_dofs(mesh)
-    # the tree factors the element Schur complements that sum to the matrix
-    traces = solve_spd(assemble_global(dofs, dofmap.n_trace, cond),
-                       factor=lambda a: TreeFactor(mesh, dofmap, cond))
-    local = cond.sign * gather_local(dofs, traces)
-    return cond.field - np.einsum("tfk,tk->tf", cond.lift[cond.cls], local), traces
+    """(fields, traces, local): the dofmap.n_trace traces of the mesh's trace
+    system, solved by its TreeFactor, the (nt, n_field) fields of every
+    element from its traces, and the (nt, n_trace) traces of every element
+    in its slots, signed (GlobalSystem.local)."""
+    gs = assemble_global(dofmap.all_element_dofs(mesh), dofmap.n_trace, cond)
+    traces = solve_spd(gs, factor=lambda gs: TreeFactor(mesh, dofmap, cond))
+    local = gs.local(traces)
+    return cond.field - np.einsum("tfk,tk->tf", cond.lift[cond.cls], local), traces, local
 
 
 def gather_local(dofs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -332,15 +381,20 @@ def gather_local(dofs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def energy_residual(cond: Condensed, dofs: np.ndarray, fields: np.ndarray,
-                    traces: np.ndarray):
+def scatter(dofs: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the local values over the n unknowns; -1 slots are dropped."""
+    keep = dofs >= 0
+    return np.bincount(dofs[keep], values[keep], minlength=n)
+
+
+def energy_residual(cond: Condensed, fields: np.ndarray, local: np.ndarray):
     """Per-element and global energy error: eta_T^2 = r^T G^-1 r with
-    r = l - B x, x the element's fields and its traces gathered through
-    its trace dofs, computed as |z - C x|^2."""
-    local = np.hstack([fields, cond.sign * gather_local(dofs, traces)])
+    r = l - B x, x the element's fields and its signed traces local (as
+    solve_condensed returns them), computed as |z - C x|^2."""
+    x = np.hstack([fields, local])
     eta_sq = np.empty(len(cond.cls))
     for k, c in enumerate(cond.c):
         sel = cond.cls == k
-        r = cond.z[sel] - local[sel] @ c.T
+        r = cond.z[sel] - x[sel] @ c.T
         eta_sq[sel] = np.einsum("ti,ti->t", r, r)
     return np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))

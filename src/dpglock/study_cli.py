@@ -183,8 +183,8 @@ class LevelSolution:
 def solve_level(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> LevelSolution:
     dofmap = (pw.dof_map_poisson if cfg.problem == POISSON else plw.dof_map_plate)(mesh)
     cond = condense_mesh(mesh, cfg, d, f)
-    fields, traces = slv.solve_condensed(mesh, dofmap, cond)
-    _, eta = slv.energy_residual(cond, dofmap.all_element_dofs(mesh), fields, traces)
+    fields, _, local = slv.solve_condensed(mesh, dofmap, cond)
+    _, eta = slv.energy_residual(cond, fields, local)
     return LevelSolution(dofmap.n_free, fields, eta)
 
 

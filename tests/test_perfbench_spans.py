@@ -9,6 +9,7 @@ traced study, so one small study per problem runs here under the tracer.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dpglock
@@ -37,3 +38,9 @@ def test_tracer_wraps_every_layer_and_sees_it_called(problem, monkeypatch, tmp_p
     called = {span[0] for span in tracer.spans}
     assert called == {f"{module}.{attr}" for module, attr in WRAPPED
                       if module != OTHER_MODEL[problem]}
+    # the tracer's own certificate reads the trace matrix after each solve
+    certs = tracer.certify()
+    assert [c["level"] for c in certs] == [0, 1]
+    for c in certs:
+        assert np.isfinite([c["rel_residual"], c["backward_error"]]).all()
+        assert c["rel_residual"] <= 1e-10 or c["backward_error"] <= 1e-14

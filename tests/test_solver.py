@@ -18,6 +18,18 @@ def random_spd(n, rng):
     return a @ a.T + n * np.eye(n)
 
 
+def matrix_system(a, b):
+    """The system of an explicit sparse matrix: one block over all unknowns."""
+    n = len(b)
+    return slv.GlobalSystem(np.arange(n)[None], a.toarray()[None], np.zeros(1, dtype=np.int64),
+                            np.ones((1, n)), b)
+
+
+def superlu(gs):
+    """One SuperLU factor of the whole assembled matrix."""
+    return slv.factor_spd(gs.matrix)
+
+
 def condense_one(gram, b, load, n_field=1):
     """Condensed system of a single element."""
     return slv.condense(gram[None], b[None], np.zeros(1, dtype=np.int64),
@@ -340,11 +352,10 @@ def test_assemble_against_hand_assembled_two_triangle_matrix():
 
 def test_solve_identity_and_small_symmetric():
     import scipy.sparse as sp
-    gs = slv.GlobalSystem(sp.eye(4, format="csr"), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(slv.solve_spd(gs, factor=slv.factor_spd), gs.rhs)
-    gs = slv.GlobalSystem(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])),
-                          np.array([3.0, 3.0]))
-    assert np.allclose(slv.solve_spd(gs, factor=slv.factor_spd), [1.0, 1.0], rtol=1e-12)
+    gs = matrix_system(sp.eye(4, format="csr"), np.array([1.0, 2.0, 3.0, 4.0]))
+    assert np.allclose(slv.solve_spd(gs, factor=superlu), gs.rhs)
+    gs = matrix_system(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])), np.array([3.0, 3.0]))
+    assert np.allclose(slv.solve_spd(gs, factor=superlu), [1.0, 1.0], rtol=1e-12)
 
 
 def test_solve_matches_dense_oracle():
@@ -352,7 +363,7 @@ def test_solve_matches_dense_oracle():
     rng = np.random.default_rng(4)
     a = random_spd(50, rng)
     b = rng.standard_normal(50)
-    x = slv.solve_spd(slv.GlobalSystem(sp.csr_matrix(a), b), factor=slv.factor_spd)
+    x = slv.solve_spd(matrix_system(sp.csr_matrix(a), b), factor=superlu)
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
 
 
@@ -360,14 +371,14 @@ def test_solve_reports_singular_matrix():
     import scipy.sparse as sp
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 0.0])), factor=slv.factor_spd)
+        slv.solve_spd(matrix_system(a, np.array([1.0, 0.0])), factor=superlu)
 
 
 def test_solve_refuses_to_pivot_past_a_kernel():
     import scipy.sparse as sp
     a = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 1.0, 1.0])), factor=slv.factor_spd)
+        slv.solve_spd(matrix_system(a, np.array([1.0, 1.0, 1.0])), factor=superlu)
 
 
 def test_solve_rejects_off_diagonal_pivot():
@@ -376,7 +387,7 @@ def test_solve_rejects_off_diagonal_pivot():
     import scipy.sparse as sp
     a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(slv.NotSPDError):
-        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 2.0])), factor=slv.factor_spd)
+        slv.solve_spd(matrix_system(a, np.array([1.0, 2.0])), factor=superlu)
 
 
 def test_solve_rejects_a_residual_above_the_right_side():
@@ -389,12 +400,12 @@ def test_solve_rejects_a_residual_above_the_right_side():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     a = q @ np.diag(np.logspace(0, -20, 20)) @ q.T
-    gs = slv.GlobalSystem(sp.csc_matrix(a), rng.standard_normal(20))
+    gs = matrix_system(sp.csc_matrix(a), rng.standard_normal(20))
     with pytest.raises(slv.NotSPDError, match="pivot"):
-        slv.solve_spd(gs, factor=slv.factor_spd)
+        slv.solve_spd(gs, factor=superlu)
 
-    def unchecked(a):
-        return splu(a, permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0.0,
+    def unchecked(gs):
+        return splu(gs.matrix, permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True))
 
     with pytest.raises(slv.SolverError, match="relative residual"):
@@ -407,8 +418,8 @@ def test_solve_rejects_a_nan_solution():
     import scipy.sparse as sp
     a = sp.eye(2, format="csr")
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(slv.GlobalSystem(a, np.array([np.nan, 1.0])), factor=slv.factor_spd)
-    assert (slv.solve_spd(slv.GlobalSystem(a, np.zeros(2)), factor=slv.factor_spd) == 0).all()
+        slv.solve_spd(matrix_system(a, np.array([np.nan, 1.0])), factor=superlu)
+    assert (slv.solve_spd(matrix_system(a, np.zeros(2)), factor=superlu) == 0).all()
 
 
 def test_factorization_out_of_memory_is_a_solver_failure(monkeypatch, capsys):
@@ -420,9 +431,9 @@ def test_factorization_out_of_memory_is_a_solver_failure(monkeypatch, capsys):
         raise MemoryError("Not enough memory to perform factorization.")
 
     monkeypatch.setattr(slv, "splu", oom)
-    gs = slv.GlobalSystem(sp.csr_matrix(np.eye(2)), np.ones(2))
+    gs = matrix_system(sp.csr_matrix(np.eye(2)), np.ones(2))
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(gs, factor=slv.factor_spd)
+        slv.solve_spd(gs, factor=superlu)
     assert sc.main(["--problem", "poisson", "--levels", "1"]) == 2
     assert "solver failure" in capsys.readouterr().err
 
@@ -443,18 +454,20 @@ BENCHMARK_STUDIES = [
 ]
 
 
-def study_systems(argv, monkeypatch, tmp_path):
-    """The trace systems that the CLI study argv solves, level by level."""
-    systems = []
+def study_solves(argv, monkeypatch, tmp_path):
+    """(trace system, solution) of every level that the CLI study argv
+    solves."""
+    solves = []
     solve = slv.solve_spd
 
     def record(gs, **kwargs):
-        systems.append(gs)
-        return solve(gs, **kwargs)
+        x = solve(gs, **kwargs)
+        solves.append((gs, x))
+        return x
 
     monkeypatch.setattr(slv, "solve_spd", record)
     assert sc.main([*argv.split(), "--out", str(tmp_path / "study.csv")]) == 0
-    return systems
+    return solves
 
 
 @pytest.mark.parametrize("argv", BENCHMARK_STUDIES)
@@ -462,10 +475,46 @@ def test_trace_systems_factor_without_pivots_into_positive_pivots(argv, monkeypa
                                                                    tmp_path):
     # a no-pivoting LU = L D L^T of a symmetric matrix with positive pivots D
     # is the Cholesky factorization in disguise: the system is SPD
-    for gs in study_systems(f"{argv} --levels 3", monkeypatch, tmp_path):
+    for gs, _ in study_solves(f"{argv} --levels 3", monkeypatch, tmp_path):
         lu = slv.factor_spd(gs.matrix)
         assert (lu.perm_r == lu.perm_c).all()
         assert (lu.U.diagonal() > 0).all()
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_STUDIES)
+def test_certificate_scale_is_never_looser_than_the_row_sum_scale(argv, monkeypatch,
+                                                                  tmp_path):
+    # max(max A_ii, |A x| / |x|) <= |A|_2 <= |A|_inf for SPD A: a smaller
+    # scale makes the backward error larger, so the test only gets stricter
+    for gs, x in study_solves(f"{argv} --levels 3", monkeypatch, tmp_path):
+        a, b = gs.matrix, gs.rhs
+        row_sum_scale = abs(a).sum(axis=1).max() * np.linalg.norm(x) + np.linalg.norm(b)
+        assert slv.backward_scale(gs, x, gs.apply(x)) <= row_sum_scale
+
+
+@pytest.mark.parametrize("argv", [
+    "--problem poisson --r1 10 --r2 1 --bc mixed --ny0 1 --levels 3",
+    # its top level takes three refinement steps
+    "--problem plate --r1 10 --r2 1 --bc mixed --norm scaled --levels 3",
+])
+def test_a_study_never_assembles_the_trace_matrix(argv, monkeypatch, tmp_path):
+    out = tmp_path / "study.csv"
+    assert sc.main([*argv.split(), "--out", str(out)]) == 0
+    expected = out.read_text()
+
+    def unread(gs):
+        raise AssertionError("the study read GlobalSystem.matrix")
+
+    sums, sum_blocks = [], slv.sum_blocks
+    gathers, all_element_dofs = [], msh.DofMap.all_element_dofs
+    monkeypatch.setattr(slv.GlobalSystem, "matrix", property(unread))
+    monkeypatch.setattr(slv, "sum_blocks", lambda *a: sums.append(a) or sum_blocks(*a))
+    monkeypatch.setattr(msh.DofMap, "all_element_dofs",
+                        lambda *a: gathers.append(a) or all_element_dofs(*a))
+    assert sc.main([*argv.split(), "--out", str(out)]) == 0
+    assert out.read_text() == expected
+    assert len(sums) == 3  # the coarse skeleton of each level's TreeFactor
+    assert len(gathers) == 3  # one dof gather per level
 
 
 @pytest.mark.parametrize("argv", [
@@ -476,7 +525,7 @@ def test_trace_ordering_cuts_the_fill_of_column_ordering(argv, monkeypatch, tmp_
     # minimum degree on A + A^T against SuperLU's default COLAMD ordering of
     # A^T A, which ignores the symmetry: 0.51x and 0.75x the L+U entries
     from scipy.sparse.linalg import splu
-    a = study_systems(argv, monkeypatch, tmp_path)[-1].matrix.tocsc()
+    a = study_solves(argv, monkeypatch, tmp_path)[-1][0].matrix.tocsc()
     colamd = splu(a, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     assert slv.factor_spd(a).nnz <= 0.8 * colamd.nnz
 
@@ -493,7 +542,7 @@ def solved_poisson(levels=1):
     condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
     dofs = dm.all_element_dofs(mesh)
     gs = slv.assemble_global(dofs, dm.n_trace, condensed)
-    fields, traces = slv.solve_condensed(mesh, dm, condensed)
+    fields, traces, _ = slv.solve_condensed(mesh, dm, condensed)
     return mesh, dm, condensed, gs, fields, traces
 
 
@@ -502,7 +551,7 @@ def test_trace_solve_matches_dense_solve(levels):
     # the tree factor and the refinement loop against a dense LAPACK solve
     # of the same assembled trace system
     mesh, dm, condensed, gs, _, _ = solved_poisson(levels)
-    x = slv.solve_spd(gs, factor=lambda a: slv.TreeFactor(mesh, dm, condensed))
+    x = slv.solve_spd(gs, factor=lambda _: slv.TreeFactor(mesh, dm, condensed))
     x_dense = np.linalg.solve(gs.matrix.toarray(), gs.rhs)
     assert np.abs(x - x_dense).max() < 1e-9 * np.abs(x_dense).max()
 
@@ -512,9 +561,8 @@ def test_energy_residual_zero_for_zero_data():
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    eta_t, eta = slv.energy_residual(condensed, dm.all_element_dofs(mesh),
-                                     np.zeros((mesh.n_triangles, pw.N_FIELD)),
-                                     np.zeros(dm.n_trace))
+    eta_t, eta = slv.energy_residual(condensed, np.zeros((mesh.n_triangles, pw.N_FIELD)),
+                                     np.zeros(condensed.sign.shape))
     assert eta == 0.0
     assert (eta_t == 0.0).all()
 
@@ -524,7 +572,7 @@ def test_zero_load_gives_zero_solution():
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
-    fields, traces = slv.solve_condensed(mesh, dm, condensed)
+    fields, traces, _ = slv.solve_condensed(mesh, dm, condensed)
     assert np.allclose(full_solution(fields, traces), 0.0, atol=1e-14)
 
 
@@ -547,7 +595,7 @@ def dense_riesz_eta_sq(mesh, dofs, fields, traces, model, gram, bmat, loads):
 def test_energy_residual_matches_dense_riesz_oracle():
     mesh, dm, condensed, gs, fields, traces = solved_poisson(levels=0)
     dofs = dm.all_element_dofs(mesh)
-    eta_t, eta = slv.energy_residual(condensed, dofs, fields, traces)
+    eta_t, eta = slv.energy_residual(condensed, fields, gs.local(traces))
     loads = pw.local_load_poisson(mesh.vertices[mesh.triangles],
                                   sc.exact_bundle(sc.StudyConfig(problem="poisson")).f)
     riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, pw,
@@ -565,8 +613,8 @@ def test_plate_energy_residual_matches_dense_riesz_oracle():
     dofs = dm.all_element_dofs(mesh)
     condensed = sc.condense_mesh(mesh, cfg, 1.0, f)
     assert (condensed.sign < 0).any()
-    fields, traces = slv.solve_condensed(mesh, dm, condensed)
-    eta_t, eta = slv.energy_residual(condensed, dofs, fields, traces)
+    fields, traces, local = slv.solve_condensed(mesh, dm, condensed)
+    eta_t, eta = slv.energy_residual(condensed, fields, local)
     riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, plw,
                                lambda amap: plw.local_gram_plate(amap, 1.0),
                                plw.local_b_plate,
@@ -578,10 +626,11 @@ def test_plate_energy_residual_matches_dense_riesz_oracle():
 def test_energy_residual_permutation_invariant():
     mesh, dm, condensed, gs, fields, traces = solved_poisson()
     dofs = dm.all_element_dofs(mesh)
-    _, eta = slv.energy_residual(condensed, dofs, fields, traces)
+    _, eta = slv.energy_residual(condensed, fields, gs.local(traces))
     order = np.arange(mesh.n_triangles)[::-1]
-    _, eta_perm = slv.energy_residual(permuted(condensed, order), dofs[order],
-                                      fields[order], traces)
+    cond_perm = permuted(condensed, order)
+    gs_perm = slv.assemble_global(dofs[order], dm.n_trace, cond_perm)
+    _, eta_perm = slv.energy_residual(cond_perm, fields[order], gs_perm.local(traces))
     assert np.isclose(eta, eta_perm, rtol=1e-14)
 
 
@@ -593,14 +642,13 @@ def test_galerkin_orthogonality():
 
 def test_minimum_residual_convexity():
     mesh, dm, condensed, gs, fields, traces = solved_poisson()
-    dofs = dm.all_element_dofs(mesh)
-    _, eta = slv.energy_residual(condensed, dofs, fields, traces)
+    _, eta = slv.energy_residual(condensed, fields, gs.local(traces))
     rng = np.random.default_rng(6)
     for _ in range(100):
         p = rng.standard_normal(dm.n_free)  # fields, then traces
         p *= 0.1 / np.linalg.norm(p)
-        _, eta_p = slv.energy_residual(condensed, dofs, fields + p[:fields.size].reshape(
-            fields.shape), traces + p[fields.size:])
+        _, eta_p = slv.energy_residual(condensed, fields + p[:fields.size].reshape(
+            fields.shape), gs.local(traces + p[fields.size:]))
         assert eta_p ** 2 >= eta ** 2 - 1e-12
 
 
@@ -611,12 +659,11 @@ def test_pipeline_matches_dense_minimum_residual():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     for level in range(2):
         dm = pw.dof_map_poisson(mesh)
-        dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        fields, traces = slv.solve_condensed(mesh, dm, condensed)
+        fields, traces, local = slv.solve_condensed(mesh, dm, condensed)
         x_dense, eta_dense, _ = poisson_dense_minres(mesh, 1.0, 0.0, exact.f)
         assert np.abs(full_solution(fields, traces) - x_dense).max() < 1e-9
-        _, eta = slv.energy_residual(condensed, dofs, fields, traces)
+        _, eta = slv.energy_residual(condensed, fields, local)
         assert np.isclose(eta, eta_dense, rtol=1e-9)
         mesh = msh.refine_uniform(mesh)
 
@@ -631,13 +678,12 @@ def test_plate_pipeline_matches_dense_minimum_residual_clamped():
     exact = sc.exact_bundle(cfg)
     for mesh in unit_square_meshes():
         dm = plw.dof_map_plate(mesh)
-        dofs = dm.all_element_dofs(mesh)
         condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
-        fields, traces = slv.solve_condensed(mesh, dm, condensed)
+        fields, traces, local = slv.solve_condensed(mesh, dm, condensed)
         x_dense, eta_dense, _ = plate_dense_minres(mesh, 1.0, exact.f)
         assert np.abs(full_solution(fields, traces) - x_dense).max() \
             < 1e-9 * np.abs(x_dense).max()
-        _, eta = slv.energy_residual(condensed, dofs, fields, traces)
+        _, eta = slv.energy_residual(condensed, fields, local)
         assert np.isclose(eta, eta_dense, rtol=1e-9)
 
 
@@ -662,12 +708,11 @@ def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
     mesh = msh.classify_boundary(msh.make_rect_mesh(4.0, 1.0, 1),
                                  msh.LEFT_RIGHT_DIRICHLET)
     dm = plw.dof_map_plate(mesh)
-    dofs = dm.all_element_dofs(mesh)
     condensed = sc.condense_mesh(mesh, cfg, d, exact.f)
-    fields, traces = slv.solve_condensed(mesh, dm, condensed)
+    fields, traces, local = slv.solve_condensed(mesh, dm, condensed)
     x_dense, eta_dense, _ = plate_dense_minres(mesh, d, exact.f)
     assert np.abs(full_solution(fields, traces) - x_dense).max() < 1e-6 * np.abs(x_dense).max()
-    _, eta = slv.energy_residual(condensed, dofs, fields, traces)
+    _, eta = slv.energy_residual(condensed, fields, local)
     assert np.isclose(eta, eta_dense, rtol=1e-9)
 
 
@@ -694,7 +739,7 @@ def test_trace_system_is_the_schur_complement_of_the_full_system(problem, bc, r1
     gs = slv.assemble_global(dofs, dm.n_trace, cond)
     assert np.abs(gs.matrix.toarray() - schur).max() <= 1e-12 * np.abs(schur).max()
 
-    x = full_solution(*slv.solve_condensed(mesh, dm, cond))
+    x = full_solution(*slv.solve_condensed(mesh, dm, cond)[:2])
     x_full = np.linalg.solve(a, r)
     assert np.abs(x - x_full).max() <= 1e-10 * np.abs(x_full).max()
 
@@ -719,6 +764,17 @@ def tree_level(cfg, depth):
     cond = sc.condense_mesh(mesh, cfg, sc.pick_d(cfg), sc.exact_bundle(cfg).f)
     gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_trace, cond)
     return mesh, dm, cond, gs, slv.TreeFactor(mesh, dm, cond)
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+def test_block_apply_and_diagonal_match_the_assembled_matrix(case):
+    *_, gs, _ = tree_level(TREE_CASES[case], 2)
+    a = gs.matrix
+    x = np.random.default_rng(7).standard_normal(a.shape[0])
+    ax = a @ x
+    assert np.linalg.norm(gs.apply(x) - ax) <= 1e-13 * np.linalg.norm(ax)
+    d = a.diagonal()
+    assert np.abs(gs.diagonal() - d).max() <= 1e-13 * np.abs(d).max()
 
 
 def trace_slots(mesh, dm):
@@ -839,4 +895,4 @@ def test_factor_rejects_a_negative_pivot():
     import scipy.sparse as sp
     a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(slv.NotSPDError, match="pivot"):
-        slv.solve_spd(slv.GlobalSystem(a, np.array([1.0, 2.0])), factor=slv.factor_spd)
+        slv.solve_spd(matrix_system(a, np.array([1.0, 2.0])), factor=superlu)
