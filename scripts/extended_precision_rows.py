@@ -7,8 +7,10 @@ how far the first two lie from the third, the most accurate.
 Takes the study options of dpg-lock.  The solves are
 
   tree      solve_spd with the refinement-tree factor, as the study solves;
-  superlu   solve_spd with one SuperLU factor (factor_spd) of the whole
-            trace matrix gs.matrix, the path before the tree factor;
+  superlu   solve_spd with one SuperLU factor of the whole trace matrix
+            gs.matrix (symmetric mode, minimum-degree ordering of A + A^T,
+            no pivoting), an ordering and a factor independent of the
+            study's own;
   extended  the SuperLU solution refined with residuals summed in
             np.longdouble (64-bit significand on x86-64) and corrections
             from the same SuperLU factor, EXTENDED_STEPS times.
@@ -25,6 +27,7 @@ import json
 import sys
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from dpglock import solver as slv
 from dpglock import study_cli as sc
@@ -33,8 +36,16 @@ EXTENDED_STEPS = 6
 COLUMNS = ("dofDPG", "errU", "errSigma", "err")
 
 
+def superlu(gs: slv.GlobalSystem):
+    """One sparse LU factor of gs.matrix without pivoting, in the
+    minimum-degree ordering of A + A^T; relax=1 turns off relaxed
+    supernodes, whose explicit zeros raise the fill of some trace factors."""
+    return splu(gs.matrix, permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+
+
 def extended_solve(gs: slv.GlobalSystem, last_step: list) -> np.ndarray:
-    lu = slv.factor_spd(gs.matrix)
+    lu = superlu(gs)
     a, b = gs.matrix.astype(np.longdouble), gs.rhs.astype(np.longdouble)
     xl = lu.solve(gs.rhs).astype(np.longdouble)
     for _ in range(EXTENDED_STEPS):
@@ -58,8 +69,7 @@ def compare(cfg: sc.StudyConfig) -> dict:
     solve_spd, last_step = slv.solve_spd, []
     rows = {
         "tree": study_rows(cfg, solve_spd),
-        "superlu": study_rows(cfg, lambda gs, factor: solve_spd(
-            gs, factor=lambda gs: slv.factor_spd(gs.matrix))),
+        "superlu": study_rows(cfg, lambda gs, factor: solve_spd(gs, factor=superlu)),
         "extended": study_rows(cfg, lambda gs, factor: extended_solve(gs, last_step)),
     }
     return {"study": sc.flag_echo(cfg), "rows": rows, "last_extended_step": last_step,

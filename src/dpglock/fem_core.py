@@ -13,7 +13,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .mesh import Mesh
 
@@ -122,11 +121,10 @@ class ReferenceBasis:
 def _orthonormal_coeffs(p: int):
     powers = _monomial_powers(p)
     gram = _monomial_gram(powers)
-    lower = cholesky(gram, lower=True)
-    c = solve_triangular(lower, np.eye(len(powers)), lower=True)
+    c = np.linalg.inv(np.linalg.cholesky(gram))
     # one re-orthonormalization pass wipes out the monomial Gram's conditioning
     g2 = c @ gram @ c.T
-    c = solve_triangular(cholesky(g2, lower=True), c, lower=True)
+    c = np.linalg.solve(np.linalg.cholesky(g2), c)
     return c, powers
 
 

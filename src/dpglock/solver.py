@@ -13,12 +13,10 @@ S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered from the solved traces
 afterwards.  B is built in the element's outward orientation, so congruent
 elements share G and B; factorizations run once per congruence class and the
 per-element work is matrix products over the class's elements.  The trace
-system is factored by the same elimination (eliminate) one level up
-(TreeFactor): the traces inside each patch of the refinement tree are
-eliminated once per patch shape.  Dense work runs on numpy's LAPACK; only
-the traces on the edges of the coarsest mesh reach scipy's sparse SuperLU.
-The full trace matrix is never summed for the solve: its products A x, for
-the refinement residuals, are one matrix product per class of Schur
+system is factored by the same dense elimination (eliminate) one level up
+(TreeFactor), by nested dissection along the refinement tree and then over
+the coarse mesh.  The full trace matrix is never summed for the solve: its
+products A x, for the refinement residuals, are one matrix product per class of Schur
 complements (GlobalSystem.apply), and the backward error that certifies the
 solve is scaled by a lower bound on |A|_2 from the same blocks (solve_spd).
 """
@@ -29,8 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+import scipy  # scipy.sparse loads on first use, for the readers of GlobalSystem.matrix
 
 SOLVE_TOLERANCE = 1e-10
 
@@ -69,22 +66,24 @@ class Condensed:
 
 def inverse_factor(a: np.ndarray, what: str) -> np.ndarray:
     """L^-1 for the Cholesky factor L (A = L L^T) of every matrix A of an
-    SPD (..., n, n) stack; a matrix that is not SPD raises NotSPDError."""
+    SPD (..., n, n) stack; a matrix that is not SPD raises NotSPDError, one
+    that does not fit in memory SolverError."""
     try:
         return np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"{what} is not SPD: {exc}") from exc
+    except MemoryError as exc:
+        raise SolverError(f"{what} does not fit in memory: {exc}") from exc
 
 
 def eliminate(m: np.ndarray, ni: int, what: str):
     """Elimination of the first ni unknowns of every symmetric matrix M of a
-    (..., n, n) stack: the operator [M_II^-1 | M_II^-1 M_IB] and the
-    symmetrized Schur complement M_BB - M_BI M_II^-1 M_IB."""
+    (..., n, n) stack: [L^-1 | L^-1 M_IB] for the Cholesky factor L of M_II,
+    and the symmetrized Schur complement M_BB - M_BI M_II^-1 M_IB."""
     linv = inverse_factor(m[..., :ni, :ni], what)
     w = linv @ m[..., :ni, ni:]
     s = m[..., ni:, ni:] - w.swapaxes(-1, -2) @ w
-    op = linv.swapaxes(-1, -2) @ np.concatenate([linv, w], axis=-1)
-    return op, 0.5 * (s + s.swapaxes(-1, -2))
+    return np.concatenate([linv, w], axis=-1), 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def condense_local(gram: np.ndarray, b: np.ndarray, n_field: int):
@@ -95,8 +94,8 @@ def condense_local(gram: np.ndarray, b: np.ndarray, n_field: int):
     linv = inverse_factor(gram, "element Gram matrix")
     c = linv @ b
     s = c.swapaxes(-1, -2) @ c
-    op, schur = eliminate(0.5 * (s + s.swapaxes(-1, -2)), n_field, "element field block")
-    return linv, c, op, schur
+    factor, schur = eliminate(0.5 * (s + s.swapaxes(-1, -2)), n_field, "element field block")
+    return linv, c, factor[..., :n_field].swapaxes(-1, -2) @ factor, schur
 
 
 def condense_rhs(linv: np.ndarray, c: np.ndarray, op: np.ndarray,
@@ -153,7 +152,7 @@ class GlobalSystem:
     rhs: np.ndarray     # (n,)
 
     @cached_property
-    def matrix(self) -> sp.csc_matrix:
+    def matrix(self) -> scipy.sparse.csc_matrix:
         return sum_blocks(self.dofs, len(self.rhs), self.blocks[self.cls], self.sign)
 
     def local(self, x: np.ndarray) -> np.ndarray:
@@ -183,7 +182,7 @@ def sum_blocks(dofs: np.ndarray, n: int, blocks: np.ndarray, sign: np.ndarray):
     rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
     cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
     keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((blocks[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsc()
+    return scipy.sparse.coo_matrix((blocks[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsc()
 
 
 def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
@@ -202,38 +201,11 @@ def assemble_global(dofs: np.ndarray, n: int, cond: Condensed) -> GlobalSystem:
     return GlobalSystem(dofs, cond.schur, cond.cls, cond.sign, scatter(dofs, cond.rhs, n))
 
 
-def factor_spd(a: sp.spmatrix):
-    """Sparse LU factor of an SPD matrix without pivoting.
-
-    SuperLU in symmetric mode: the minimum-degree ordering of the structure
-    of A + A^T permutes rows and columns alike, and only diagonal pivots are
-    taken, which is stable for SPD matrices.  A singular matrix fails its
-    factorization rather than being pivoted past, and running out of memory
-    raises SolverError.  A factor that had to pivot off the diagonal (an
-    exactly zero diagonal entry) or met a pivot that is not positive raises
-    NotSPDError: [[1, 2], [2, 1]] factors into the pivots 1 and -3.  The
-    trace solve factors only coarse-skeleton systems here (TreeFactor), so
-    reading the pivots through lu.U costs little.
-    """
-    try:
-        # relax=1 turns off relaxed supernodes: their explicit zeros raise
-        # the fill of some trace factors 3.6x and their factor time 8x
-        lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
-                  diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except (RuntimeError, MemoryError) as exc:
-        raise SolverError(f"direct factorization failed: {exc}") from exc
-    if (lu.perm_r != lu.perm_c).any():
-        raise NotSPDError("direct factorization pivoted off the diagonal")
-    if not (lu.U.diagonal() > 0).all():
-        raise NotSPDError("direct factorization met a pivot that is not positive")
-    return lu
-
-
 def solve_spd(gs: GlobalSystem, *, factor) -> np.ndarray:
     """Solve the SPD system by the factor that factor(gs) returns (anything
-    with a solve method: factor_spd of gs.matrix, or a TreeFactor of the
-    elements that sum to the matrix), with up to three steps of iterative
-    refinement on residuals b - A x from gs.apply.
+    with a solve method, such as a TreeFactor of the elements that sum to
+    the matrix), with up to three steps of iterative refinement on
+    residuals b - A x from gs.apply.
 
     A solution is accepted when the residual relative to the right side
     reaches 1e-10, or when the normwise backward error reaches machine
@@ -249,8 +221,8 @@ def solve_spd(gs: GlobalSystem, *, factor) -> np.ndarray:
     the row sums of |A|, and it is computed without assembling A.
     A residual above |b| is never accepted: x = 0 would do better, and a
     huge |x| can meet the backward error test with any residual.
-    Definiteness is the factor's to check: factor_spd and TreeFactor take
-    positive pivots only.
+    Definiteness is the factor's to check: TreeFactor takes checked
+    Cholesky factors only.
     """
     b = gs.rhs
     norm_b = np.linalg.norm(b)
@@ -296,9 +268,12 @@ class TreeFactor:
     local numbering and matrices up to a +-1 per local trace, as elements
     do in Condensed.sign.  No interior trace touches the domain boundary, so
     constrained slots ride along to the coarse skeleton, the boundaries of
-    the coarse mesh's triangles, whose system alone goes to factor_spd.
-    solve takes the right side up the tree and the traces down, as matrix
-    products over each class's patches.
+    the coarse mesh's triangles, bisected recursively at the median of their
+    centroids along the wider axis: each block eliminates, as one more
+    one-patch step, the free traces that no triangle outside it touches.
+    solve takes right sides up by L^-1 and traces down by L^-T, as matrix
+    products over each class's patches; the explicit M_II^-1 of an
+    ill-conditioned coarse block would raise the backward error 1000-fold.
     """
 
     def __init__(self, mesh, dofmap, cond: Condensed):
@@ -309,7 +284,7 @@ class TreeFactor:
         ids = dofmap.element_slots(mesh)
         sign, schur = cond.sign, dict(enumerate(cond.schur))
         # per height and class: (interior slots, signs, boundary slots, signs)
-        # of each patch and the operator that eliminates the interior
+        # of each patch and [L^-1 | L^-1 M_IB] for its interior block M_II = L L^T
         self.steps = []
         for h in range(1, mesh.depth + 1):
             n, nb = nt >> 2 * h, ids.shape[1]
@@ -338,27 +313,54 @@ class TreeFactor:
             self.steps.append(step)
             ids, sign, schur = ids[:, ni:], sign[:, ni:], schur_up
         free = self.dof[ids] >= 0
-        self.coarse = np.unique(ids[free])  # the free slots of the coarse skeleton
-        self.lu = factor_spd(sum_blocks(np.where(free, np.searchsorted(self.coarse, ids), -1),
-                                        len(self.coarse),
-                                        np.stack([schur[c] for c in cond.cls[:len(ids)]]), sign))
+        touches = np.bincount(ids[free], minlength=len(self.dof))
+        centroid = mesh.vertices[mesh.triangles].mean(axis=1).reshape(-1, len(ids), 2).mean(axis=0)
+
+        def finish(tris):
+            """(slots, matrix) parts summing to the block's system, its inside eliminated."""
+            if len(tris) == 1:
+                r, keep = tris[0], free[tris[0]]
+                parts = [(ids[r, keep],
+                          (sign[r, :, None] * schur[cond.cls[r]] * sign[r])[np.ix_(keep, keep)])]
+            else:
+                axis = np.ptp(centroid[tris], axis=0).argmax()
+                half = tris[np.argsort(centroid[tris, axis], kind="stable")]
+                parts = finish(half[:len(half) // 2]) + finish(half[len(half) // 2:])
+            slots, inv = np.unique(np.concatenate([p for p, _ in parts]), return_inverse=True)
+            touched, count = np.unique(ids[tris][free[tris]], return_counts=True)
+            inside = count[np.searchsorted(touched, slots)] == touches[slots]
+            if not inside.any():
+                return parts
+            order, ni = np.argsort(~inside, kind="stable"), inside.sum()
+            pos = np.split(np.argsort(order)[inv], np.cumsum([len(p) for p, _ in parts[:-1]]))
+            m = np.zeros((len(slots), len(slots)))
+            for p, (_, block) in zip(pos, parts):
+                m[np.ix_(p, p)] += block
+            x, y = centroid[tris].mean(axis=0)
+            op, schur_up = eliminate(m, ni, f"coarse block of {len(tris)} triangles "
+                                            f"at ({x:.3g}, {y:.3g})")
+            slots, one = slots[order][None], np.ones((1, len(slots)))
+            self.steps.append([(slots[:, :ni], one[:, :ni], slots[:, ni:], one[:, ni:], op)])
+            return [(slots[0, ni:], schur_up)]
+
+        finish(np.arange(len(ids)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The traces x with A x = b, A the sum of the element systems."""
         free = self.dof >= 0
         w = np.zeros(len(self.dof))
         w[free] = b[self.dof[free]]
-        y = []  # M_II^-1 f_I of every patch, f_I its interior right side
+        y = []  # L^-1 f_I of every patch, f_I its interior right side
         for step in self.steps:
             for inner, inner_sign, outer, outer_sign, k in step:
-                g = (w[inner] * inner_sign) @ k
-                y.append(g[:, :len(k)])
-                w -= np.bincount(outer.ravel(), (g[:, len(k):] * outer_sign).ravel(), len(w))
+                y.append((w[inner] * inner_sign) @ k[:, :len(k)].T)
+                w -= np.bincount(outer.ravel(), (y[-1] @ k[:, len(k):] * outer_sign).ravel(),
+                                 len(w))
         xs = np.zeros(len(self.dof))
-        xs[self.coarse] = self.lu.solve(w[self.coarse])
         for step in reversed(self.steps):
             for inner, inner_sign, outer, outer_sign, k in reversed(step):
-                xs[inner] = (y.pop() - (xs[outer] * outer_sign) @ k[:, len(k):].T) * inner_sign
+                z = y.pop() - (xs[outer] * outer_sign) @ k[:, len(k):].T
+                xs[inner] = z @ k[:, :len(k)] * inner_sign
         out = np.empty(len(b))
         out[self.dof[free]] = xs[free]
         return out

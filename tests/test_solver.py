@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,9 +26,18 @@ def matrix_system(a, b):
                             np.ones((1, n)), b)
 
 
-def superlu(gs):
-    """One SuperLU factor of the whole assembled matrix."""
-    return slv.factor_spd(gs.matrix)
+def dense(gs):
+    """One checked dense elimination of the whole assembled matrix."""
+    linv, _ = slv.eliminate(gs.matrix.toarray(), len(gs.rhs), "trace matrix")
+    return SimpleNamespace(solve=lambda b: linv.T @ (linv @ b))
+
+
+def unpivoted_lu(gs):
+    """SuperLU of the whole assembled matrix without pivoting and without a
+    check of its pivots, in the minimum-degree ordering of A + A^T."""
+    from scipy.sparse.linalg import splu
+    return splu(gs.matrix, permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
 
 
 def condense_one(gram, b, load, n_field=1):
@@ -257,7 +267,7 @@ def test_assemble_single_element_is_free_submatrix():
     gs = slv.assemble_global(np.array([[1, -1, 0, 2]]), 3, cond)
     keep = [0, 2, 3]
     perm = [1, 0, 2]  # local slots of global dofs 0, 1, 2
-    assert gs.matrix.format == "csc"  # factor_spd's tocsc is then a no-op
+    assert gs.matrix.format == "csc"
     dense = gs.matrix.toarray()
     expected = cond.schur[0][np.ix_(keep, keep)][np.ix_(perm, perm)]
     assert np.allclose(dense, expected, rtol=1e-14)
@@ -353,9 +363,9 @@ def test_assemble_against_hand_assembled_two_triangle_matrix():
 def test_solve_identity_and_small_symmetric():
     import scipy.sparse as sp
     gs = matrix_system(sp.eye(4, format="csr"), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(slv.solve_spd(gs, factor=superlu), gs.rhs)
+    assert np.allclose(slv.solve_spd(gs, factor=dense), gs.rhs)
     gs = matrix_system(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])), np.array([3.0, 3.0]))
-    assert np.allclose(slv.solve_spd(gs, factor=superlu), [1.0, 1.0], rtol=1e-12)
+    assert np.allclose(slv.solve_spd(gs, factor=dense), [1.0, 1.0], rtol=1e-12)
 
 
 def test_solve_matches_dense_oracle():
@@ -363,7 +373,7 @@ def test_solve_matches_dense_oracle():
     rng = np.random.default_rng(4)
     a = random_spd(50, rng)
     b = rng.standard_normal(50)
-    x = slv.solve_spd(matrix_system(sp.csr_matrix(a), b), factor=superlu)
+    x = slv.solve_spd(matrix_system(sp.csr_matrix(a), b), factor=dense)
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
 
 
@@ -371,45 +381,40 @@ def test_solve_reports_singular_matrix():
     import scipy.sparse as sp
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(matrix_system(a, np.array([1.0, 0.0])), factor=superlu)
+        slv.solve_spd(matrix_system(a, np.array([1.0, 0.0])), factor=dense)
 
 
 def test_solve_refuses_to_pivot_past_a_kernel():
     import scipy.sparse as sp
     a = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(matrix_system(a, np.array([1.0, 1.0, 1.0])), factor=superlu)
+        slv.solve_spd(matrix_system(a, np.array([1.0, 1.0, 1.0])), factor=dense)
 
 
 def test_solve_rejects_off_diagonal_pivot():
-    # without a pivot check SuperLU swaps the rows of this indefinite
-    # matrix past its zero diagonal and returns x = (2, 1)
+    # an LU factor that pivots swaps the rows of this indefinite matrix past
+    # its zero diagonal and returns x = (2, 1)
     import scipy.sparse as sp
     a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(slv.NotSPDError):
-        slv.solve_spd(matrix_system(a, np.array([1.0, 2.0])), factor=superlu)
+        slv.solve_spd(matrix_system(a, np.array([1.0, 2.0])), factor=dense)
 
 
 def test_solve_rejects_a_residual_above_the_right_side():
     # eigenvalues 1 ... 1e-20: round-off leaves a pivot that is not positive,
-    # which factor_spd rejects.  The same factor without that check returns
-    # |x| ~ 1e17, which meets the backward error test, with a residual about
-    # twice |b|, worse than x = 0: the certificate must reject it too
+    # which the checked Cholesky factor rejects.  SuperLU without pivoting or
+    # that check returns |x| ~ 1e17, which meets the backward error test,
+    # with a residual about twice |b|, worse than x = 0: the certificate must
+    # reject it too
     import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     a = q @ np.diag(np.logspace(0, -20, 20)) @ q.T
     gs = matrix_system(sp.csc_matrix(a), rng.standard_normal(20))
-    with pytest.raises(slv.NotSPDError, match="pivot"):
-        slv.solve_spd(gs, factor=superlu)
-
-    def unchecked(gs):
-        return splu(gs.matrix, permc_spec="MMD_AT_PLUS_A", relax=1, diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
-
+    with pytest.raises(slv.NotSPDError, match="not SPD"):
+        slv.solve_spd(gs, factor=dense)
     with pytest.raises(slv.SolverError, match="relative residual"):
-        slv.solve_spd(gs, factor=unchecked)
+        slv.solve_spd(gs, factor=unpivoted_lu)
 
 
 def test_solve_rejects_a_nan_solution():
@@ -418,22 +423,23 @@ def test_solve_rejects_a_nan_solution():
     import scipy.sparse as sp
     a = sp.eye(2, format="csr")
     with pytest.raises(slv.SolverError):
-        slv.solve_spd(matrix_system(a, np.array([np.nan, 1.0])), factor=superlu)
-    assert (slv.solve_spd(matrix_system(a, np.zeros(2)), factor=superlu) == 0).all()
+        slv.solve_spd(matrix_system(a, np.array([np.nan, 1.0])), factor=dense)
+    assert (slv.solve_spd(matrix_system(a, np.zeros(2)), factor=dense) == 0).all()
 
 
 def test_factorization_out_of_memory_is_a_solver_failure(monkeypatch, capsys):
-    # SuperLU reports a failed allocation as MemoryError; the CLI must still
-    # exit with the solver-failure code, not crash with a traceback
+    # numpy reports a failed allocation as MemoryError; a dense factor too
+    # large for memory must still exit with the solver-failure code, not
+    # crash with a traceback
     import scipy.sparse as sp
 
     def oom(*args, **kwargs):
-        raise MemoryError("Not enough memory to perform factorization.")
+        raise MemoryError("Unable to allocate the factor")
 
-    monkeypatch.setattr(slv, "splu", oom)
+    monkeypatch.setattr(slv.np.linalg, "cholesky", oom)
     gs = matrix_system(sp.csr_matrix(np.eye(2)), np.ones(2))
-    with pytest.raises(slv.SolverError):
-        slv.solve_spd(gs, factor=superlu)
+    with pytest.raises(slv.SolverError, match="does not fit in memory"):
+        slv.solve_spd(gs, factor=dense)
     assert sc.main(["--problem", "poisson", "--levels", "1"]) == 2
     assert "solver failure" in capsys.readouterr().err
 
@@ -474,9 +480,10 @@ def study_solves(argv, monkeypatch, tmp_path):
 def test_trace_systems_factor_without_pivots_into_positive_pivots(argv, monkeypatch,
                                                                    tmp_path):
     # a no-pivoting LU = L D L^T of a symmetric matrix with positive pivots D
-    # is the Cholesky factorization in disguise: the system is SPD
+    # is the Cholesky factorization in disguise: the system is SPD (a dense
+    # Cholesky factor says the same, at 20x the time on the strip)
     for gs, _ in study_solves(f"{argv} --levels 3", monkeypatch, tmp_path):
-        lu = slv.factor_spd(gs.matrix)
+        lu = unpivoted_lu(gs)
         assert (lu.perm_r == lu.perm_c).all()
         assert (lu.U.diagonal() > 0).all()
 
@@ -513,21 +520,8 @@ def test_a_study_never_assembles_the_trace_matrix(argv, monkeypatch, tmp_path):
                         lambda *a: gathers.append(a) or all_element_dofs(*a))
     assert sc.main([*argv.split(), "--out", str(out)]) == 0
     assert out.read_text() == expected
-    assert len(sums) == 3  # the coarse skeleton of each level's TreeFactor
+    assert sums == []
     assert len(gathers) == 3  # one dof gather per level
-
-
-@pytest.mark.parametrize("argv", [
-    "--problem poisson --r1 100 --r2 100 --norm scaled --levels 5",  # 4,097 unknowns
-    "--problem plate --r1 10 --r2 10 --norm scaled --levels 4",  # 3,074 unknowns
-])
-def test_trace_ordering_cuts_the_fill_of_column_ordering(argv, monkeypatch, tmp_path):
-    # minimum degree on A + A^T against SuperLU's default COLAMD ordering of
-    # A^T A, which ignores the symmetry: 0.51x and 0.75x the L+U entries
-    from scipy.sparse.linalg import splu
-    a = study_solves(argv, monkeypatch, tmp_path)[-1][0].matrix.tocsc()
-    colamd = splu(a, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    assert slv.factor_spd(a).nnz <= 0.8 * colamd.nnz
 
 
 def solved_poisson(levels=1):
@@ -766,6 +760,18 @@ def tree_level(cfg, depth):
     return mesh, dm, cond, gs, slv.TreeFactor(mesh, dm, cond)
 
 
+def test_coarse_dissection_keeps_its_fronts_small():
+    # the plate R10 L4 top level: 554 free traces on the coarse skeleton of 8
+    # triangles; bisecting them, no front holds more than a quarter of them
+    # (138; one dense factor of the skeleton would take all 554)
+    cfg = sc.StudyConfig(problem="plate", r1=10.0, r2=10.0, norm="scaled")
+    mesh, *_, tree = tree_level(cfg, 3)
+    fronts = [step[0][4].shape for step in tree.steps[mesh.depth:]]
+    skeleton = sum(ni for ni, _ in fronts)
+    assert skeleton == 554
+    assert max(n for _, n in fronts) <= skeleton / 4
+
+
 @pytest.mark.parametrize("case", TREE_CASES)
 def test_block_apply_and_diagonal_match_the_assembled_matrix(case):
     *_, gs, _ = tree_level(TREE_CASES[case], 2)
@@ -793,7 +799,7 @@ def test_tree_patches_of_a_class_match_their_representative(case):
     nt = mesh.n_triangles
     ids, lookup = trace_slots(mesh, dm)
     child = {r: (ids[r], cond.sign[r]) for r in range(nt)}  # boundary of each height-0 patch
-    for h, step in enumerate(tree.steps, start=1):
+    for h, step in enumerate(tree.steps[:mesh.depth], start=1):
         n = nt >> 2 * h
         classes = np.unique(cond.cls[:n])
         assert len(step) == len(classes)
@@ -831,12 +837,11 @@ def test_tree_patches_of_a_class_match_their_representative(case):
 def test_tree_interior_traces_are_free_and_off_the_domain_boundary(case):
     mesh, dm, _, _, tree = tree_level(TREE_CASES[case], 3)
     _, lookup = trace_slots(mesh, dm)
-    inner = np.concatenate([i.ravel() for step in tree.steps for i, *_ in step])
-    assert len(np.unique(inner)) == len(inner)
-    assert (tree.dof[inner] >= 0).all()
-    assert (lookup(inner, mesh.vertex_tags, mesh.edge_tags) == msh.INTERIOR).all()
-    # the coarse skeleton holds every other free trace
-    assert len(inner) + len(tree.coarse) == dm.n_trace
+    inner = [np.concatenate([i.ravel() for i, *_ in step]) for step in tree.steps]
+    patches = np.concatenate(inner[:mesh.depth])
+    assert (lookup(patches, mesh.vertex_tags, mesh.edge_tags) == msh.INTERIOR).all()
+    # the patches and the coarse blocks eliminate every free trace once
+    assert np.array_equal(np.sort(np.concatenate(inner)), np.flatnonzero(tree.dof >= 0))
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
@@ -859,15 +864,18 @@ def test_tree_solve_of_a_plate_meets_the_certificate(case, depth):
     assert residual <= slv.SOLVE_TOLERANCE * np.linalg.norm(b) or residual <= 1e-14 * scale
 
 
-def negated_middle_child(cond):
-    """The condensed systems with the Schur complement of one element
-    negated: the middle child of triangle 0 of the mesh one refinement
-    coarser, which leads its class's height-1 patches."""
-    t = 3 * (len(cond.cls) // 4)
+def negated(cond, t):
+    """The condensed systems with the Schur complement of element t negated."""
     cls = cond.cls.copy()
     cls[t] = len(cond.schur)
     return replace(cond, cls=cls, schur=np.concatenate([cond.schur,
                                                         -cond.schur[cond.cls[t]][None]]))
+
+
+def negated_middle_child(cond):
+    """negated at the middle child of triangle 0 of the mesh one refinement
+    coarser, which leads its class's height-1 patches."""
+    return negated(cond, 3 * (len(cond.cls) // 4))
 
 
 @pytest.mark.parametrize("case", TREE_CASES)
@@ -877,14 +885,29 @@ def test_tree_rejects_an_indefinite_interior_block(case):
         slv.TreeFactor(mesh, dm, negated_middle_child(cond))
 
 
+@pytest.mark.parametrize("case", TREE_CASES)
+def test_tree_rejects_an_indefinite_coarse_block(case):
+    mesh, dm, cond, *_ = tree_level(TREE_CASES[case], 0)
+    with pytest.raises(slv.NotSPDError, match=r"coarse block of \d+ triangles at \("):
+        slv.TreeFactor(mesh, dm, negated(cond, 0))
+
+
+def test_cli_exits_two_on_an_indefinite_coarse_block(monkeypatch, capsys):
+    condense = slv.condense
+    monkeypatch.setattr(slv, "condense", lambda *a: negated(condense(*a), 0))
+    assert sc.main(["--problem", "poisson", "--levels", "2", "--ny0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "level 0" in err and "coarse block of" in err
+
+
 def test_cli_exits_two_on_an_indefinite_interior_block(monkeypatch, capsys):
     condense = slv.condense
 
-    def negated(gram, b, cls, *args):  # on the refined level only
+    def negated_refined(gram, b, cls, *args):  # on the refined level only
         cond = condense(gram, b, cls, *args)
         return negated_middle_child(cond) if len(cls) > 2 else cond
 
-    monkeypatch.setattr(slv, "condense", negated)
+    monkeypatch.setattr(slv, "condense", negated_refined)
     assert sc.main(["--problem", "poisson", "--levels", "2", "--ny0", "1"]) == 2
     err = capsys.readouterr().err
     assert "level 1" in err and "height 1, class" in err
@@ -894,5 +917,5 @@ def test_factor_rejects_a_negative_pivot():
     # [[1, 2], [2, 1]] factors without pivoting into the pivots 1 and -3
     import scipy.sparse as sp
     a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(slv.NotSPDError, match="pivot"):
-        slv.solve_spd(matrix_system(a, np.array([1.0, 2.0])), factor=superlu)
+    with pytest.raises(slv.NotSPDError, match="not SPD"):
+        slv.solve_spd(matrix_system(a, np.array([1.0, 2.0])), factor=dense)

@@ -272,8 +272,8 @@ def test_cli_overflowing_element_systems_exit_two(monkeypatch, capsys):
     # gamma = 1e300 overflows B^T G^-1 B: condensation stops the run with one
     # message, without numpy warnings and before anything is factored
     factored = []
-    factor_spd = slv.factor_spd
-    monkeypatch.setattr(slv, "factor_spd", lambda a: factored.append(a) or factor_spd(a))
+    tree_factor = slv.TreeFactor
+    monkeypatch.setattr(slv, "TreeFactor", lambda *a: factored.append(a) or tree_factor(*a))
     code = sc.main(["--problem", "poisson", "--gamma", "1e300", "--levels", "1",
                     "--ny0", "1"])
     assert code == 2
@@ -299,6 +299,24 @@ def test_cli_entry_point_runs():
     assert result.returncode == 0
     assert "dofDPG" in result.stdout
     assert result.stderr == ""
+
+
+def test_import_leaves_scipy_sparse_and_linalg_unloaded():
+    # an untraced study needs neither, and loading them is most of the
+    # import time; the benchmark reads scipy.__version__ after the import
+    import os
+    import subprocess
+    import sys
+
+    import dpglock
+    path = [str(Path(dpglock.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, dpglock; print(sorted("
+         "{'scipy', 'scipy.sparse', 'scipy.linalg'} & sys.modules.keys()))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['scipy']"
 
 
 def test_plate_clamped_zero_load_gives_zero_solution():
