@@ -20,6 +20,10 @@ REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 _MAX_QUAD_DEGREE = 50
 
+# quadrature points per block of point_chunks: one float64 array over a block
+# takes about 1 MiB (3,640 triangles of a 36-point rule, 1,618 of 81 points)
+POINT_CHUNK = 1 << 17
+
 
 @dataclass(frozen=True)
 class QuadRule:
@@ -210,6 +214,17 @@ def affine_points(verts: np.ndarray, ref_pts: np.ndarray):
     det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
     bary = np.column_stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts])
     return det, bary @ verts
+
+
+def point_chunks(verts: np.ndarray, ref_pts: np.ndarray):
+    """affine_points over consecutive blocks of the (nt, 3, 2) vertex array:
+    yields (slice, det, phys) per block of about POINT_CHUNK physical points,
+    so point-wise work in the caller's loop needs memory of one block, not of
+    the whole mesh."""
+    step = POINT_CHUNK // len(ref_pts)
+    for lo in range(0, len(verts), step):
+        sl = slice(lo, lo + step)
+        yield (sl, *affine_points(verts[sl], ref_pts))
 
 
 def edge_ref_points(k: int, s: np.ndarray) -> np.ndarray:

@@ -197,12 +197,13 @@ def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
 
 def local_load_plate(verts: np.ndarray, f) -> np.ndarray:
     """Load vectors l[v] = -(f, v)_T of the triangles with (nt, 3, 2) vertex
-    array verts, shape (nt, 55); the tensor block is zero."""
+    array verts, shape (nt, 55); the tensor block is zero.  f is evaluated per
+    block of fem_core.point_chunks."""
     _, _, _, load_rule, v3_load, *_ = _kernels()
-    det, pts = fc.affine_points(verts, load_rule.points)
-    fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
     load = np.zeros((len(verts), N_TEST))
-    load[:, :TEST_V] = -(fv * load_rule.weights * det[:, None]) @ v3_load.values
+    for sl, det, pts in fc.point_chunks(verts, load_rule.points):
+        fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
+        load[sl, :TEST_V] = -(fv * load_rule.weights * det[:, None]) @ v3_load.values
     return load
 
 

@@ -103,12 +103,13 @@ def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
 
 def local_load_poisson(verts: np.ndarray, f) -> np.ndarray:
     """Load vectors l[v] = (f, v)_T of the triangles with (nt, 3, 2) vertex
-    array verts, shape (nt, 18); the tau block is zero."""
+    array verts, shape (nt, 18); the tau block is zero.  f is evaluated per
+    block of fem_core.point_chunks."""
     _, _, load_rule, test_load, *_ = _kernels()
-    det, pts = fc.affine_points(verts, load_rule.points)
-    fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
     load = np.zeros((len(verts), N_TEST))
-    load[:, :TEST_V] = (fv * load_rule.weights * det[:, None]) @ test_load.values
+    for sl, det, pts in fc.point_chunks(verts, load_rule.points):
+        fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
+        load[sl, :TEST_V] = (fv * load_rule.weights * det[:, None]) @ test_load.values
     return load
 
 

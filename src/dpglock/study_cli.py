@@ -114,7 +114,9 @@ def sine_power(p: int, c: float, t: np.ndarray, orders) -> dict:
     """{k: k-th derivative of sin(c t)^p at t, for k in orders}, p in {0, 1, 2}.  As
     sin(c t)^p = a + b sin(w t + q pi/2), that is [k = 0] a + b w^k sin(w t + (k + q) pi/2),
     and sin(w t + m pi/2) is sin, cos, -sin or -cos of w t for m % 4 = 0, 1, 2 or 3."""
-    a, b, w, q = ((1.0, 0.0, 0.0, 0), (0.0, 1.0, c, 0), (0.5, -0.5, 2 * c, 1))[p]
+    if p == 0:  # the constant 1, without trig
+        return {k: np.full(np.shape(t), float(k == 0)) for k in orders}
+    a, b, w, q = ((0.0, 1.0, c, 0), (0.5, -0.5, 2 * c, 1))[p - 1]
     trig = {m: (np.sin, np.cos)[m](w * t) for m in {(k + q) % 2 for k in orders}}
     return {k: (a if k == 0 else 0.0)
             + b * w ** k * (1, 1, -1, -1)[(k + q) % 4] * trig[(k + q) % 2] for k in orders}
@@ -131,6 +133,7 @@ def exact_bundle(cfg: StudyConfig) -> ExactBundle:
 
     op = ({(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0} if cfg.problem == PLATE  # bilaplacian
           else {(0, 0): cfg.gamma, (2, 0): -1.0, (0, 2): -1.0})  # gamma u - lap u
+    op = {order: c for order, c in op.items() if c != 0}
     return ExactBundle(du, lambda x, y: sum(c * d for c, d in zip(op.values(), du(x, y, *op))))
 
 
@@ -191,18 +194,22 @@ def solve_level(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> LevelSolution:
 def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
                    exact: ExactBundle) -> tuple:
     """(errU, errSigma): L2 errors of the (nt, n_field) piecewise-constant
-    fields by degree-10 quadrature; the flux is grad u for Poisson and the
-    moment -hess u for the plate."""
+    fields by degree-10 quadrature, summed over the blocks of
+    fem_core.point_chunks; the flux is grad u for Poisson and the moment
+    -hess u for the plate."""
     rule = fc.quad_triangle(ERROR_QUAD_DEGREE)
-    det, phys = fc.affine_points(mesh.vertices[mesh.triangles], rule.points)
     if cfg.problem == POISSON:
-        u, *flux = exact.du(phys[..., 0], phys[..., 1], (0, 0), (1, 0), (0, 1))
-        flux, weight = np.stack(flux, axis=-1), np.ones(2)
+        orders, sign, weight = ((1, 0), (0, 1)), 1.0, np.ones(2)
     else:
-        u, *flux = exact.du(phys[..., 0], phys[..., 1], (0, 0), (2, 0), (1, 1), (0, 2))
-        flux, weight = -np.stack(flux, axis=-1), np.array(plw.COMPONENT_WEIGHT)
-    err_u_sq = det @ ((u - fields[:, :1]) ** 2 @ rule.weights)
-    err_flux_sq = det @ ((flux - fields[:, None, 1:]) ** 2 @ weight @ rule.weights)
+        orders, sign, weight = ((2, 0), (1, 1), (0, 2)), -1.0, np.array(plw.COMPONENT_WEIGHT)
+    err_u_sq = err_flux_sq = 0.0
+    for sl, det, phys in fc.point_chunks(mesh.vertices[mesh.triangles], rule.points):
+        u, *flux = exact.du(phys[..., 0], phys[..., 1], (0, 0), *orders)
+        # sign times the flux error: the plate's moment -hess u against M_h
+        # is hess u against -M_h
+        flux_err = np.stack(flux, axis=-1) - sign * fields[sl, None, 1:]
+        err_u_sq += det @ ((u - fields[sl, :1]) ** 2 @ rule.weights)
+        err_flux_sq += det @ (flux_err ** 2 @ weight @ rule.weights)
     return float(np.sqrt(err_u_sq)), float(np.sqrt(err_flux_sq))
 
 

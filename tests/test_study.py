@@ -1,10 +1,13 @@
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dpglock import fem_core as fc
 from dpglock import mesh as msh
+from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
@@ -64,6 +67,26 @@ def test_exact_bundle_dirichlet_rhs_value():
     exact = sc.exact_bundle(cfg_poisson())
     assert np.isclose(exact.f(np.array([0.5]), np.array([0.5]))[0],
                       2 * np.pi ** 2, rtol=1e-14)
+
+
+def test_exact_bundle_skips_constant_profiles_and_zero_terms(monkeypatch):
+    # Y = 1 on the mixed layout is returned as constants; a zero gamma drops u from f
+    t = np.linspace(0.0, 1.0, 7).reshape(7, 1)
+    y = sc.sine_power(0, np.pi, t, [0, 1, 2])
+    assert y[0].shape == y[1].shape == t.shape
+    assert (y[0] == 1.0).all() and (y[1] == 0.0).all() and (y[2] == 0.0).all()
+    calls = []
+    sine_power = sc.sine_power
+    monkeypatch.setattr(sc, "sine_power",
+                        lambda *args: calls.append(args[3]) or sine_power(*args))
+    x = np.linspace(0.1, 0.9, 5)
+    for gamma in (0.0, 1.0):
+        exact = sc.exact_bundle(cfg_poisson(gamma=gamma))
+        calls.clear()
+        f = exact.f(x, x)
+        u, uxx, uyy = exact.du(x, x, (0, 0), (2, 0), (0, 2))
+        assert calls[0] == ([2, 0] if gamma == 0 else [0, 2, 0])
+        assert np.array_equal(f, gamma * u - uxx - uyy)
 
 
 @pytest.mark.parametrize("problem, bc", [("poisson", "dirichlet"), ("poisson", "mixed"),
@@ -158,6 +181,76 @@ def test_compute_errors_evaluates_each_sine_profile_once(problem, monkeypatch):
     errs = sc.compute_errors(mesh, cfg, fields, exact)
     assert len(calls) == 2
     assert all(np.isfinite(errs)) and min(errs) > 0
+    # and once per block: 32 triangles of the 36-point rule in blocks of 12, 12 and 8
+    calls.clear()
+    monkeypatch.setattr(fc, "POINT_CHUNK", 12 * 36)
+    assert sc.compute_errors(mesh, cfg, fields, exact) == pytest.approx(errs, rel=1e-14)
+    assert len(calls) == 2 * 3
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_point_work_is_independent_of_the_block_size(problem, monkeypatch):
+    # 192 triangles in blocks of 50, 50, 50, 42 (36-point rules) and 8 x 22,
+    # 16 (the plate's 81-point load): the last block partial
+    cfg = sc.StudyConfig(problem=problem, r1=3.0, r2=2.0)
+    exact = sc.exact_bundle(cfg)
+    mesh = msh.make_rect_mesh(3.0, 2.0, 2)
+    for _ in range(2):
+        mesh = msh.refine_uniform(mesh)
+    verts = mesh.vertices[mesh.triangles]
+    model = pw if problem == "poisson" else plw
+    load_fn = pw.local_load_poisson if problem == "poisson" else plw.local_load_plate
+    fields = np.random.default_rng(0).standard_normal((mesh.n_triangles, model.N_FIELD))
+
+    def point_work():
+        return load_fn(verts, exact.f), sc.compute_errors(mesh, cfg, fields, exact)
+
+    monkeypatch.setattr(fc, "POINT_CHUNK", 10 ** 9)
+    one_load, one_errs = point_work()
+    monkeypatch.setattr(fc, "POINT_CHUNK", 50 * 36)
+    load_points = fc.quad_triangle(model.LOAD_DEGREE).points
+    assert len(list(fc.point_chunks(verts, load_points))) == (4 if problem == "poisson" else 9)
+    load, errs = point_work()
+    assert np.abs(one_load).max() > 0 and min(one_errs) > 0
+    assert np.abs(load - one_load).max() <= 1e-14 * np.abs(one_load).max()
+    assert errs == pytest.approx(one_errs, rel=1e-14, abs=0.0)
+
+
+def _peak_above_entry(fn, *args):
+    """Peak traced memory of fn(*args) above what was allocated on entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_point_work_memory_grows_with_the_output_only(problem):
+    # levels of 8,192 and 32,768 triangles, several blocks of POINT_CHUNK
+    # points each: the peak above entry of the load and of the errors may
+    # grow by what grows with the mesh (the load array; the (nt, 3, 2) vertex
+    # array compute_errors gathers) plus one block of float64
+    cfg = sc.StudyConfig(problem=problem)
+    exact = sc.exact_bundle(cfg)
+    model = pw if problem == "poisson" else plw
+    load_fn = pw.local_load_poisson if problem == "poisson" else plw.local_load_plate
+    small = msh.make_rect_mesh(1.0, 1.0, 2)
+    for _ in range(5):
+        small = msh.refine_uniform(small)
+    large = msh.refine_uniform(small)
+    load_fn(small.vertices[small.triangles[:1]], exact.f)  # build the cached kernels
+    peaks = []
+    for mesh in (small, large):
+        verts = mesh.vertices[mesh.triangles]
+        fields = np.zeros((mesh.n_triangles, model.N_FIELD))
+        peaks.append((_peak_above_entry(load_fn, verts, exact.f),
+                      _peak_above_entry(sc.compute_errors, mesh, cfg, fields, exact)))
+    grown, block = large.n_triangles - small.n_triangles, 8 * fc.POINT_CHUNK
+    assert peaks[1][0] - peaks[0][0] <= grown * model.N_TEST * 8 + block
+    assert peaks[1][1] - peaks[0][1] <= grown * 3 * 2 * 8 + block
 
 
 def test_run_study_errors_decrease():
