@@ -57,14 +57,11 @@ def quad_triangle(degree: int) -> QuadRule:
     """
     if not 0 <= degree <= _MAX_QUAD_DEGREE:
         raise ValueError(f"unsupported triangle quadrature degree {degree}")
-    n = (degree + 3) // 2  # 2n-1 >= degree+1
-    xu, wu = _gauss01(n)
-    xv, wv = _gauss01(n)
-    u, v = np.meshgrid(xu, xv)
-    wu2, wv2 = np.meshgrid(wu, wv)
-    pts = np.column_stack([u.ravel(), (v * (1.0 - u)).ravel()])
-    w = (wu2 * wv2 * (1.0 - u)).ravel()
-    return QuadRule(pts, w)
+    x, w = _gauss01((degree + 3) // 2)  # n points: 2n-1 >= degree+1
+    u, v = np.meshgrid(x, x)
+    wu, wv = np.meshgrid(w, w)
+    return QuadRule(np.column_stack([u.ravel(), (v * (1.0 - u)).ravel()]),
+                    (wu * wv * (1.0 - u)).ravel())
 
 
 def _monomial_powers(p: int) -> np.ndarray:
@@ -95,11 +92,8 @@ def _eval_monomials(powers: np.ndarray, pts: np.ndarray, dx: int = 0, dy: int = 
         ca, a = ca * a, np.maximum(a - 1, 0)
     for _ in range(dy):
         cb, b = cb * b, np.maximum(b - 1, 0)
-    coef = ca * cb
-    dead = (powers[:, 0][None, :] < dx) | (powers[:, 1][None, :] < dy)
-    out = coef * x ** a * y ** b
-    out[np.broadcast_to(dead, out.shape)] = 0.0
-    return out
+    # a power below its derivative order has passed through the factor 0
+    return ca * cb * x ** a * y ** b
 
 
 @dataclass(frozen=True)
@@ -187,15 +181,10 @@ def affine_map_from_vertices(verts: np.ndarray) -> AffineMap:
     if det <= 0.0:
         raise ValueError(f"degenerate or inverted triangle, det = {det}")
     jac_inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-    tangents = np.empty((3, 2))
-    normals = np.empty((3, 2))
-    lengths = np.empty(3)
-    for k in range(3):
-        d = verts[(k + 1) % 3] - verts[k]
-        lengths[k] = np.hypot(*d)
-        t = d / lengths[k]
-        tangents[k] = t
-        normals[k] = (t[1], -t[0])  # outward for counterclockwise traversal
+    d = np.roll(verts, -1, axis=0) - verts  # local edge k, vertex k to vertex k+1
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    tangents = d / lengths[:, None]
+    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])  # outward, counterclockwise
     return AffineMap(verts, jac, det, jac_inv.T, normals, tangents, lengths)
 
 

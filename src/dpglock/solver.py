@@ -11,12 +11,12 @@ element by element (static condensation): the global system holds the traces
 alone, with matrix the sum of the trace Schur complements
 S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered from the solved traces
 afterwards.  B is built in the element's outward orientation, so congruent
-elements share G and B; factorizations run once per congruence class and the
-per-element work is matrix products over the class's elements.  The trace
-system is factored by the same dense elimination (eliminate) one level up
-(TreeFactor), by nested dissection along the refinement tree and then over
+elements share G and B; factorizations run once per congruence class and
+every per-element product is one matrix product per class (by_class).  The
+trace system is factored by the same dense elimination (eliminate) one level
+up (TreeFactor), by nested dissection along the refinement tree and then over
 the coarse mesh.  The full trace matrix is never summed for the solve: its
-products A x, for the refinement residuals, are one matrix product per class of Schur
+products A x, for the refinement residuals, go through the class Schur
 complements (GlobalSystem.apply), and the backward error that certifies the
 solve is scaled by a lower bound on |A|_2 from the same blocks (solve_spd).
 """
@@ -98,24 +98,25 @@ def condense_local(gram: np.ndarray, b: np.ndarray, n_field: int):
     return linv, c, factor[..., :n_field].swapaxes(-1, -2) @ factor, schur
 
 
+def by_class(cls: np.ndarray, x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Row t of the (nt, n) stack x times blocks[cls[t]], the (nc, n, m)
+    matrix of its class, by one matrix product per class."""
+    out = np.empty((len(cls), blocks.shape[-1]))
+    for k, block in enumerate(blocks):
+        sel = cls == k
+        out[sel] = x[sel] @ block
+    return out
+
+
 def condense_rhs(linv: np.ndarray, c: np.ndarray, op: np.ndarray,
                  cls: np.ndarray, sign: np.ndarray, load: np.ndarray):
     """Whitened loads z = L^-1 l, field parts S_ff^-1 r_f and signed trace
-    right sides sign (r_t - S_tf S_ff^-1 r_f) of all elements, r = C^T z,
-    by matrix products over each class's elements."""
+    right sides sign (r_t - S_tf S_ff^-1 r_f) of all elements, r = C^T z."""
     n_field = op.shape[1]
-    z = np.empty(load.shape)
-    field = np.empty((len(cls), n_field))
-    rhs = np.empty(sign.shape)
-    for k in range(len(c)):
-        sel = cls == k
-        zk = load[sel] @ linv[k].T
-        r = zk @ c[k]
-        g = r[:, :n_field] @ op[k]
-        z[sel] = zk
-        field[sel] = g[:, :n_field]
-        rhs[sel] = r[:, n_field:] - g[:, n_field:]
-    return z, field, rhs * sign
+    z = by_class(cls, load, linv.swapaxes(-1, -2))
+    r = by_class(cls, z, c)
+    g = by_class(cls, r[:, :n_field], op)
+    return z, g[:, :n_field], (r[:, n_field:] - g[:, n_field:]) * sign
 
 
 def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray, sign: np.ndarray,
@@ -161,10 +162,7 @@ class GlobalSystem:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x: gather, one product per class, sum."""
-        y = self.local(x)
-        for k, block in enumerate(self.blocks):
-            sel = self.cls == k
-            y[sel] = y[sel] @ block.T
+        y = by_class(self.cls, self.local(x), self.blocks.swapaxes(-1, -2))
         return scatter(self.dofs, self.sign * y, len(self.rhs))
 
     def diagonal(self) -> np.ndarray:
@@ -254,8 +252,9 @@ def backward_scale(gs: GlobalSystem, x: np.ndarray, ax: np.ndarray) -> float:
 
 
 class TreeFactor:
-    """Factor of a mesh's trace system by nested dissection along its
-    refinement tree, once per patch class.
+    """Factor of a mesh's trace system gs, the sum of its elements' blocks
+    (assemble_global), by nested dissection along the refinement tree, once
+    per patch class.
 
     On a mesh refined d times (Mesh.depth), the triangles r + m n with
     m < 4^h and n = nt / 4^h form the height-h patch under triangle r of the
@@ -266,7 +265,7 @@ class TreeFactor:
     by one checked Cholesky factor per height and class, which leaves the
     patch's Schur complement on its boundary.  The patches of a class share
     local numbering and matrices up to a +-1 per local trace, as elements
-    do in Condensed.sign.  No interior trace touches the domain boundary, so
+    do in gs.sign.  No interior trace touches the domain boundary, so
     constrained slots ride along to the coarse skeleton, the boundaries of
     the coarse mesh's triangles, bisected recursively at the median of their
     centroids along the wider axis: each block eliminates, as one more
@@ -276,13 +275,13 @@ class TreeFactor:
     ill-conditioned coarse block would raise the backward error 1000-fold.
     """
 
-    def __init__(self, mesh, dofmap, cond: Condensed):
+    def __init__(self, mesh, dofmap, gs: GlobalSystem):
         # ids are trace slots (DofMap.element_slots); dof numbers the free
         # slots, -1 the others
         nt = mesh.n_triangles
         self.dof = dofmap.slot_values(dofmap.vertex, dofmap.edge)
         ids = dofmap.element_slots(mesh)
-        sign, schur = cond.sign, dict(enumerate(cond.schur))
+        cls, sign, schur = gs.cls, gs.sign, dict(enumerate(gs.blocks))
         # per height and class: (interior slots, signs, boundary slots, signs)
         # of each patch and [L^-1 | L^-1 M_IB] for its interior block M_II = L L^T
         self.steps = []
@@ -302,12 +301,12 @@ class TreeFactor:
             ids, sign = cat[:, first[order]], cat_sign[:, first[order]]
             rel = cat_sign * sign[:, pos]
             step, schur_up = [], {}
-            for c in np.unique(cond.cls[:n]):
-                sel = np.flatnonzero(cond.cls[:n] == c)
+            for c in np.unique(cls[:n]):
+                sel = np.flatnonzero(cls[:n] == c)
                 m = np.zeros((len(u), len(u)))
                 for k in range(4):
                     p, r = pos[k * nb:(k + 1) * nb], rel[sel[0], k * nb:(k + 1) * nb]
-                    m[np.ix_(p, p)] += r[:, None] * schur[cond.cls[sel[0] + k * n]] * r
+                    m[np.ix_(p, p)] += r[:, None] * schur[cls[sel[0] + k * n]] * r
                 op, schur_up[c] = eliminate(m, ni, f"interior block of height {h}, class {c}")
                 step.append((ids[sel, :ni], sign[sel, :ni], ids[sel, ni:], sign[sel, ni:], op))
             self.steps.append(step)
@@ -321,7 +320,7 @@ class TreeFactor:
             if len(tris) == 1:
                 r, keep = tris[0], free[tris[0]]
                 parts = [(ids[r, keep],
-                          (sign[r, :, None] * schur[cond.cls[r]] * sign[r])[np.ix_(keep, keep)])]
+                          (sign[r, :, None] * schur[cls[r]] * sign[r])[np.ix_(keep, keep)])]
             else:
                 axis = np.ptp(centroid[tris], axis=0).argmax()
                 half = tris[np.argsort(centroid[tris, axis], kind="stable")]
@@ -372,15 +371,14 @@ def solve_condensed(mesh, dofmap, cond: Condensed):
     element from its traces, and the (nt, n_trace) traces of every element
     in its slots, signed (GlobalSystem.local)."""
     gs = assemble_global(dofmap.all_element_dofs(mesh), dofmap.n_trace, cond)
-    traces = solve_spd(gs, factor=lambda gs: TreeFactor(mesh, dofmap, cond))
+    traces = solve_spd(gs, factor=lambda gs: TreeFactor(mesh, dofmap, gs))
     local = gs.local(traces)
-    return cond.field - np.einsum("tfk,tk->tf", cond.lift[cond.cls], local), traces, local
+    return cond.field - by_class(cond.cls, local, cond.lift.swapaxes(-1, -2)), traces, local
 
 
 def gather_local(dofs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Local coefficient vector with constrained slots set to zero."""
-    out = np.where(dofs >= 0, x[np.maximum(dofs, 0)], 0.0)
-    return out
+    return np.where(dofs >= 0, x[np.maximum(dofs, 0)], 0.0)
 
 
 def scatter(dofs: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -393,10 +391,6 @@ def energy_residual(cond: Condensed, fields: np.ndarray, local: np.ndarray):
     """Per-element and global energy error: eta_T^2 = r^T G^-1 r with
     r = l - B x, x the element's fields and its signed traces local (as
     solve_condensed returns them), computed as |z - C x|^2."""
-    x = np.hstack([fields, local])
-    eta_sq = np.empty(len(cond.cls))
-    for k, c in enumerate(cond.c):
-        sel = cond.cls == k
-        r = cond.z[sel] - x[sel] @ c.T
-        eta_sq[sel] = np.einsum("ti,ti->t", r, r)
+    r = cond.z - by_class(cond.cls, np.hstack([fields, local]), cond.c.swapaxes(-1, -2))
+    eta_sq = np.einsum("ti,ti->t", r, r)
     return np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))

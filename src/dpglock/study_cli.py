@@ -15,6 +15,7 @@ Poisson, the bilaplacian for the plate.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -81,6 +82,23 @@ class StudyConfig:
                                   "it conflicts with --norm standard")
             if self.d_override <= 0:
                 raise ConfigError("scaling override must be positive")
+        # the finest mesh (make_rect_mesh's nx columns, 2 triangles a cell, 4 children each)
+        # must be indexable with normal float64 Jacobians, and (2 pi / side)^4 finite
+        nx = max(1.0, float(np.floor(self.ny0 * self.r1 / self.r2 + 0.5)))
+        room = np.iinfo(np.intp).bits - 1 - float(np.log2(2.0 * nx * self.ny0))
+        if self.levels - 1 >= room / 2:  # compared exactly, however large levels is
+            raise ConfigError("the finest mesh has more triangles than an array can hold")
+        det = self.r1 / nx * self.r2 / self.ny0 / 4.0 ** (self.levels - 1)
+        if not np.finfo(float).tiny <= det < np.inf:
+            raise ConfigError(f"the finest Jacobian determinant {det:.3g} is not a normal float64")
+        if min(self.r1, self.r2) < 2 * np.pi / np.finfo(float).max ** 0.25:
+            raise ConfigError("(2 pi / min side)^4, a factor of the plate load, overflows float64")
+        if self.out is not None:  # checked without creating or truncating the file
+            path = os.path.abspath(self.out)
+            folder = os.path.dirname(path)
+            if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(
+                    path if os.path.exists(path) else folder, os.W_OK)):
+                raise ConfigError(f"cannot write the CSV to {self.out!r}")
 
 
 def pick_d(cfg: StudyConfig) -> float:
@@ -285,14 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        cfg = StudyConfig(**vars(args))
-        cfg.validate()
+        cfg = StudyConfig(**vars(build_parser().parse_args(argv)))
+        rows = run_study(cfg)  # validates cfg before level 0
     except ConfigError as exc:
         print(f"dpg-lock: configuration error: {exc}", file=sys.stderr)
         return 1
-    try:
-        rows = run_study(cfg)
     except slv.SolverError as exc:
         print(f"dpg-lock: solver failure: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -444,20 +446,9 @@ def test_factorization_out_of_memory_is_a_solver_failure(monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-# the studies of the benchmark (perfbench/reference.json)
-BENCHMARK_STUDIES = [
-    "--problem poisson --r1 100 --r2 100 --norm scaled --levels 7",
-    "--problem plate --r1 10 --r2 10 --norm scaled --levels 6",
-    "--problem poisson --r1 1 --r2 1 --norm standard --levels 5",
-    "--problem poisson --r1 100 --r2 100 --norm standard --levels 5",
-    "--problem poisson --r1 100 --r2 100 --norm scaled --levels 5",
-    "--problem poisson --gamma 1 --r1 100 --r2 100 --norm standard --levels 5",
-    "--problem poisson --r1 10 --r2 1 --bc mixed --ny0 1 --norm standard --levels 5",
-    "--problem plate --r1 1 --r2 1 --norm scaled --levels 4",
-    "--problem plate --r1 10 --r2 10 --norm standard --levels 4",
-    "--problem plate --r1 10 --r2 10 --norm scaled --levels 4",
-    "--problem plate --r1 10 --r2 1 --bc mixed --norm scaled --levels 3",
-]
+# the studies of the benchmark, in the order of its reference rows
+BENCHMARK_STUDIES = list(json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()))
 
 
 def study_solves(argv, monkeypatch, tmp_path):
@@ -545,9 +536,18 @@ def test_trace_solve_matches_dense_solve(levels):
     # the tree factor and the refinement loop against a dense LAPACK solve
     # of the same assembled trace system
     mesh, dm, condensed, gs, _, _ = solved_poisson(levels)
-    x = slv.solve_spd(gs, factor=lambda _: slv.TreeFactor(mesh, dm, condensed))
+    x = slv.solve_spd(gs, factor=lambda gs: slv.TreeFactor(mesh, dm, gs))
     x_dense = np.linalg.solve(gs.matrix.toarray(), gs.rhs)
     assert np.abs(x - x_dense).max() < 1e-9 * np.abs(x_dense).max()
+
+
+def test_by_class_matches_a_product_per_row():
+    # three classes of 5, 1 and 3 rows, interleaved; one of them a single row
+    rng = np.random.default_rng(3)
+    cls = np.array([0, 2, 0, 1, 0, 2, 0, 0, 2])
+    x, blocks = rng.standard_normal((9, 4)), rng.standard_normal((3, 4, 6))
+    expected = np.array([x[t] @ blocks[cls[t]] for t in range(9)])
+    assert np.abs(slv.by_class(cls, x, blocks) - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_energy_residual_zero_for_zero_data():
@@ -757,7 +757,7 @@ def tree_level(cfg, depth):
     dm = (pw.dof_map_poisson if cfg.problem == "poisson" else plw.dof_map_plate)(mesh)
     cond = sc.condense_mesh(mesh, cfg, sc.pick_d(cfg), sc.exact_bundle(cfg).f)
     gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_trace, cond)
-    return mesh, dm, cond, gs, slv.TreeFactor(mesh, dm, cond)
+    return mesh, dm, cond, gs, slv.TreeFactor(mesh, dm, gs)
 
 
 def test_coarse_dissection_keeps_its_fronts_small():
@@ -881,15 +881,17 @@ def negated_middle_child(cond):
 @pytest.mark.parametrize("case", TREE_CASES)
 def test_tree_rejects_an_indefinite_interior_block(case):
     mesh, dm, cond, *_ = tree_level(TREE_CASES[case], 1)
+    gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_trace, negated_middle_child(cond))
     with pytest.raises(slv.NotSPDError, match=f"height 1, class {cond.cls[0]}"):
-        slv.TreeFactor(mesh, dm, negated_middle_child(cond))
+        slv.TreeFactor(mesh, dm, gs)
 
 
 @pytest.mark.parametrize("case", TREE_CASES)
 def test_tree_rejects_an_indefinite_coarse_block(case):
     mesh, dm, cond, *_ = tree_level(TREE_CASES[case], 0)
+    gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_trace, negated(cond, 0))
     with pytest.raises(slv.NotSPDError, match=r"coarse block of \d+ triangles at \("):
-        slv.TreeFactor(mesh, dm, negated(cond, 0))
+        slv.TreeFactor(mesh, dm, gs)
 
 
 def test_cli_exits_two_on_an_indefinite_coarse_block(monkeypatch, capsys):

@@ -344,6 +344,12 @@ def test_cli_stdout(capsys):
     ["--problem", "poisson", "--gamma", "nan"],
     ["--problem", "poisson", "--norm", "scaled", "--d", "nan"],
     [],
+    # checked before level 0, so no level is solved for a CSV that cannot be written
+    ["--problem", "poisson", "--levels", "2", "--out", "/nonexistent/dir/x.csv"],
+    # finite sides whose mesh, manufactured solution or Jacobians float64 cannot hold
+    ["--problem", "poisson", "--r1", "1e200"],
+    ["--problem", "poisson", "--r1", "1e-160", "--r2", "1e-160"],
+    ["--problem", "poisson", "--r1", "1e-300", "--r2", "1e-300"],
 ])
 def test_cli_configuration_errors_exit_one(argv, capsys):
     assert sc.main(argv) == 1
