@@ -98,21 +98,15 @@ def _eval_monomials(powers: np.ndarray, pts: np.ndarray, dx: int = 0, dy: int = 
 
 @dataclass(frozen=True)
 class ReferenceBasis:
-    """Orthonormal polynomial basis of P^degree on the reference triangle with
-    value/gradient/Hessian tables at the points it was built for."""
+    """Orthonormal polynomial basis of P^p on the reference triangle with
+    value/gradient/Hessian tables at the points basis_p was given."""
 
-    degree: int
     dim: int
-    points: np.ndarray
     values: np.ndarray    # (npts, dim)
     gradients: np.ndarray  # (npts, dim, 2)
     hessians: np.ndarray   # (npts, dim, 2, 2)
     coeffs: np.ndarray     # (dim, dim) rows over monomials, for re-expansion
     powers: np.ndarray
-
-    def tabulate(self, pts: np.ndarray) -> "ReferenceBasis":
-        """Same basis, tables at different points."""
-        return _tabulate(self.degree, self.coeffs, self.powers, np.asarray(pts, float))
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +120,12 @@ def _orthonormal_coeffs(p: int):
     return c, powers
 
 
-def _tabulate(p: int, coeffs: np.ndarray, powers: np.ndarray, pts: np.ndarray) -> ReferenceBasis:
+def basis_p(p: int, points) -> ReferenceBasis:
+    """Orthonormal basis of P^p tabulated at the given reference points."""
+    if not 0 <= p <= 4:
+        raise ValueError(f"unsupported basis degree {p}")
+    coeffs, powers = _orthonormal_coeffs(p)
+    pts = np.asarray(points, float)
     values = _eval_monomials(powers, pts) @ coeffs.T
     grads = np.stack([_eval_monomials(powers, pts, 1, 0) @ coeffs.T,
                       _eval_monomials(powers, pts, 0, 1) @ coeffs.T], axis=2)
@@ -135,15 +134,7 @@ def _tabulate(p: int, coeffs: np.ndarray, powers: np.ndarray, pts: np.ndarray) -
     hyy = _eval_monomials(powers, pts, 0, 2) @ coeffs.T
     hess = np.stack([np.stack([hxx, hxy], axis=2),
                      np.stack([hxy, hyy], axis=2)], axis=2)
-    return ReferenceBasis(p, len(powers), pts, values, grads, hess, coeffs, powers)
-
-
-def basis_p(p: int, points) -> ReferenceBasis:
-    """Orthonormal basis of P^p tabulated at the given reference points."""
-    if not 0 <= p <= 4:
-        raise ValueError(f"unsupported basis degree {p}")
-    coeffs, powers = _orthonormal_coeffs(p)
-    return _tabulate(p, coeffs, powers, np.asarray(points, float))
+    return ReferenceBasis(len(powers), values, grads, hess, coeffs, powers)
 
 
 @dataclass(frozen=True)
@@ -221,3 +212,16 @@ def edge_ref_points(k: int, s: np.ndarray) -> np.ndarray:
     a = REF_VERTICES[k]
     b = REF_VERTICES[(k + 1) % 3]
     return a + np.outer(s, b - a)
+
+
+def load_vectors(verts: np.ndarray, f, rule: QuadRule, values: np.ndarray,
+                 n_cols: int) -> np.ndarray:
+    """(nt, n_cols) load vectors of the triangles with (nt, 3, 2) vertex array
+    verts: (f, phi_i)_T in the leading columns, for the basis tabulated as
+    values (nq, n) at rule.points, and zeros after them.  f is evaluated per
+    block of point_chunks."""
+    load = np.zeros((len(verts), n_cols))
+    for sl, det, pts in point_chunks(verts, rule.points):
+        fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
+        load[sl, :values.shape[1]] = (fv * rule.weights * det[:, None]) @ values
+    return load

@@ -93,12 +93,16 @@ def _kernels():
     v3 = fc.basis_p(3, vol.points)
     q4 = fc.basis_p(4, vol.points)
     load_rule = fc.quad_triangle(LOAD_DEGREE)
-    v3_load = v3.tabulate(load_rule.points)
+    v3_load = fc.basis_p(3, load_rule.points).values
     edge = fc.quad_edge(EDGE_DEGREE)
-    edge_v3 = [v3.tabulate(fc.edge_ref_points(k, edge.points)) for k in range(3)]
-    edge_q4 = [q4.tabulate(fc.edge_ref_points(k, edge.points)) for k in range(3)]
-    v3_at_vertices = v3.tabulate(fc.REF_VERTICES).values
-    hermite = _hermite(edge.points)
+    edge_v3 = [fc.basis_p(3, fc.edge_ref_points(k, edge.points)) for k in range(3)]
+    edge_q4 = [fc.basis_p(4, fc.edge_ref_points(k, edge.points)) for k in range(3)]
+    v3_at_vertices = fc.basis_p(3, fc.REF_VERTICES).values
+    herm, dherm = _hermite(edge.points)
+    lin = np.stack([1.0 - edge.points, edge.points], axis=1)
+    # (nq, 2, 1) per endpoint role (start, end): the value and slope shape
+    # functions, their s-derivatives and the linear normal-derivative profile
+    hermite = [x[..., None] for x in (herm[:, ::2], herm[:, 1::2], dherm[:, ::2], dherm[:, 1::2], lin)]
     return vol, v3, q4, load_rule, v3_load, edge, edge_v3, edge_q4, v3_at_vertices, hermite
 
 
@@ -109,25 +113,29 @@ def _hess_components(amap, hessians):
 
 
 def local_gram_plate(amap: fc.AffineMap, d: float) -> np.ndarray:
-    """Scaled test inner product on the 55 broken test functions of one element."""
+    """Scaled test inner product on the 55 broken test functions of one element:
+    G = A^T A, one block row of A per norm term at the volume quadrature points,
+    tensor components weighted by the square roots of COMPONENT_WEIGHT."""
     if d <= 0:
         raise ValueError(f"scaling length must be positive, got {d}")
     vol, v3, q4, *_ = _kernels()
-    wdet = vol.weights * amap.det
-
-    h3 = _hess_components(amap, v3.hessians)
-    mass3 = np.einsum("q,qi,qj->ij", wdet, v3.values, v3.values)
-    khess = np.einsum("q,qic,qjc,c->ij", wdet, h3, h3, np.array(COMPONENT_WEIGHT))
-
-    h4 = _hess_components(amap, q4.hessians)
-    mass4 = np.einsum("q,qi,qj->ij", wdet, q4.values, q4.values)
-    ddiv = np.concatenate([h4[:, :, 0], 2.0 * h4[:, :, 1], h4[:, :, 2]], axis=1)
-    kdd = np.einsum("q,qi,qj->ij", wdet, ddiv, ddiv)
-
-    g = np.zeros((N_TEST, N_TEST))
-    g[:TEST_V, :TEST_V] = mass3 / d ** 4 + khess
-    g[TEST_V:, TEST_V:] = np.kron(np.diag(COMPONENT_WEIGHT), mass4) + d ** 4 * kdd
-    return 0.5 * (g + g.T)
+    root = np.sqrt(vol.weights * amap.det)[:, None]
+    cw = np.sqrt(COMPONENT_WEIGHT)
+    v = root * v3.values
+    h3 = root[..., None] * cw * _hess_components(amap, v3.hessians)
+    q = root * q4.values
+    h4 = root[..., None] * _hess_components(amap, q4.hessians)
+    zv, zq = np.zeros_like(v), np.zeros_like(q)
+    # columns (v, Q11, Q12, Q22); rows d^-2 v, hess v, Q and d^2 div div Q
+    a = np.block([[v / d ** 2, zq, zq, zq],
+                  [h3[..., 0], zq, zq, zq],
+                  [h3[..., 1], zq, zq, zq],
+                  [h3[..., 2], zq, zq, zq],
+                  [zv, cw[0] * q, zq, zq],
+                  [zv, zq, cw[1] * q, zq],
+                  [zv, zq, zq, cw[2] * q],
+                  [zv, d ** 2 * h4[..., 0], 2.0 * d ** 2 * h4[..., 1], d ** 2 * h4[..., 2]]])
+    return a.T @ a
 
 
 def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
@@ -137,60 +145,47 @@ def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
     compliance tensor.  Skeleton part: -<w-trace, Q> and +<m-trace, v> as
     described in the module docstring.
     """
-    vol, v3, q4, _, _, edge, edge_v3, edge_q4, v3_verts, (herm, dherm) = _kernels()
+    vol, v3, q4, _, _, edge, edge_v3, edge_q4, v3_verts, hermite = _kernels()
+    val, slope, dval, dslope, lin = hermite
     wdet = vol.weights * amap.det
     h3 = _hess_components(amap, v3.hessians)
     h4 = _hess_components(amap, q4.hessians)
     ddiv = np.concatenate([h4[:, :, 0], 2.0 * h4[:, :, 1], h4[:, :, 2]], axis=1)
-    int_q4 = wdet @ q4.values
 
     b = np.zeros((N_TEST, N_TRIAL))
     b[TEST_V:, 0] = wdet @ ddiv
-    for c in range(3):
-        b[:TEST_V, 1 + c] = COMPONENT_WEIGHT[c] * np.einsum("q,qi->i", wdet, h3[:, :, c])
-        rows = slice(TEST_V + 15 * c, TEST_V + 15 * (c + 1))
-        b[rows, 1 + c] = COMPONENT_WEIGHT[c] * int_q4
+    b[:TEST_V, 1:4] = np.einsum("q,qic->ic", wdet, h3) * COMPONENT_WEIGHT
+    b[TEST_V:, 1:4] = np.kron(np.diag(COMPONENT_WEIGHT), (wdet @ q4.values)[:, None])
 
     for k in range(3):
         length = amap.edge_lengths[k]
         w = edge.weights * length
         n = amap.edge_normals[k]
         tg = amap.edge_tangents[k]
-        vv = edge_v3[k].values
-        vg = amap.push_gradients(edge_v3[k].gradients)
         qv = edge_q4[k].values
         qg = amap.push_gradients(edge_q4[k].gradients)
 
-        # n . div Q, n.Qn, t.Qn stacked over the 45 tensor test functions
+        # weighted n . div Q, n.Qn and t.Qn of the 45 tensor test functions,
+        # stacked over the edge points: (3 nq, 45)
         ndivq = np.concatenate([n[0] * qg[:, :, 0],
                                 n[0] * qg[:, :, 1] + n[1] * qg[:, :, 0],
                                 n[1] * qg[:, :, 1]], axis=1)
-        nqn_c = np.array([n[0] * n[0], 2 * n[0] * n[1], n[1] * n[1]])
-        tqn_c = np.array([tg[0] * n[0], tg[0] * n[1] + tg[1] * n[0], tg[1] * n[1]])
-        nqn = np.concatenate([nqn_c[c] * qv for c in range(3)], axis=1)
-        tqn = np.concatenate([tqn_c[c] * qv for c in range(3)], axis=1)
+        coef = np.array([[n[0] * n[0], 2 * n[0] * n[1], n[1] * n[1]],
+                         [tg[0] * n[0], tg[0] * n[1] + tg[1] * n[0], tg[1] * n[1]]])
+        qn = (coef[:, None, :, None] * qv[:, None, :]).reshape(2 * len(w), 45)
+        traces = np.tile(w, 3)[:, None] * np.concatenate([ndivq, qn])
+        # (-trace, d/dn trace, d/dt trace) at the edge points of unit data
+        # (w, w_x, w_y) at the endpoints (start, end) = vertices k, k+1: (3 nq, 6);
+        # the slope data act through t . grad w, the normal derivative through n . grad w
+        dw, dt, dn = np.eye(3)[0], np.r_[0.0, tg], np.r_[0.0, n]
+        profiles = np.concatenate([-(val * dw + length * slope * dt), lin * dn,
+                                   dval / length * dw + dslope * dt]).reshape(-1, 6)
+        ends = 4 + 3 * np.array([k, (k + 1) % 3])[:, None] + np.arange(3)
+        b[TEST_V:, ends.ravel()] += traces.T @ profiles
 
-        # deflection trace columns: endpoint roles (start, end) = vertices k, k+1
-        for role, vloc in ((0, k), (1, (k + 1) % 3)):
-            hval = herm[:, 2 * role]       # value shape function
-            hslope = herm[:, 2 * role + 1]  # tangential-slope shape function
-            dval = dherm[:, 2 * role]
-            dslope = dherm[:, 2 * role + 1]
-            lin = edge.points if role else 1.0 - edge.points
-            # (trace, d/dt trace, d/dn trace) for unit data (w, g) at this endpoint
-            profiles = (
-                (hval, dval / length, np.zeros_like(lin)),
-                (length * tg[0] * hslope, tg[0] * dslope, lin * n[0]),
-                (length * tg[1] * hslope, tg[1] * dslope, lin * n[1]),
-            )
-            for comp, (tr, dt_tr, dn_tr) in enumerate(profiles):
-                col = 4 + 3 * vloc + comp
-                b[TEST_V:, col] -= np.einsum("q,qi->i", w * tr, ndivq)
-                b[TEST_V:, col] += np.einsum("q,qi->i", w * dn_tr, nqn)
-                b[TEST_V:, col] += np.einsum("q,qi->i", w * dt_tr, tqn)
-
-        b[:TEST_V, 13 + 3 * k] -= np.einsum("q,qi->i", w, vg @ n)
-        b[:TEST_V, 14 + 3 * k] += w @ vv
+        vg = amap.push_gradients(edge_v3[k].gradients)
+        b[:TEST_V, 13 + 3 * k] = -(w @ (vg @ n))
+        b[:TEST_V, 14 + 3 * k] = w @ edge_v3[k].values
         b[:TEST_V, 15 + 3 * k] = v3_verts[k] - v3_verts[(k + 1) % 3]
     return b
 
@@ -200,11 +195,7 @@ def local_load_plate(verts: np.ndarray, f) -> np.ndarray:
     array verts, shape (nt, 55); the tensor block is zero.  f is evaluated per
     block of fem_core.point_chunks."""
     _, _, _, load_rule, v3_load, *_ = _kernels()
-    load = np.zeros((len(verts), N_TEST))
-    for sl, det, pts in fc.point_chunks(verts, load_rule.points):
-        fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
-        load[sl, :TEST_V] = -(fv * load_rule.weights * det[:, None]) @ v3_load.values
-    return load
+    return fc.load_vectors(verts, f, load_rule, -v3_load, N_TEST)
 
 
 class PlateDofMap(msh.DofMap):

@@ -39,29 +39,31 @@ def _kernels():
     vol = fc.quad_triangle(VOLUME_DEGREE)
     test = fc.basis_p(2, vol.points)
     load_rule = fc.quad_triangle(LOAD_DEGREE)
-    test_load = test.tabulate(load_rule.points)
+    test_load = fc.basis_p(2, load_rule.points).values
     edge = fc.quad_edge(EDGE_DEGREE)
-    edge_vals = [test.tabulate(fc.edge_ref_points(k, edge.points)).values
-                 for k in range(3)]
-    return vol, test, load_rule, test_load, edge, edge_vals
+    edge_vals = [fc.basis_p(2, fc.edge_ref_points(k, edge.points)).values for k in range(3)]
+    hats = np.stack([1.0 - edge.points, edge.points], axis=1)  # start/end vertex
+    return vol, test, load_rule, test_load, edge, edge_vals, hats
 
 
 def local_gram_poisson(amap: fc.AffineMap, d: float) -> np.ndarray:
-    """Scaled test inner product on the 18 broken test functions of one element."""
+    """Scaled test inner product on the 18 broken test functions of one element:
+    G = A^T A, one block row of A per norm term at the volume quadrature points."""
     if d <= 0:
         raise ValueError(f"scaling length must be positive, got {d}")
     vol, test, *_ = _kernels()
-    wdet = vol.weights * amap.det
-    gphys = amap.push_gradients(test.gradients)
-    mass = np.einsum("q,qi,qj->ij", wdet, test.values, test.values)
-    stiff = np.einsum("q,qid,qjd->ij", wdet, gphys, gphys)
-    div = np.concatenate([gphys[:, :, 0], gphys[:, :, 1]], axis=1)
-    kdiv = np.einsum("q,qi,qj->ij", wdet, div, div)
-
-    g = np.zeros((N_TEST, N_TEST))
-    g[:TEST_V, :TEST_V] = mass / d ** 2 + stiff
-    g[TEST_V:, TEST_V:] = np.kron(np.eye(2), mass) + d ** 2 * kdiv
-    return 0.5 * (g + g.T)
+    root = np.sqrt(vol.weights * amap.det)[:, None]
+    v = root * test.values
+    gx, gy = np.moveaxis(root[..., None] * amap.push_gradients(test.gradients), -1, 0)
+    z = np.zeros_like(v)
+    # columns (v, tau_x, tau_y); rows d^-1 v, grad v, tau, d div tau
+    a = np.block([[v / d, z, z],
+                  [gx, z, z],
+                  [gy, z, z],
+                  [z, v, z],
+                  [z, z, v],
+                  [z, d * gx, d * gy]])
+    return a.T @ a
 
 
 def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
@@ -73,7 +75,7 @@ def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
     """
     if gamma < 0:
         raise ValueError(f"reaction coefficient must be nonnegative, got {gamma}")
-    vol, test, _, _, edge, edge_vals = _kernels()
+    vol, test, _, _, edge, edge_vals, hats = _kernels()
     wdet = vol.weights * amap.det
     gphys = amap.push_gradients(test.gradients)
     int_v = wdet @ test.values
@@ -88,15 +90,13 @@ def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
     b[:6, 2] = int_grad[:, 1]
     b[12:18, 2] = int_v
 
-    hats = np.stack([1.0 - edge.points, edge.points], axis=1)  # start/end vertex
     for k in range(3):
         w = edge.weights * amap.edge_lengths[k]
         nx, ny = amap.edge_normals[k]
         vals = edge_vals[k]
-        for hat, vloc in zip(hats.T, (k, (k + 1) % 3)):
-            flux = np.einsum("q,q,qi->i", w, hat, vals)
-            b[6:12, 3 + vloc] -= nx * flux
-            b[12:18, 3 + vloc] -= ny * flux
+        # weighted tau . n of the 12 tau against the hats of the edge's endpoints
+        tau_n = w[:, None] * np.concatenate([nx * vals, ny * vals], axis=1)
+        b[6:, [3 + k, 3 + (k + 1) % 3]] -= tau_n.T @ hats
         b[:6, 6 + k] = -(w @ vals)
     return b
 
@@ -106,11 +106,7 @@ def local_load_poisson(verts: np.ndarray, f) -> np.ndarray:
     array verts, shape (nt, 18); the tau block is zero.  f is evaluated per
     block of fem_core.point_chunks."""
     _, _, load_rule, test_load, *_ = _kernels()
-    load = np.zeros((len(verts), N_TEST))
-    for sl, det, pts in fc.point_chunks(verts, load_rule.points):
-        fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
-        load[sl, :TEST_V] = (fv * load_rule.weights * det[:, None]) @ test_load.values
-    return load
+    return fc.load_vectors(verts, f, load_rule, test_load, N_TEST)
 
 
 class PoissonDofMap(msh.DofMap):

@@ -82,6 +82,12 @@ class StudyConfig:
                                   "it conflicts with --norm standard")
             if self.d_override <= 0:
                 raise ConfigError("scaling override must be positive")
+        # the test norm weighs its terms by d^-p and d^p; both are normal float64
+        # values exactly when p |log2 d| <= 1022 (the least normal is 2^-1022)
+        p, d = (2 if self.problem == POISSON else 4), pick_d(self)
+        if p * abs(np.log2(d)) > -np.finfo(float).minexp:
+            raise ConfigError(f"scaling length d = {d:.3g}: d^{p} or d^-{p} of the "
+                              f"{self.problem} test norm is not a normal float64")
         # the finest mesh (make_rect_mesh's nx columns, 2 triangles a cell, 4 children each)
         # must be indexable with normal float64 Jacobians, and (2 pi / side)^4 finite
         nx = max(1.0, float(np.floor(self.ny0 * self.r1 / self.r2 + 0.5)))

@@ -5,8 +5,8 @@ from scipy.linalg import cholesky
 from dpglock import fem_core as fc
 from dpglock import mesh as msh
 from dpglock import plate_uw as plw
-from helpers import (dense_edge_rule, dense_triangle_rule, expand_in_basis, physical,
-                     plate_consistency_residual, plate_gram_oracle)
+from helpers import (ScalarTables, dense_edge_rule, dense_triangle_rule, expand_in_basis,
+                     physical, plate_consistency_residual, plate_gram_oracle)
 
 GENERAL_TRI = np.array([[0.1, -0.2], [1.1, 0.3], [0.3, 0.9]])
 
@@ -175,6 +175,38 @@ def test_b_uhat_value_column_against_constant_tensor():
             t, n = amap.edge_tangents[e], amap.edge_normals[e]
             expected += (t[0] * n[0]) * integral
         assert np.isclose(ones @ b[10:25, 4 + 3 * vloc], expected, rtol=1e-11)
+
+
+def test_b_deflection_columns_against_quadratic_oracle():
+    # for a quadratic w the Hermite value trace and the linear normal-derivative
+    # trace are exact, so the 9 vertex columns times w's vertex data (w, w_x,
+    # w_y) are -sum_e int_e [w n.div Q - (n.Qn) dw/dn - (t.Qn) dw/dt] ds
+    amap = general_map()
+    c = np.random.default_rng(11).standard_normal(6)
+
+    def w_grad(x, y):
+        w = c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+        return w, np.stack([c[1] + 2 * c[3] * x + c[4] * y, c[2] + c[4] * x + 2 * c[5] * y], -1)
+
+    w, g = w_grad(GENERAL_TRI[:, 0], GENERAL_TRI[:, 1])
+    got = plw.local_b_plate(amap)[10:, 4:13] @ np.column_stack([w, g]).ravel()
+
+    s, ws = dense_edge_rule()
+    expected = np.zeros(45)
+    for k in range(3):
+        ref = fc.edge_ref_points(k, s)
+        pts = physical(amap, ref)
+        n, t = amap.edge_normals[k], amap.edge_tangents[k]
+        q = ScalarTables(4, amap, ref)
+        ndivq = np.hstack([n[0] * q.dx, n[0] * q.dy + n[1] * q.dx, n[1] * q.dy])
+        nqn = np.hstack([n[0] * n[0] * q.values, 2 * n[0] * n[1] * q.values,
+                         n[1] * n[1] * q.values])
+        tqn = np.hstack([t[0] * n[0] * q.values, (t[0] * n[1] + t[1] * n[0]) * q.values,
+                         t[1] * n[1] * q.values])
+        we, ge = w_grad(pts[:, 0], pts[:, 1])
+        integrand = we[:, None] * ndivq - (ge @ n)[:, None] * nqn - (ge @ t)[:, None] * tqn
+        expected -= amap.edge_lengths[k] * (ws @ integrand)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 def test_interelement_trace_pairing_cancels():

@@ -6,7 +6,8 @@ from scipy.linalg import cholesky
 from dpglock import fem_core as fc
 from dpglock import mesh as msh
 from dpglock import poisson_uw as pw
-from helpers import expand_in_basis, poisson_consistency_residual, poisson_gram_oracle
+from helpers import (ScalarTables, dense_edge_rule, expand_in_basis, physical,
+                     poisson_consistency_residual, poisson_gram_oracle)
 
 GENERAL_TRI = np.array([[0.1, -0.2], [1.1, 0.3], [0.3, 0.9]])
 
@@ -116,6 +117,28 @@ def test_b_sighat_column_is_signed_edge_length():
 def test_b_uhat_columns_zero_for_v_rows():
     b = pw.local_b_poisson(general_map(), 1.0)
     assert np.allclose(b[:6, 3:6], 0.0)
+
+
+def test_b_uhat_columns_against_linear_oracle():
+    # the hat traces reproduce a linear u, so the 3 vertex columns times u's
+    # vertex values are -int_dT u (tau . n) ds for all 12 tau
+    amap = general_map()
+    c = np.random.default_rng(7).standard_normal(3)
+
+    def u(x, y):
+        return c[0] + c[1] * x + c[2] * y
+
+    got = pw.local_b_poisson(amap, 0.0)[6:, 3:6] @ u(GENERAL_TRI[:, 0], GENERAL_TRI[:, 1])
+    s, ws = dense_edge_rule()
+    expected = np.zeros(12)
+    for k in range(3):
+        ref = fc.edge_ref_points(k, s)
+        pts = physical(amap, ref)
+        n = amap.edge_normals[k]
+        vals = ScalarTables(2, amap, ref).values
+        tau_n = np.hstack([n[0] * vals, n[1] * vals])
+        expected -= amap.edge_lengths[k] * (ws @ (u(pts[:, 0], pts[:, 1])[:, None] * tau_n))
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0])

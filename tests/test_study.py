@@ -350,10 +350,19 @@ def test_cli_stdout(capsys):
     ["--problem", "poisson", "--r1", "1e200"],
     ["--problem", "poisson", "--r1", "1e-160", "--r2", "1e-160"],
     ["--problem", "poisson", "--r1", "1e-300", "--r2", "1e-300"],
+    # scaling lengths whose test-norm powers d^-p, d^p (p = 2, 4) float64 cannot hold,
+    # given or picked from the sides
+    ["--problem", "plate", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e150"],
+    ["--problem", "poisson", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e200"],
+    ["--problem", "plate", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e-300"],
+    ["--problem", "poisson", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e-160"],
+    ["--problem", "plate", "--r1", "1e80", "--r2", "1e80", "--norm", "scaled", "--levels", "1",
+     "--ny0", "1"],
 ])
 def test_cli_configuration_errors_exit_one(argv, capsys):
     assert sc.main(argv) == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("dpg-lock: configuration error: ") and err.count("\n") == 1
 
 
 def test_cli_solver_failure_exits_two(monkeypatch, capsys):
