@@ -8,8 +8,9 @@ Runs each study of perfbench/reference.json in-process (the file is only
 read) and prints {study: rows} as JSON, rows as (dofDPG, errU, errSigma,
 err) per level.  With --against FILE it prints instead, per study, whether
 dofDPG is identical to FILE's rows and the largest relative deviation of
-errU, errSigma and err from them.  FILE holds this script's output or has
-the layout of perfbench/reference.json ({study: {"rows": rows, ...}}).
+errU, errSigma and err from them, and exits 1 unless every study's rows are
+identical to FILE's.  FILE holds this script's output or has the layout of
+perfbench/reference.json ({study: {"rows": rows, ...}}).
 That file counts one unknown more on clamped plates than the studies do
 (pinning the twisting-moment kernel came after it was recorded, and the
 benchmark allows the difference), so against it their dofDPG reads false;
@@ -66,7 +67,9 @@ def main(argv=None) -> int:
         rows = compare(rows, json.loads(args.against.read_text()))
     json.dump(rows, sys.stdout, indent=1)
     print()
-    return 0
+    return int(args.against is not None and not all(
+        out["dofDPG_identical"] and all(out[name] == 0.0 for name in ERRORS)
+        for out in rows.values()))
 
 
 if __name__ == "__main__":

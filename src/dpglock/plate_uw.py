@@ -57,6 +57,7 @@ import numpy as np
 from . import fem_core as fc
 from . import mesh as msh
 
+ORDER = 2           # (-lap)^ORDER u = f with the moment M = -hess u
 TEST_V = 10
 N_TEST = 55
 N_TRIAL = 22

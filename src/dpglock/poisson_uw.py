@@ -21,7 +21,7 @@ import numpy as np
 from . import fem_core as fc
 from . import mesh as msh
 
-TEST_V = 6
+ORDER = 1           # gamma u + (-lap)^ORDER u = f with the flux sigma = grad u
 N_TEST = 18
 N_TRIAL = 9
 N_FIELD = 3         # u, sigma_x, sigma_y lead the trial columns

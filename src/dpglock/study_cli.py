@@ -4,12 +4,13 @@ A study solves one configuration (problem, domain, boundary layout, test-norm
 scaling) on a sequence of uniformly refined meshes and reports per level the
 free unknown count, the L2 field errors, and the energy residual, as CSV.
 
+Each problem is the ultraweak form of gamma u + (-lap)^k u = f with the flux
+(-1)^(k+1) grad^k u and a test norm weighted by d^-2k and d^2k, where k is
+the ORDER of its model module; MODELS holds the module and its kernels.
 Manufactured solutions: on (0,R1)x(0,R2) every exact solution is a product
-u = X(x) Y(y) of powers of sines, X = sin(pi x/R1)^p and Y = sin(pi y/R2)^p
-with p = 1 for Poisson and p = 2 for the plate, except Y = 1 on the mixed
-layout (essential conditions only on x = 0 and x = R1, natural ones
-elsewhere).  The load is the model operator applied to u: gamma u - lap u for
-Poisson, the bilaplacian for the plate.
+u = X(x) Y(y) of powers of sines, X = sin(pi x/R1)^k and Y = sin(pi y/R2)^k,
+except Y = 1 on the mixed layout (essential conditions only on x = 0 and
+x = R1, natural ones elsewhere).  The load is the model operator applied to u.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,6 +44,22 @@ class ConfigError(ValueError):
     """Invalid study configuration."""
 
 
+# Per problem: the element module (ORDER, N_FIELD, N_TRIAL, SIGNED_TRACE) and its kernels
+# gram(amap, d), b(amap, gamma), load(verts, f) and dof_map(mesh).  The kernels name the
+# module functions when called, so that a wrapper installed on the module later runs.
+Model = namedtuple("Model", "module gram b load dof_map")
+MODELS = {
+    POISSON: Model(pw, lambda amap, d: pw.local_gram_poisson(amap, d),
+                   lambda amap, gamma: pw.local_b_poisson(amap, gamma),
+                   lambda verts, f: pw.local_load_poisson(verts, f),
+                   lambda mesh: pw.dof_map_poisson(mesh)),
+    PLATE: Model(plw, lambda amap, d: plw.local_gram_plate(amap, d),
+                 lambda amap, gamma: plw.local_b_plate(amap),
+                 lambda verts, f: plw.local_load_plate(verts, f),
+                 lambda mesh: plw.dof_map_plate(mesh)),
+}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     problem: str
@@ -55,7 +74,7 @@ class StudyConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
-        if self.problem not in (POISSON, PLATE):
+        if self.problem not in MODELS:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.bc not in (msh.ALL_DIRICHLET, msh.LEFT_RIGHT_DIRICHLET):
             raise ConfigError(f"unknown boundary layout {self.bc!r}")
@@ -82,14 +101,14 @@ class StudyConfig:
                                   "it conflicts with --norm standard")
             if self.d_override <= 0:
                 raise ConfigError("scaling override must be positive")
-        # the test norm weighs its terms by d^-p and d^p; both are normal float64
-        # values exactly when p |log2 d| <= 1022 (the least normal is 2^-1022)
-        p, d = (2 if self.problem == POISSON else 4), pick_d(self)
-        if p * abs(np.log2(d)) > -np.finfo(float).minexp:
-            raise ConfigError(f"scaling length d = {d:.3g}: d^{p} or d^-{p} of the "
+        # the test norm weighs its terms by d^-2k and d^2k; both are normal float64
+        # values exactly when 2k |log2 d| <= 1022 (the least normal is 2^-1022)
+        k, d = MODELS[self.problem].module.ORDER, pick_d(self)
+        if 2 * k * abs(np.log2(d)) > -np.finfo(float).minexp:
+            raise ConfigError(f"scaling length d = {d:.3g}: d^{2 * k} or d^-{2 * k} of the "
                               f"{self.problem} test norm is not a normal float64")
         # the finest mesh (make_rect_mesh's nx columns, 2 triangles a cell, 4 children each)
-        # must be indexable with normal float64 Jacobians, and (2 pi / side)^4 finite
+        # must be indexable with normal float64 Jacobians, and the load's (k pi / side)^2k finite
         nx = max(1.0, float(np.floor(self.ny0 * self.r1 / self.r2 + 0.5)))
         room = np.iinfo(np.intp).bits - 1 - float(np.log2(2.0 * nx * self.ny0))
         if self.levels - 1 >= room / 2:  # compared exactly, however large levels is
@@ -97,8 +116,9 @@ class StudyConfig:
         det = self.r1 / nx * self.r2 / self.ny0 / 4.0 ** (self.levels - 1)
         if not np.finfo(float).tiny <= det < np.inf:
             raise ConfigError(f"the finest Jacobian determinant {det:.3g} is not a normal float64")
-        if min(self.r1, self.r2) < 2 * np.pi / np.finfo(float).max ** 0.25:
-            raise ConfigError("(2 pi / min side)^4, a factor of the plate load, overflows float64")
+        if min(self.r1, self.r2) < k * np.pi / np.finfo(float).max ** (1 / (2 * k)):
+            raise ConfigError(f"({k} pi / min side)^{2 * k}, a factor of the {self.problem} "
+                              "load, overflows float64")
         if self.out is not None:  # checked without creating or truncating the file
             path = os.path.abspath(self.out)
             folder = os.path.dirname(path)
@@ -127,7 +147,7 @@ class ExactBundle:
 
     du(x, y, *orders) returns [d^(i+j) u / dx^i dy^j for (i, j) in orders]
     from one sine evaluation per coordinate; f is the matching load
-    (-lap u + gamma u, or the bilaplacian).
+    gamma u + (-lap)^k u.
     """
 
     du: Callable
@@ -147,7 +167,7 @@ def sine_power(p: int, c: float, t: np.ndarray, orders) -> dict:
 
 
 def exact_bundle(cfg: StudyConfig) -> ExactBundle:
-    px = 1 if cfg.problem == POISSON else 2
+    k = px = MODELS[cfg.problem].module.ORDER
     py = px if cfg.bc == msh.ALL_DIRICHLET else 0
 
     def du(x, y, *orders):  # [d^(i+j) u / dx^i dy^j for (i, j) in orders]
@@ -155,8 +175,9 @@ def exact_bundle(cfg: StudyConfig) -> ExactBundle:
         dy = sine_power(py, np.pi / cfg.r2, y, [j for _, j in orders])
         return [dx[i] * dy[j] for i, j in orders]
 
-    op = ({(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0} if cfg.problem == PLATE  # bilaplacian
-          else {(0, 0): cfg.gamma, (2, 0): -1.0, (0, 2): -1.0})  # gamma u - lap u
+    # gamma u + (-lap)^k u, (-lap)^k = (-1)^k sum_i C(k, i) d_x^(2k-2i) d_y^(2i)
+    op = {(0, 0): cfg.gamma, **{(2 * k - 2 * i, 2 * i): (-1.0) ** k * comb(k, i)
+                                for i in range(k + 1)}}
     op = {order: c for order, c in op.items() if c != 0}
     return ExactBundle(du, lambda x, y: sum(c * d for c, d in zip(op.values(), du(x, y, *op))))
 
@@ -182,20 +203,13 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
     first, cls = order[new], np.empty_like(order)
     cls[order] = np.cumsum(new) - 1
     amaps = [fc.map_affine(mesh, t) for t in first]
-    if cfg.problem == POISSON:
-        model = pw
-        gram = [pw.local_gram_poisson(amap, d) for amap in amaps]
-        b = [pw.local_b_poisson(amap, cfg.gamma) for amap in amaps]
-        load = pw.local_load_poisson(verts, f)
-    else:
-        model = plw
-        gram = [plw.local_gram_plate(amap, d) for amap in amaps]
-        b = [plw.local_b_plate(amap) for amap in amaps]
-        load = plw.local_load_plate(verts, f)
-    sign = np.ones((mesh.n_triangles, model.N_TRIAL - model.N_FIELD))
-    sign[:, model.SIGNED_TRACE] = mesh.tri_edge_signs
+    uw, gram, b, load, _ = MODELS[cfg.problem]
+    sign = np.ones((mesh.n_triangles, uw.N_TRIAL - uw.N_FIELD))
+    sign[:, uw.SIGNED_TRACE] = mesh.tri_edge_signs
     try:
-        return slv.condense(np.stack(gram), np.stack(b), cls, sign, load, model.N_FIELD)
+        return slv.condense(np.stack([gram(amap, d) for amap in amaps]),
+                            np.stack([b(amap, cfg.gamma) for amap in amaps]), cls, sign,
+                            load(verts, f), uw.N_FIELD)
     except slv.NotSPDError as exc:
         raise slv.NotSPDError(f"d = {d}: {exc}") from exc
 
@@ -208,7 +222,7 @@ class LevelSolution:
 
 
 def solve_level(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> LevelSolution:
-    dofmap = (pw.dof_map_poisson if cfg.problem == POISSON else plw.dof_map_plate)(mesh)
+    dofmap = MODELS[cfg.problem].dof_map(mesh)
     cond = condense_mesh(mesh, cfg, d, f)
     fields, _, local = slv.solve_condensed(mesh, dofmap, cond)
     _, eta = slv.energy_residual(cond, fields, local)
@@ -219,18 +233,16 @@ def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
                    exact: ExactBundle) -> tuple:
     """(errU, errSigma): L2 errors of the (nt, n_field) piecewise-constant
     fields by degree-10 quadrature, summed over the blocks of
-    fem_core.point_chunks; the flux is grad u for Poisson and the moment
-    -hess u for the plate."""
+    fem_core.point_chunks.  The flux (-1)^(k+1) grad^k u has the components
+    d^k u / dx^(k-i) dy^i, i = 0..k, each counted C(k, i) times."""
     rule = fc.quad_triangle(ERROR_QUAD_DEGREE)
-    if cfg.problem == POISSON:
-        orders, sign, weight = ((1, 0), (0, 1)), 1.0, np.ones(2)
-    else:
-        orders, sign, weight = ((2, 0), (1, 1), (0, 2)), -1.0, np.array(plw.COMPONENT_WEIGHT)
+    k = MODELS[cfg.problem].module.ORDER
+    orders = [(k - i, i) for i in range(k + 1)]
+    sign, weight = (-1.0) ** (k + 1), np.array([comb(k, i) for i in range(k + 1)], float)
     err_u_sq = err_flux_sq = 0.0
     for sl, det, phys in fc.point_chunks(mesh.vertices[mesh.triangles], rule.points):
         u, *flux = exact.du(phys[..., 0], phys[..., 1], (0, 0), *orders)
-        # sign times the flux error: the plate's moment -hess u against M_h
-        # is hess u against -M_h
+        # sign times the flux error: grad^k u against (-1)^(k+1) times the flux field
         flux_err = np.stack(flux, axis=-1) - sign * fields[sl, None, 1:]
         err_u_sq += det @ ((u - fields[sl, :1]) ** 2 @ rule.weights)
         err_flux_sq += det @ (flux_err ** 2 @ weight @ rule.weights)
@@ -238,11 +250,8 @@ def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
 
 
 def run_study(cfg: StudyConfig):
-    """One row (dofDPG, errU, errSigma, err) per refinement level.
-
-    The errSigma column carries the moment error for the plate so both
-    problems share one CSV schema.
-    """
+    """One row (dofDPG, errU, errSigma, err) per refinement level; errSigma
+    is the error of the flux field, whatever the problem calls it."""
     cfg.validate()
     mesh = msh.classify_boundary(msh.make_rect_mesh(cfg.r1, cfg.r2, cfg.ny0), cfg.bc)
     d = pick_d(cfg)
@@ -288,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dpg-lock",
                      description="Convergence studies for minimum-residual "
                                  "schemes with domain-scaled test norms.")
-    parser.add_argument("--problem", choices=(POISSON, PLATE), required=True)
+    parser.add_argument("--problem", choices=tuple(MODELS), required=True)
     parser.add_argument("--gamma", type=float, default=0.0,
                         help="reaction coefficient (poisson only, default 0)")
     parser.add_argument("--r1", type=float, default=1.0, help="domain width")

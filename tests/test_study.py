@@ -147,15 +147,25 @@ def test_exact_bundle_consistency_by_finite_differences(cfg):
         assert np.allclose(exact.f(x, y), fd_f, atol=1e-4 * np.abs(exact.f(x, y)).max())
 
 
-def test_compute_errors_zero_solution_norm():
-    # u_h = 0 on the unit square leaves errU = ||u|| = 1/2
-    cfg = cfg_poisson()
+@pytest.mark.parametrize("cfg,refine,expected_u,expected_flux,rtol", [
+    # u = sin(pi x) sin(pi y): ||u|| = 1/2 and ||grad u|| = pi / sqrt(2)
+    (cfg_poisson(), 0, 0.5, np.pi / np.sqrt(2), 1e-9),
+    # u = sin(pi x)^2 sin(pi y)^2: ||u|| = 3/8 and ||hess u|| = sqrt(2) pi^2, the mixed
+    # derivative counted twice; the mixed layout's u = sin(pi x)^2 gives sqrt(3/8)
+    (sc.StudyConfig(problem="plate"), 2, 3 / 8, np.sqrt(2) * np.pi ** 2, 1e-12),
+    (sc.StudyConfig(problem="plate", bc="mixed"), 2, np.sqrt(3 / 8), np.sqrt(2) * np.pi ** 2,
+     1e-12),
+])
+def test_compute_errors_zero_solution_norm(cfg, refine, expected_u, expected_flux, rtol):
+    # zero fields on the unit square leave the norms of u and of its flux
     exact = sc.exact_bundle(cfg)
-    mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 2), msh.ALL_DIRICHLET)
-    fields = np.zeros((mesh.n_triangles, pw.N_FIELD))
+    mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 2), cfg.bc)
+    for _ in range(refine):
+        mesh = msh.refine_uniform(mesh)
+    fields = np.zeros((mesh.n_triangles, sc.MODELS[cfg.problem].module.N_FIELD))
     err_u, err_flux = sc.compute_errors(mesh, cfg, fields, exact)
-    assert np.isclose(err_u, 0.5, rtol=1e-9)
-    assert np.isclose(err_flux, np.pi / np.sqrt(2), rtol=1e-9)
+    assert np.isclose(err_u, expected_u, rtol=rtol, atol=0)
+    assert np.isclose(err_flux, expected_flux, rtol=rtol, atol=0)
 
 
 def test_compute_errors_exactly_zero_for_zero_problem():
@@ -293,6 +303,33 @@ def test_run_study_energy_column_uses_picked_scaling(monkeypatch):
     assert np.isclose(rows[0][3], sol.eta, rtol=1e-12)
 
 
+def test_scaled_poisson_study_on_a_tiny_square_reproduces_the_unit_square():
+    # u = sin(pi x / R) sin(pi y / R) scales ||u|| by R and leaves the flux and the
+    # scaled residual as on the unit square; (pi / R)^2 is finite down to R ~ 1e-154
+    r = 1e-100
+    unit = np.array(sc.run_study(cfg_poisson(norm="scaled", levels=3)))
+    tiny = np.array(sc.run_study(cfg_poisson(r1=r, r2=r, norm="scaled", levels=3)))
+    assert (tiny[:, 0] == unit[:, 0]).all()
+    np.testing.assert_allclose(tiny[:, 1:], unit[:, 1:] * [r, 1.0, 1.0], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_model_record_matches_its_module(problem):
+    model = sc.MODELS[problem]
+    uw = model.module
+    assert uw.N_FIELD == uw.ORDER + 2  # u and the ORDER + 1 flux components
+    amap = fc.map_affine(msh.make_rect_mesh(1.0, 1.0, 1), 0)
+    assert model.gram(amap, 1.0).shape == (uw.N_TEST, uw.N_TEST)
+    assert model.b(amap, 0.0).shape == (uw.N_TEST, uw.N_TRIAL)
+    mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 2), msh.ALL_DIRICHLET)
+    assert model.dof_map(mesh).element_slots(mesh).shape[1] == uw.N_TRIAL - uw.N_FIELD
+    assert set(uw.SIGNED_TRACE) <= set(range(uw.N_TRIAL - uw.N_FIELD))
+    # the constant test function has no derivative terms: its entry scales as d^-2k
+    assert model.gram(amap, 2.0)[0, 0] / model.gram(amap, 1.0)[0, 0] == 2.0 ** (-2 * uw.ORDER)
+    assert model.load(mesh.vertices[mesh.triangles], lambda x, y: 1.0 + 0 * x).shape == (
+        mesh.n_triangles, uw.N_TEST)
+
+
 def test_mesh_determinism_shared_rows():
     # ny0 doubled with one level fewer reproduces the shared rows
     rows_a = sc.run_study(cfg_poisson(levels=3, ny0=2, norm="scaled"))
@@ -358,6 +395,8 @@ def test_cli_stdout(capsys):
     ["--problem", "poisson", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e-160"],
     ["--problem", "plate", "--r1", "1e80", "--r2", "1e80", "--norm", "scaled", "--levels", "1",
      "--ny0", "1"],
+    # a side whose plate load factor (2 pi / side)^4 overflows; Poisson's (pi / side)^2 does not
+    ["--problem", "plate", "--r1", "1e-77", "--r2", "1e-77"],
 ])
 def test_cli_configuration_errors_exit_one(argv, capsys):
     assert sc.main(argv) == 1
