@@ -184,27 +184,55 @@ def map_affine(mesh: Mesh, t: int) -> AffineMap:
     return affine_map_from_vertices(mesh.vertices[mesh.triangles[t]])
 
 
-def affine_points(verts: np.ndarray, ref_pts: np.ndarray):
-    """Jacobian determinants (nt,) and physical images (nt, nq, 2) of the
-    reference points under the affine maps of a (nt, 3, 2) vertex array.
-
-    A reference point (xi, eta) maps to the combination of the vertices with
-    barycentric weights (1 - xi - eta, xi, eta), one batched matmul."""
-    e1, e2 = verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
-    bary = np.column_stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts])
-    return det, bary @ verts
+def unique_rows(a: np.ndarray):
+    """(first, inverse) of the distinct rows of the 2-D array a, taken in
+    lexicographic order: first[i] is the index of the first row of a equal to
+    distinct row i, and row t of a equals a[first[inverse[t]]]."""
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    new = np.ones(len(a), bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def point_chunks(verts: np.ndarray, ref_pts: np.ndarray):
-    """affine_points over consecutive blocks of the (nt, 3, 2) vertex array:
-    yields (slice, det, phys) per block of about POINT_CHUNK physical points,
-    so point-wise work in the caller's loop needs memory of one block, not of
-    the whole mesh."""
+    """Quadrature points of consecutive blocks of the (nt, 3, 2) vertex array,
+    about POINT_CHUNK points a block, so point-wise work in the caller's loop
+    needs memory of one block, not of the whole mesh.  Yields per block
+    (slice, det, (x, ix), (y, iy)): the Jacobian determinants (n,) and per
+    axis the points' coordinates (U, nq), one row per distinct triple of
+    vertex coordinates along that axis, with the row (n,) of each triangle.
+    A reference point (xi, eta) maps to the vertices' combination with
+    barycentric weights (1 - xi - eta, xi, eta), so its x depends on the
+    vertices' x alone, and on a structured mesh many triangles share a row."""
+    bary = np.column_stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts])
     step = POINT_CHUNK // len(ref_pts)
     for lo in range(0, len(verts), step):
-        sl = slice(lo, lo + step)
-        yield (sl, *affine_points(verts[sl], ref_pts))
+        v = verts[lo:lo + step]
+        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        tables = []
+        for coords in (v[..., 0], v[..., 1]):
+            first, inverse = unique_rows(coords)
+            tables.append((coords[first] @ bary.T, inverse))
+        yield (slice(lo, lo + step), e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1], *tables)
+
+
+def point_values(verts: np.ndarray, ref_pts: np.ndarray, fn):
+    """Per block of point_chunks: (slice, det, values), where values[m]
+    (n, nq) is the m-th term c X Y of fn at the block's quadrature points.
+    fn(x, y) returns separable terms (c, X, Y), X a float array evaluated
+    where x is and Y one where y is; it is called once per block, on the
+    coordinate tables, and each term is gathered into one array in place."""
+    for sl, det, (x, ix), (y, iy) in point_chunks(verts, ref_pts):
+        values = []
+        for c, fx, fy in fn(x, y):
+            v = fx[ix]
+            v *= fy[iy]
+            v *= c
+            values.append(v)
+        yield sl, det, values
 
 
 def edge_ref_points(k: int, s: np.ndarray) -> np.ndarray:
@@ -218,10 +246,10 @@ def load_vectors(verts: np.ndarray, f, rule: QuadRule, values: np.ndarray,
                  n_cols: int) -> np.ndarray:
     """(nt, n_cols) load vectors of the triangles with (nt, 3, 2) vertex array
     verts: (f, phi_i)_T in the leading columns, for the basis tabulated as
-    values (nq, n) at rule.points, and zeros after them.  f is evaluated per
-    block of point_chunks."""
+    values (nq, n) at rule.points, and zeros after them.  f(x, y) returns
+    separable terms (c, X, Y) with the value sum c X Y, evaluated per block
+    by point_values."""
     load = np.zeros((len(verts), n_cols))
-    for sl, det, pts in point_chunks(verts, rule.points):
-        fv = np.asarray(f(pts[..., 0], pts[..., 1]), float)
-        load[sl, :values.shape[1]] = (fv * rule.weights * det[:, None]) @ values
+    for sl, det, terms in point_values(verts, rule.points, f):
+        load[sl, :values.shape[1]] = (sum(terms) * rule.weights * det[:, None]) @ values
     return load

@@ -143,11 +143,13 @@ def pick_d(cfg: StudyConfig) -> float:
 
 @dataclass(frozen=True)
 class ExactBundle:
-    """Vectorized evaluators of the manufactured solution.
+    """Separable evaluators of the manufactured solution: each returns terms
+    (c, X, Y) with X evaluated where x is and Y where y is, the value being
+    c X Y at the points (x, y) (fem_core.point_values).
 
-    du(x, y, *orders) returns [d^(i+j) u / dx^i dy^j for (i, j) in orders]
-    from one sine evaluation per coordinate; f is the matching load
-    gamma u + (-lap)^k u.
+    du(x, y, *orders) returns one term per order, of d^(i+j) u / dx^i dy^j
+    for (i, j) in orders, from one sine evaluation per coordinate; f(x, y)
+    returns the terms of the matching load gamma u + (-lap)^k u, summed.
     """
 
     du: Callable
@@ -170,16 +172,17 @@ def exact_bundle(cfg: StudyConfig) -> ExactBundle:
     k = px = MODELS[cfg.problem].module.ORDER
     py = px if cfg.bc == msh.ALL_DIRICHLET else 0
 
-    def du(x, y, *orders):  # [d^(i+j) u / dx^i dy^j for (i, j) in orders]
+    def du(x, y, *orders):  # [d^(i+j) u / dx^i dy^j for (i, j) in orders] as terms
         dx = sine_power(px, np.pi / cfg.r1, x, [i for i, _ in orders])
         dy = sine_power(py, np.pi / cfg.r2, y, [j for _, j in orders])
-        return [dx[i] * dy[j] for i, j in orders]
+        return [(1.0, dx[i], dy[j]) for i, j in orders]
 
     # gamma u + (-lap)^k u, (-lap)^k = (-1)^k sum_i C(k, i) d_x^(2k-2i) d_y^(2i)
     op = {(0, 0): cfg.gamma, **{(2 * k - 2 * i, 2 * i): (-1.0) ** k * comb(k, i)
                                 for i in range(k + 1)}}
     op = {order: c for order, c in op.items() if c != 0}
-    return ExactBundle(du, lambda x, y: sum(c * d for c, d in zip(op.values(), du(x, y, *op))))
+    return ExactBundle(du, lambda x, y: [(c, dx, dy) for c, (_, dx, dy)
+                                         in zip(op.values(), du(x, y, *op))])
 
 
 def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condensed:
@@ -195,13 +198,8 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
     """
     verts = mesh.vertices[mesh.triangles]
     jac = (verts[:, 1:] - verts[:, :1]).reshape(-1, 4)
-    key = np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64)
     # classes in lexicographic order of the key rows, each led by its first element
-    order = np.lexsort(key.T[::-1])
-    rows = key[order]
-    new = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
-    first, cls = order[new], np.empty_like(order)
-    cls[order] = np.cumsum(new) - 1
+    first, cls = fc.unique_rows(np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64))
     amaps = [fc.map_affine(mesh, t) for t in first]
     uw, gram, b, load, _ = MODELS[cfg.problem]
     sign = np.ones((mesh.n_triangles, uw.N_TRIAL - uw.N_FIELD))
@@ -233,15 +231,15 @@ def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
                    exact: ExactBundle) -> tuple:
     """(errU, errSigma): L2 errors of the (nt, n_field) piecewise-constant
     fields by degree-10 quadrature, summed over the blocks of
-    fem_core.point_chunks.  The flux (-1)^(k+1) grad^k u has the components
+    fem_core.point_values.  The flux (-1)^(k+1) grad^k u has the components
     d^k u / dx^(k-i) dy^i, i = 0..k, each counted C(k, i) times."""
     rule = fc.quad_triangle(ERROR_QUAD_DEGREE)
     k = MODELS[cfg.problem].module.ORDER
     orders = [(k - i, i) for i in range(k + 1)]
     sign, weight = (-1.0) ** (k + 1), np.array([comb(k, i) for i in range(k + 1)], float)
     err_u_sq = err_flux_sq = 0.0
-    for sl, det, phys in fc.point_chunks(mesh.vertices[mesh.triangles], rule.points):
-        u, *flux = exact.du(phys[..., 0], phys[..., 1], (0, 0), *orders)
+    for sl, det, (u, *flux) in fc.point_values(mesh.vertices[mesh.triangles], rule.points,
+                                               lambda x, y: exact.du(x, y, (0, 0), *orders)):
         # sign times the flux error: grad^k u against (-1)^(k+1) times the flux field
         flux_err = np.stack(flux, axis=-1) - sign * fields[sl, None, 1:]
         err_u_sq += det @ ((u - fields[sl, :1]) ** 2 @ rule.weights)

@@ -238,12 +238,22 @@ def plate_consistency_residual(mesh, u, grad_u, hess_u, div_m, f):
     return worst
 
 
+def pointwise(fn):
+    """The point values sum c X Y of a function fn(x, y) of separable terms
+    (c, X, Y), as a callable of the points (x, y)."""
+    return lambda x, y: sum(c * (fx * fy) for c, fx, fy in fn(x, y))
+
+
 def exact_u_grad_hess(exact):
     """u, grad u (..., 2) and the (xx, xy, yy) Hessian (..., 3) of a
-    manufactured solution, as callables of (x, y) built on exact.du."""
-    return (lambda x, y: exact.du(x, y, (0, 0))[0],
-            lambda x, y: np.stack(exact.du(x, y, (1, 0), (0, 1)), axis=-1),
-            lambda x, y: np.stack(exact.du(x, y, (2, 0), (1, 1), (0, 2)), axis=-1))
+    manufactured solution, as callables of the points (x, y) built on
+    exact.du, whose terms are one per derivative."""
+    def derivatives(*orders):
+        return lambda x, y: np.stack([c * (fx * fy) for c, fx, fy in exact.du(x, y, *orders)],
+                                     axis=-1)
+
+    return (pointwise(lambda x, y: exact.du(x, y, (0, 0))),
+            derivatives((1, 0), (0, 1)), derivatives((2, 0), (1, 1), (0, 2)))
 
 
 def permuted(cond, order):

@@ -183,11 +183,25 @@ def test_edge_ref_points():
     assert np.allclose(pts, [[1, 0], [0.5, 0.5], [0, 1]])
 
 
-def test_affine_points_match_the_element_maps():
-    # reference: each element's own affine map, x = v0 + J xi
+def test_unique_rows_match_numpy():
+    a = np.random.default_rng(3).integers(0, 3, (200, 3)).astype(float)
+    first, inverse = fc.unique_rows(a)
+    rows, index, expected = np.unique(a, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(a[first], rows) and np.array_equal(first, index)
+    assert np.array_equal(inverse, expected.ravel())
+    assert [len(x) for x in fc.unique_rows(np.empty((0, 3)))] == [0, 0]
+
+
+def test_point_values_match_the_element_maps(monkeypatch):
+    # reference: each element's own affine map, x = v0 + J xi; blocks of 100 triangles
     m = msh.refine_uniform(msh.refine_uniform(msh.make_rect_mesh(100.0, 30.0, 2)))
     ref = fc.quad_triangle(10).points
-    det, phys = fc.affine_points(m.vertices[m.triangles], ref)
+    monkeypatch.setattr(fc, "POINT_CHUNK", 100 * len(ref))
+    coords = lambda x, y: [(1.0, x, np.ones_like(y)), (1.0, np.ones_like(x), y)]
+    blocks = list(fc.point_values(m.vertices[m.triangles], ref, coords))
+    assert len(blocks) == 5
+    det = np.concatenate([block_det for _, block_det, _ in blocks])
+    phys = np.concatenate([np.stack(values, axis=-1) for *_, values in blocks])
     assert phys.shape == (m.n_triangles, len(ref), 2)
     for t in range(m.n_triangles):
         amap = fc.affine_map_from_vertices(m.vertices[m.triangles[t]])

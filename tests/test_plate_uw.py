@@ -6,7 +6,7 @@ from dpglock import fem_core as fc
 from dpglock import mesh as msh
 from dpglock import plate_uw as plw
 from helpers import (ScalarTables, dense_edge_rule, dense_triangle_rule, expand_in_basis,
-                     physical, plate_consistency_residual, plate_gram_oracle)
+                     physical, plate_consistency_residual, plate_gram_oracle, pointwise)
 
 GENERAL_TRI = np.array([[0.1, -0.2], [1.1, 0.3], [0.3, 0.9]])
 
@@ -40,10 +40,10 @@ def clamped_square_exact(r=1.0):
         return -np.stack([uxxx + uxyy, uxxy + uyyy], axis=-1)
 
     def f(x, y):
-        # the bilaplacian of u
-        return (-8 * a ** 4 * np.cos(2 * a * x) * np.sin(b * y) ** 2
-                + 8 * a ** 2 * b ** 2 * np.cos(2 * a * x) * np.cos(2 * b * y)
-                - 8 * b ** 4 * np.sin(a * x) ** 2 * np.cos(2 * b * y))
+        # the bilaplacian of u, as separable terms (c, X, Y)
+        return [(-8 * a ** 4, np.cos(2 * a * x), np.sin(b * y) ** 2),
+                (8 * a ** 2 * b ** 2, np.cos(2 * a * x), np.cos(2 * b * y)),
+                (-8 * b ** 4, np.sin(a * x) ** 2, np.cos(2 * b * y))]
 
     return u, grad, hess, div_m, f
 
@@ -287,6 +287,7 @@ def test_interelement_trace_pairing_cancels():
 
 def test_global_integration_by_parts_oracle():
     u, grad, hess, div_m, f = clamped_square_exact()
+    f = pointwise(f)
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     assert plate_consistency_residual(mesh, u, grad, hess, div_m, f) < 1e-8
     mesh = msh.refine_uniform(mesh)
@@ -297,10 +298,11 @@ def test_load_examples():
     amap = general_map()
     basis = fc.basis_p(3, np.zeros((1, 2)))
     ones = expand_in_basis(basis, np.eye(10)[0])
-    load = plw.local_load_plate(GENERAL_TRI[None], lambda x, y: np.ones_like(x))[0]
+    load = plw.local_load_plate(GENERAL_TRI[None],
+                                lambda x, y: [(1.0, np.ones_like(x), np.ones_like(y))])[0]
     assert np.isclose(ones @ load[:10], -amap.det / 2.0, rtol=1e-13)
     assert np.allclose(load[10:], 0.0)
-    assert np.allclose(plw.local_load_plate(GENERAL_TRI[None], lambda x, y: 0.0 * x), 0.0)
+    assert np.allclose(plw.local_load_plate(GENERAL_TRI[None], lambda x, y: [(0.0, x, y)]), 0.0)
 
 
 def test_load_bilaplacian_against_dense_reference():
@@ -311,7 +313,7 @@ def test_load_bilaplacian_against_dense_reference():
     pts, wts = dense_triangle_rule(24)
     phys = physical(amap, pts)
     vals = fc.basis_p(3, pts).values
-    ref = -np.einsum("q,q,qi->i", wts * amap.det, f(phys[:, 0], phys[:, 1]), vals)
+    ref = -np.einsum("q,q,qi->i", wts * amap.det, pointwise(f)(phys[:, 0], phys[:, 1]), vals)
     assert np.allclose(load[:10], ref, atol=1e-9)
 
 

@@ -166,17 +166,19 @@ def test_load_examples():
     basis = fc.basis_p(2, np.zeros((1, 2)))
     ones = expand_in_basis(basis, [1, 0, 0, 0, 0, 0])
 
-    load = pw.local_load_poisson(GENERAL_TRI[None], lambda x, y: np.ones_like(x))[0]
+    load = pw.local_load_poisson(GENERAL_TRI[None],
+                                 lambda x, y: [(1.0, np.ones_like(x), np.ones_like(y))])[0]
     assert np.isclose(ones @ load[:6], amap.det / 2.0, rtol=1e-13)
     assert np.allclose(load[6:], 0.0)
 
-    assert np.allclose(pw.local_load_poisson(GENERAL_TRI[None], lambda x, y: 0.0 * x), 0.0)
+    assert np.allclose(pw.local_load_poisson(GENERAL_TRI[None], lambda x, y: [(0.0, x, y)]), 0.0)
 
 
 def test_load_trig_against_adaptive_reference():
     basis = fc.basis_p(2, np.zeros((1, 2)))
     ones = expand_in_basis(basis, [1, 0, 0, 0, 0, 0])
-    load = pw.local_load_poisson(fc.REF_VERTICES[None], lambda x, y: np.sin(np.pi * x))[0]
+    load = pw.local_load_poisson(fc.REF_VERTICES[None],
+                                 lambda x, y: [(1.0, np.sin(np.pi * x), np.ones_like(y))])[0]
     ref, _ = quad(lambda x: np.sin(np.pi * x) * (1.0 - x), 0.0, 1.0, epsabs=1e-14)
     assert np.isclose(ones @ load[:6], ref, atol=1e-10)
 

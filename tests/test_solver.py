@@ -554,7 +554,7 @@ def test_energy_residual_zero_for_zero_data():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
+    condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: [(0.0, x, y)])
     eta_t, eta = slv.energy_residual(condensed, np.zeros((mesh.n_triangles, pw.N_FIELD)),
                                      np.zeros(condensed.sign.shape))
     assert eta == 0.0
@@ -565,7 +565,7 @@ def test_zero_load_gives_zero_solution():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
+    condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: [(0.0, x, y)])
     fields, traces, _ = slv.solve_condensed(mesh, dm, condensed)
     assert np.allclose(full_solution(fields, traces), 0.0, atol=1e-14)
 

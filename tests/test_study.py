@@ -1,5 +1,7 @@
 import io
 import tracemalloc
+from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import exact_u_grad_hess, full_solution
+from helpers import exact_u_grad_hess, full_solution, pointwise
 
 
 def cfg_poisson(**kw):
@@ -59,13 +61,13 @@ def test_exact_bundle_mixed_rhs_value():
     r = 17.0
     exact = sc.exact_bundle(cfg_poisson(r1=r, r2=1.0, bc="mixed"))
     y = np.array([0.3])
-    assert np.isclose(exact.f(np.array([r / 2]), y)[0], np.pi ** 2 / r ** 2,
+    assert np.isclose(pointwise(exact.f)(np.array([r / 2]), y)[0], np.pi ** 2 / r ** 2,
                       rtol=1e-14)
 
 
 def test_exact_bundle_dirichlet_rhs_value():
     exact = sc.exact_bundle(cfg_poisson())
-    assert np.isclose(exact.f(np.array([0.5]), np.array([0.5]))[0],
+    assert np.isclose(pointwise(exact.f)(np.array([0.5]), np.array([0.5]))[0],
                       2 * np.pi ** 2, rtol=1e-14)
 
 
@@ -83,8 +85,8 @@ def test_exact_bundle_skips_constant_profiles_and_zero_terms(monkeypatch):
     for gamma in (0.0, 1.0):
         exact = sc.exact_bundle(cfg_poisson(gamma=gamma))
         calls.clear()
-        f = exact.f(x, x)
-        u, uxx, uyy = exact.du(x, x, (0, 0), (2, 0), (0, 2))
+        f = pointwise(exact.f)(x, x)
+        u, uxx, uyy = (c * (fx * fy) for c, fx, fy in exact.du(x, x, (0, 0), (2, 0), (0, 2)))
         assert calls[0] == ([2, 0] if gamma == 0 else [0, 2, 0])
         assert np.array_equal(f, gamma * u - uxx - uyy)
 
@@ -120,6 +122,7 @@ def test_exact_bundle_boundary_conditions(problem, bc):
 def test_exact_bundle_consistency_by_finite_differences(cfg):
     exact = sc.exact_bundle(cfg)
     u, grad, hess = exact_u_grad_hess(exact)
+    f = pointwise(exact.f)
     rng = np.random.default_rng(9)
     x = rng.uniform(0.3 * cfg.r1, 0.7 * cfg.r1, 5)
     y = rng.uniform(0.3 * cfg.r2, 0.7 * cfg.r2, 5)
@@ -138,13 +141,13 @@ def test_exact_bundle_consistency_by_finite_differences(cfg):
 
     if cfg.problem == "poisson":
         fd_f = -(hess(x, y)[..., 0] + hess(x, y)[..., 2]) + cfg.gamma * u(x, y)
-        assert np.allclose(exact.f(x, y), fd_f, atol=1e-10)
+        assert np.allclose(f(x, y), fd_f, atol=1e-10)
     else:
         fd_f = ((hess(x + h, y)[..., 0] - 2 * hess(x, y)[..., 0] + hess(x - h, y)[..., 0]) / h ** 2
                 + 2 * (hess(x + h, y + h)[..., 1] - hess(x + h, y - h)[..., 1]
                        - hess(x - h, y + h)[..., 1] + hess(x - h, y - h)[..., 1]) / (4 * h ** 2)
                 + (hess(x, y + h)[..., 2] - 2 * hess(x, y)[..., 2] + hess(x, y - h)[..., 2]) / h ** 2)
-        assert np.allclose(exact.f(x, y), fd_f, atol=1e-4 * np.abs(exact.f(x, y)).max())
+        assert np.allclose(f(x, y), fd_f, atol=1e-4 * np.abs(f(x, y)).max())
 
 
 @pytest.mark.parametrize("cfg,refine,expected_u,expected_flux,rtol", [
@@ -170,8 +173,8 @@ def test_compute_errors_zero_solution_norm(cfg, refine, expected_u, expected_flu
 
 def test_compute_errors_exactly_zero_for_zero_problem():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
-    bundle = sc.ExactBundle(du=lambda x, y, *orders: [0.0 * x for _ in orders],
-                            f=lambda x, y: 0.0 * x)
+    bundle = sc.ExactBundle(du=lambda x, y, *orders: [(0.0, x, y) for _ in orders],
+                            f=lambda x, y: [(0.0, x, y)])
     fields = np.zeros((mesh.n_triangles, pw.N_FIELD))
     errs = sc.compute_errors(mesh, cfg_poisson(), fields, bundle)
     assert errs == (0.0, 0.0)
@@ -196,6 +199,36 @@ def test_compute_errors_evaluates_each_sine_profile_once(problem, monkeypatch):
     monkeypatch.setattr(fc, "POINT_CHUNK", 12 * 36)
     assert sc.compute_errors(mesh, cfg, fields, exact) == pytest.approx(errs, rel=1e-14)
     assert len(calls) == 2 * 3
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_compute_errors_evaluates_the_sines_on_coordinate_tables(problem, monkeypatch):
+    # the sines see one row of quadrature points per distinct vertex-coordinate
+    # triple of a block, per axis: on a structured mesh refined 3 times (512
+    # triangles, 56 distinct triples per axis) far fewer than one per triangle
+    cfg = sc.StudyConfig(problem=problem)
+    exact = sc.exact_bundle(cfg)
+    mesh = msh.make_rect_mesh(1.0, 1.0, 2)
+    for _ in range(3):
+        mesh = msh.refine_uniform(mesh)
+    verts, nt = mesh.vertices[mesh.triangles], mesh.n_triangles
+    nq = len(fc.quad_triangle(sc.ERROR_QUAD_DEGREE).points)
+    sizes = []
+    sine_power = sc.sine_power
+    monkeypatch.setattr(sc, "sine_power",
+                        lambda *args: sizes.append(np.size(args[2])) or sine_power(*args))
+    fields = np.zeros((nt, sc.MODELS[problem].module.N_FIELD))
+    # one block, then blocks of 100 triangles (264 rows: smaller blocks share fewer)
+    for step in (fc.POINT_CHUNK // nq, 100):
+        monkeypatch.setattr(fc, "POINT_CHUNK", step * nq)
+        sizes.clear()
+        sc.compute_errors(mesh, cfg, fields, exact)
+        rows = sum(len(np.unique(verts[lo:lo + step, :, axis], axis=0))
+                   for lo in range(0, nt, step) for axis in (0, 1))
+        assert len(sizes) == 2 * len(range(0, nt, step))  # one call per coordinate per block
+        assert sum(sizes) <= rows * nq
+        if step >= nt:
+            assert rows * nq < 2 * nt * nq / 4
 
 
 @pytest.mark.parametrize("problem", ["poisson", "plate"])
@@ -224,6 +257,49 @@ def test_point_work_is_independent_of_the_block_size(problem, monkeypatch):
     assert np.abs(one_load).max() > 0 and min(one_errs) > 0
     assert np.abs(load - one_load).max() <= 1e-14 * np.abs(one_load).max()
     assert errs == pytest.approx(one_errs, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_point_work_on_a_perturbed_mesh_equals_a_direct_evaluation(problem):
+    # interior vertices moved at random, so few coordinate triples repeat; the
+    # direct evaluation maps each element's points by its own affine map,
+    # x = v0 + J xi, and sums the returned terms point by point
+    cfg = sc.StudyConfig(problem=problem, r1=3.0, r2=2.0)
+    exact = sc.exact_bundle(cfg)
+    mesh = msh.make_rect_mesh(3.0, 2.0, 2)
+    for _ in range(2):
+        mesh = msh.refine_uniform(mesh)
+    rng = np.random.default_rng(5)
+    v = mesh.vertices
+    inside = (v > 0).all(axis=1) & (v < [3.0, 2.0]).all(axis=1)
+    moved = v + inside[:, None] * rng.uniform(-0.05, 0.05, v.shape)  # a cell is 0.25 wide
+    mesh = replace(mesh, vertices=moved)
+    model = sc.MODELS[problem]
+    uw, k = model.module, model.module.ORDER
+    fields = rng.standard_normal((mesh.n_triangles, uw.N_FIELD))
+    load = model.load(mesh.vertices[mesh.triangles], exact.f)
+    errs = sc.compute_errors(mesh, cfg, fields, exact)
+
+    load_rule = fc.quad_triangle(uw.LOAD_DEGREE)
+    test_values = (-1) ** (k + 1) * fc.basis_p(k + 1, load_rule.points).values
+    err_rule = fc.quad_triangle(sc.ERROR_QUAD_DEGREE)
+    orders = [(k - i, i) for i in range(k + 1)]
+    f = pointwise(exact.f)
+    direct = np.zeros_like(load)
+    err_sq = np.zeros(2)
+    for t in range(mesh.n_triangles):
+        amap = fc.affine_map_from_vertices(mesh.vertices[mesh.triangles[t]])
+        x, y = (amap.verts[0] + load_rule.points @ amap.jac.T).T
+        direct[t, :test_values.shape[1]] = (f(x, y) * load_rule.weights * amap.det) @ test_values
+        x, y = (amap.verts[0] + err_rule.points @ amap.jac.T).T
+        u, *flux = (c * (fx * fy) for c, fx, fy in exact.du(x, y, (0, 0), *orders))
+        err_sq += amap.det * err_rule.weights @ np.column_stack([
+            (u - fields[t, 0]) ** 2,
+            sum(comb(k, i) * (flux[i] - (-1) ** (k + 1) * fields[t, 1 + i]) ** 2
+                for i in range(k + 1))])
+    assert len(np.unique(mesh.vertices[mesh.triangles][..., 0], axis=0)) > mesh.n_triangles / 2
+    assert np.abs(load - direct).max() <= 1e-14 * np.abs(direct).max()
+    assert errs == pytest.approx(tuple(np.sqrt(err_sq)), rel=1e-14, abs=0.0)
 
 
 def _peak_above_entry(fn, *args):
@@ -326,7 +402,8 @@ def test_model_record_matches_its_module(problem):
     assert set(uw.SIGNED_TRACE) <= set(range(uw.N_TRIAL - uw.N_FIELD))
     # the constant test function has no derivative terms: its entry scales as d^-2k
     assert model.gram(amap, 2.0)[0, 0] / model.gram(amap, 1.0)[0, 0] == 2.0 ** (-2 * uw.ORDER)
-    assert model.load(mesh.vertices[mesh.triangles], lambda x, y: 1.0 + 0 * x).shape == (
+    assert model.load(mesh.vertices[mesh.triangles],
+                      lambda x, y: [(1.0, 1.0 + 0 * x, 1.0 + 0 * y)]).shape == (
         mesh.n_triangles, uw.N_TEST)
 
 
@@ -471,6 +548,6 @@ def test_plate_clamped_zero_load_gives_zero_solution():
     cfg = sc.StudyConfig(problem="plate")
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     dm = plw.dof_map_plate(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: 0.0 * x)
+    condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: [(0.0, x, y)])
     x = full_solution(*slv.solve_condensed(mesh, dm, condensed)[:2])
     assert np.allclose(x, 0.0, atol=1e-13)
