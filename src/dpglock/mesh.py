@@ -144,19 +144,23 @@ def _vertex_tags_from_edges(n_vertices: int, edges: np.ndarray, edge_tags: np.nd
     return tags
 
 
-def make_rect_mesh(r1: float, r2: float, ny: int) -> Mesh:
-    """Triangulation of (0, r1) x (0, r2) with ny rows of diagonally split cells.
+def columns(r1: float, r2: float, ny: int) -> float:
+    """round(ny * r1 / r2), at least 1, as a float (inf where the ratio overflows)."""
+    return max(1.0, float(np.floor(ny * r1 / r2 + 0.5)))
 
-    The number of columns is chosen as round(ny * r1 / r2) so cells stay close
-    to unit aspect ratio on anisotropic rectangles.  Each cell is split along
-    its lower-left to upper-right diagonal.  All boundary edges start out
-    tagged Dirichlet; use classify_boundary for other layouts.
+
+def make_rect_mesh(r1: float, r2: float, ny: int, nx: int | None = None) -> Mesh:
+    """Triangulation of (0, r1) x (0, r2) with ny rows of nx diagonally split cells.
+
+    nx = columns(r1, r2, ny) by default, so cells stay close to unit aspect ratio.
+    Each cell is split along its lower-left to upper-right diagonal.  All boundary
+    edges start out tagged Dirichlet; use classify_boundary for other layouts.
     """
     if not (r1 > 0 and r2 > 0):
         raise ValueError(f"rectangle sides must be positive, got {r1} x {r2}")
     if ny < 1:
         raise ValueError(f"ny must be >= 1, got {ny}")
-    nx = max(1, int(np.floor(ny * r1 / r2 + 0.5)))
+    nx = int(columns(r1, r2, ny) if nx is None else nx)
 
     xs = np.linspace(0.0, r1, nx + 1)
     ys = np.linspace(0.0, r2, ny + 1)

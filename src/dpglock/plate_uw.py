@@ -20,12 +20,13 @@ H^2-conforming deflection and an H(div div)-conforming moment:
   approximated (corner forces are an O(1) part of the duality).
 
 Test functions are broken: v in P3 and a symmetric tensor Q with P4
-components, measured in the scaled norm
+components, measured in the norm
 
-    d^-4 (v, v)_T + (hess v, hess v)_T + (Q, Q)_T + d^4 (div div Q, div div Q)_T,
+    (v, v)_T + (hess v, hess v)_T + (Q, Q)_T + (div div Q, div div Q)_T,
 
 where tensor products count the off-diagonal twice, Q : P = Q11 P11
-+ 2 Q12 P12 + Q22 P22, and div div Q = Q11_xx + 2 Q12_xy + Q22_yy.
++ 2 Q12 P12 + Q22 P22, and div div Q = Q11_xx + 2 Q12_xy + Q22_yy (a scaled
+norm is this one in units of its length d, see study_cli).
 
 The deflection pairing on an element boundary is
 
@@ -113,12 +114,10 @@ def _hess_components(amap, hessians):
     return np.stack([h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]], axis=-1)
 
 
-def local_gram_plate(amap: fc.AffineMap, d: float) -> np.ndarray:
-    """Scaled test inner product on the 55 broken test functions of one element:
+def local_gram_plate(amap: fc.AffineMap) -> np.ndarray:
+    """Test inner product on the 55 broken test functions of one element:
     G = A^T A, one block row of A per norm term at the volume quadrature points,
     tensor components weighted by the square roots of COMPONENT_WEIGHT."""
-    if d <= 0:
-        raise ValueError(f"scaling length must be positive, got {d}")
     vol, v3, q4, *_ = _kernels()
     root = np.sqrt(vol.weights * amap.det)[:, None]
     cw = np.sqrt(COMPONENT_WEIGHT)
@@ -127,15 +126,15 @@ def local_gram_plate(amap: fc.AffineMap, d: float) -> np.ndarray:
     q = root * q4.values
     h4 = root[..., None] * _hess_components(amap, q4.hessians)
     zv, zq = np.zeros_like(v), np.zeros_like(q)
-    # columns (v, Q11, Q12, Q22); rows d^-2 v, hess v, Q and d^2 div div Q
-    a = np.block([[v / d ** 2, zq, zq, zq],
+    # columns (v, Q11, Q12, Q22); rows v, hess v, Q and div div Q
+    a = np.block([[v, zq, zq, zq],
                   [h3[..., 0], zq, zq, zq],
                   [h3[..., 1], zq, zq, zq],
                   [h3[..., 2], zq, zq, zq],
                   [zv, cw[0] * q, zq, zq],
                   [zv, zq, cw[1] * q, zq],
                   [zv, zq, zq, cw[2] * q],
-                  [zv, d ** 2 * h4[..., 0], 2.0 * d ** 2 * h4[..., 1], d ** 2 * h4[..., 2]]])
+                  [zv, h4[..., 0], 2.0 * h4[..., 1], h4[..., 2]]])
     return a.T @ a
 
 

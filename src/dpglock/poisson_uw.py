@@ -4,9 +4,11 @@ Field unknowns live in L2 (per-triangle constants for the deflection u and the
 flux sigma = grad u), continuity is carried by skeleton unknowns: one vertex
 value per continuous piecewise-linear trace function uhat, and one constant
 normal flux sighat per edge, signed by the global edge normal.  Test functions
-are broken: v in P2 and tau in (P2)^2 per element, measured in the scaled norm
+are broken: v in P2 and tau in (P2)^2 per element, measured in the norm
 
-    d^-2 (v, v)_T + (grad v, grad v)_T + (tau, tau)_T + d^2 (div tau, div tau)_T.
+    (v, v)_T + (grad v, grad v)_T + (tau, tau)_T + (div tau, div tau)_T
+
+(a scaled norm is this one in units of its length d, see study_cli).
 
 Local trial column order: [u, sigma_x, sigma_y, uhat_v0..v2, sighat_e0..e2];
 test row order: [v (6), tau_x (6), tau_y (6)].
@@ -46,23 +48,21 @@ def _kernels():
     return vol, test, load_rule, test_load, edge, edge_vals, hats
 
 
-def local_gram_poisson(amap: fc.AffineMap, d: float) -> np.ndarray:
-    """Scaled test inner product on the 18 broken test functions of one element:
+def local_gram_poisson(amap: fc.AffineMap) -> np.ndarray:
+    """Test inner product on the 18 broken test functions of one element:
     G = A^T A, one block row of A per norm term at the volume quadrature points."""
-    if d <= 0:
-        raise ValueError(f"scaling length must be positive, got {d}")
     vol, test, *_ = _kernels()
     root = np.sqrt(vol.weights * amap.det)[:, None]
     v = root * test.values
     gx, gy = np.moveaxis(root[..., None] * amap.push_gradients(test.gradients), -1, 0)
     z = np.zeros_like(v)
-    # columns (v, tau_x, tau_y); rows d^-1 v, grad v, tau, d div tau
-    a = np.block([[v / d, z, z],
+    # columns (v, tau_x, tau_y); rows v, grad v, tau, div tau
+    a = np.block([[v, z, z],
                   [gx, z, z],
                   [gy, z, z],
                   [z, v, z],
                   [z, z, v],
-                  [z, d * gx, d * gy]])
+                  [z, gx, gy]])
     return a.T @ a
 
 

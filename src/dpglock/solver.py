@@ -119,17 +119,17 @@ def condense_rhs(linv: np.ndarray, c: np.ndarray, op: np.ndarray,
     return z, g[:, :n_field], (r[:, n_field:] - g[:, n_field:]) * sign
 
 
-def condense(gram: np.ndarray, b: np.ndarray, cls: np.ndarray, sign: np.ndarray,
-             load: np.ndarray, n_field: int) -> Condensed:
-    """Condensed systems of a mesh from the (nc, ...) stacks of per-class G
-    and B, the class of each element, the (nt, n_trace) mesh orientation
-    signs of each element's trace slots, the (nt, n_test) element loads and
-    the number of field slots.
+def condense(elements, cls: np.ndarray, sign: np.ndarray, n_field: int) -> Condensed:
+    """Condensed systems of a mesh from elements(), which builds the (nc, ...)
+    stacks of per-class G and B and the (nt, n_test) element loads, the class
+    of each element, the (nt, n_trace) mesh orientation signs of each
+    element's trace slots and the number of field slots.
 
-    Element systems that overflow (data of magnitude near the float64 limit)
-    raise SolverError here, before a non-finite matrix reaches the global
-    solve."""
+    Element systems that overflow (data of magnitude near the float64 limit),
+    as built or as condensed, raise SolverError here, without numpy warnings
+    and before a non-finite matrix reaches the global solve."""
     with np.errstate(over="ignore", invalid="ignore"):
+        gram, b, load = elements()
         linv, c, op, schur = condense_local(gram, b, n_field)
         z, field, rhs = condense_rhs(linv, c, op, cls, sign, load)
     if not all(np.isfinite(a).all() for a in (schur, z, field, rhs)):

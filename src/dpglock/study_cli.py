@@ -6,7 +6,8 @@ free unknown count, the L2 field errors, and the energy residual, as CSV.
 
 Each problem is the ultraweak form of gamma u + (-lap)^k u = f with the flux
 (-1)^(k+1) grad^k u and a test norm weighted by d^-2k and d^2k, where k is
-the ORDER of its model module; MODELS holds the module and its kernels.
+the ORDER of its model module; MODELS holds the module and its kernels.  The
+weights are a change of units: every study is solved in units of d (unit_config).
 Manufactured solutions: on (0,R1)x(0,R2) every exact solution is a product
 u = X(x) Y(y) of powers of sines, X = sin(pi x/R1)^k and Y = sin(pi y/R2)^k,
 except Y = 1 on the mixed layout (essential conditions only on x = 0 and
@@ -19,7 +20,7 @@ import argparse
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Optional
 
@@ -45,15 +46,15 @@ class ConfigError(ValueError):
 
 
 # Per problem: the element module (ORDER, N_FIELD, N_TRIAL, SIGNED_TRACE) and its kernels
-# gram(amap, d), b(amap, gamma), load(verts, f) and dof_map(mesh).  The kernels name the
+# gram(amap), b(amap, gamma), load(verts, f) and dof_map(mesh).  The kernels name the
 # module functions when called, so that a wrapper installed on the module later runs.
 Model = namedtuple("Model", "module gram b load dof_map")
 MODELS = {
-    POISSON: Model(pw, lambda amap, d: pw.local_gram_poisson(amap, d),
+    POISSON: Model(pw, lambda amap: pw.local_gram_poisson(amap),
                    lambda amap, gamma: pw.local_b_poisson(amap, gamma),
                    lambda verts, f: pw.local_load_poisson(verts, f),
                    lambda mesh: pw.dof_map_poisson(mesh)),
-    PLATE: Model(plw, lambda amap, d: plw.local_gram_plate(amap, d),
+    PLATE: Model(plw, lambda amap: plw.local_gram_plate(amap),
                  lambda amap, gamma: plw.local_b_plate(amap),
                  lambda verts, f: plw.local_load_plate(verts, f),
                  lambda mesh: plw.dof_map_plate(mesh)),
@@ -101,22 +102,22 @@ class StudyConfig:
                                   "it conflicts with --norm standard")
             if self.d_override <= 0:
                 raise ConfigError("scaling override must be positive")
-        # the test norm weighs its terms by d^-2k and d^2k; both are normal float64
-        # values exactly when 2k |log2 d| <= 1022 (the least normal is 2^-1022)
-        k, d = MODELS[self.problem].module.ORDER, pick_d(self)
-        if 2 * k * abs(np.log2(d)) > -np.finfo(float).minexp:
-            raise ConfigError(f"scaling length d = {d:.3g}: d^{2 * k} or d^-{2 * k} of the "
-                              f"{self.problem} test norm is not a normal float64")
-        # the finest mesh (make_rect_mesh's nx columns, 2 triangles a cell, 4 children each)
-        # must be indexable with normal float64 Jacobians, and the load's (k pi / side)^2k finite
-        nx = max(1.0, float(np.floor(self.ny0 * self.r1 / self.r2 + 0.5)))
+        # solved in units of d, the rows are scaled back by d and d^(1-k)
+        k, (unit, d, scale) = MODELS[self.problem].module.ORDER, unit_config(self)
+        if not (all(np.finfo(float).tiny <= x < np.inf for x in (d, scale))
+                and np.isfinite(unit.gamma)):
+            raise ConfigError(f"scaling length d = {d:.3g}: d or d^{1 - k} is not a normal "
+                              f"float64, or the reaction gamma d^{2 * k} overflows")
+        # the finest mesh on the sides R/d (nx columns, 2 triangles a cell, 4 children each) must
+        # be indexable with normal float64 Jacobians, and the load's (k pi / side)^2k finite
+        nx = msh.columns(self.r1, self.r2, self.ny0)
         room = np.iinfo(np.intp).bits - 1 - float(np.log2(2.0 * nx * self.ny0))
         if self.levels - 1 >= room / 2:  # compared exactly, however large levels is
             raise ConfigError("the finest mesh has more triangles than an array can hold")
-        det = self.r1 / nx * self.r2 / self.ny0 / 4.0 ** (self.levels - 1)
+        det = unit.r1 / nx * unit.r2 / self.ny0 / 4.0 ** (self.levels - 1)
         if not np.finfo(float).tiny <= det < np.inf:
             raise ConfigError(f"the finest Jacobian determinant {det:.3g} is not a normal float64")
-        if min(self.r1, self.r2) < k * np.pi / np.finfo(float).max ** (1 / (2 * k)):
+        if min(unit.r1, unit.r2) < k * np.pi / np.finfo(float).max ** (1 / (2 * k)):
             raise ConfigError(f"({k} pi / min side)^{2 * k}, a factor of the {self.problem} "
                               "load, overflows float64")
         if self.out is not None:  # checked without creating or truncating the file
@@ -139,6 +140,18 @@ def pick_d(cfg: StudyConfig) -> float:
     if cfg.bc == msh.ALL_DIRICHLET:
         return float(min(cfg.r1, cfg.r2))
     return float(cfg.r1)
+
+
+def unit_config(cfg: StudyConfig):
+    """(unit, d, d^(1-k)): with x = d x', d = pick_d(cfg) and k = ORDER, the study cfg is unit,
+    the standard-norm study on the sides R/d with reaction gamma d^2k (and load d^2k f).  The
+    errU of cfg is d times that of unit, its errSigma and energy residual d^(1-k) times."""
+    d, k = pick_d(cfg), MODELS[cfg.problem].module.ORDER
+    with np.errstate(over="ignore"):  # validate rejects what overflows
+        gamma = cfg.gamma * np.float64(d) ** (2 * k) if cfg.gamma else 0.0
+        scale = np.float64(d) ** (1 - k)
+    return (replace(cfg, r1=cfg.r1 / d, r2=cfg.r2 / d, gamma=float(gamma), norm=NORM_STANDARD,
+                    d_override=None), d, float(scale))
 
 
 @dataclass(frozen=True)
@@ -185,7 +198,7 @@ def exact_bundle(cfg: StudyConfig) -> ExactBundle:
                                          in zip(op.values(), du(x, y, *op))])
 
 
-def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condensed:
+def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, f) -> slv.Condensed:
     """Condensed local systems of every element, fields eliminated.
 
     Structured meshes contain only a handful of element shapes, so Gram and
@@ -204,12 +217,9 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> slv.Condense
     uw, gram, b, load, _ = MODELS[cfg.problem]
     sign = np.ones((mesh.n_triangles, uw.N_TRIAL - uw.N_FIELD))
     sign[:, uw.SIGNED_TRACE] = mesh.tri_edge_signs
-    try:
-        return slv.condense(np.stack([gram(amap, d) for amap in amaps]),
-                            np.stack([b(amap, cfg.gamma) for amap in amaps]), cls, sign,
-                            load(verts, f), uw.N_FIELD)
-    except slv.NotSPDError as exc:
-        raise slv.NotSPDError(f"d = {d}: {exc}") from exc
+    return slv.condense(lambda: (np.stack([gram(amap) for amap in amaps]),
+                                 np.stack([b(amap, cfg.gamma) for amap in amaps]),
+                                 load(verts, f)), cls, sign, uw.N_FIELD)
 
 
 @dataclass(frozen=True)
@@ -219,9 +229,9 @@ class LevelSolution:
     eta: float
 
 
-def solve_level(mesh: msh.Mesh, cfg: StudyConfig, d: float, f) -> LevelSolution:
+def solve_level(mesh: msh.Mesh, cfg: StudyConfig, f) -> LevelSolution:
     dofmap = MODELS[cfg.problem].dof_map(mesh)
-    cond = condense_mesh(mesh, cfg, d, f)
+    cond = condense_mesh(mesh, cfg, f)
     fields, _, local = slv.solve_condensed(mesh, dofmap, cond)
     _, eta = slv.energy_residual(cond, fields, local)
     return LevelSolution(dofmap.n_free, fields, eta)
@@ -249,19 +259,21 @@ def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
 
 def run_study(cfg: StudyConfig):
     """One row (dofDPG, errU, errSigma, err) per refinement level; errSigma
-    is the error of the flux field, whatever the problem calls it."""
+    is the error of the flux field, whatever the problem calls it.  The levels are solved
+    in units of d, with the columns of the given sides: R1/d / R2/d may round the other way."""
     cfg.validate()
-    mesh = msh.classify_boundary(msh.make_rect_mesh(cfg.r1, cfg.r2, cfg.ny0), cfg.bc)
-    d = pick_d(cfg)
-    exact = exact_bundle(cfg)
+    unit, d, scale = unit_config(cfg)
+    mesh = msh.classify_boundary(msh.make_rect_mesh(
+        unit.r1, unit.r2, cfg.ny0, msh.columns(cfg.r1, cfg.r2, cfg.ny0)), cfg.bc)
+    exact = exact_bundle(unit)
     rows = []
     for level in range(cfg.levels):
         try:
-            sol = solve_level(mesh, cfg, d, exact.f)
+            sol = solve_level(mesh, unit, exact.f)
         except slv.SolverError as exc:
             raise slv.SolverError(f"level {level}: {exc}") from exc
-        err_u, err_flux = compute_errors(mesh, cfg, sol.fields, exact)
-        rows.append((sol.n_free, err_u, err_flux, sol.eta))
+        err_u, err_flux = compute_errors(mesh, unit, sol.fields, exact)
+        rows.append((sol.n_free, err_u * d, err_flux * scale, sol.eta * scale))
         if level + 1 < cfg.levels:
             mesh = msh.refine_uniform(mesh)
     return rows

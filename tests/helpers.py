@@ -328,24 +328,24 @@ def _dense_minres(mesh, dm, model, gram, bmat, loads):
     return x, eta, dm
 
 
-def poisson_dense_minres(mesh, d, gamma, f):
+def poisson_dense_minres(mesh, gamma, f):
     """Brute-force minimum-residual solve of the Poisson system."""
     from dpglock import poisson_uw as pw
 
     return _dense_minres(
         mesh, pw.dof_map_poisson(mesh), pw,
-        lambda amap: pw.local_gram_poisson(amap, d),
+        pw.local_gram_poisson,
         lambda amap: pw.local_b_poisson(amap, gamma),
         pw.local_load_poisson(mesh.vertices[mesh.triangles], f))
 
 
-def plate_dense_minres(mesh, d, f):
+def plate_dense_minres(mesh, f):
     """Brute-force minimum-residual solve of the plate system."""
     from dpglock import plate_uw as plw
 
     return _dense_minres(
         mesh, plw.dof_map_plate(mesh), plw,
-        lambda amap: plw.local_gram_plate(amap, d), plw.local_b_plate,
+        plw.local_gram_plate, plw.local_b_plate,
         plw.local_load_plate(mesh.vertices[mesh.triangles], f))
 
 

@@ -55,9 +55,9 @@ def test_criterion_01_dense_minimum_residual_equivalence():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     for _ in range(2):  # the 2- and 8-triangle unit-square meshes
         dm = pw.dof_map_poisson(mesh)
-        condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
+        condensed = sc.condense_mesh(mesh, cfg, exact.f)
         x = full_solution(*slv.solve_condensed(mesh, dm, condensed)[:2])
-        x_dense, _, _ = poisson_dense_minres(mesh, 1.0, 0.0, exact.f)
+        x_dense, _, _ = poisson_dense_minres(mesh, 0.0, exact.f)
         worst = max(worst, float(np.abs(x - x_dense).max()))
         mesh = msh.refine_uniform(mesh)
     elapsed = time.time() - t0
@@ -247,16 +247,16 @@ def test_criterion_09_plate_dichotomy():
 def test_criterion_10_invariant_suite():
     checks = {}
 
-    # SPD of representative element Gram matrices and a global matrix
-    for d in (1.0, 100.0):
-        amap = fc.affine_map_from_vertices(d / 4.0 * fc.REF_VERTICES)
-        cholesky(pw.local_gram_poisson(amap, d), lower=True)
-        cholesky(plw.local_gram_plate(amap, d), lower=True)
+    # SPD of representative element Gram matrices and a global matrix; an element of
+    # size d / 4 in the norm scaled by d (d = 1 or 100) is this one in units of d
+    amap = fc.affine_map_from_vertices(fc.REF_VERTICES / 4.0)
+    cholesky(pw.local_gram_poisson(amap), lower=True)
+    cholesky(plw.local_gram_plate(amap), lower=True)
     cfg = sc.StudyConfig(problem="poisson")
     exact = sc.exact_bundle(cfg)
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     dm = pw.dof_map_poisson(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
+    condensed = sc.condense_mesh(mesh, cfg, exact.f)
     dofs = dm.all_element_dofs(mesh)
     gs = slv.assemble_global(dofs, dm.n_trace, condensed)
     dense = gs.matrix.toarray()
@@ -281,7 +281,7 @@ def test_criterion_10_invariant_suite():
     for t in range(mesh.n_triangles):
         rows = slice(t * pw.N_TEST, (t + 1) * pw.N_TEST)
         amap = fc.map_affine(mesh, t)
-        big_g[rows, rows] = pw.local_gram_poisson(amap, 1.0)
+        big_g[rows, rows] = pw.local_gram_poisson(amap)
         x_t = np.concatenate([fields[t], slv.gather_local(dofs[t], traces)])
         b = pw.local_b_poisson(amap, 0.0) * trial_signs(mesh, t, pw)
         resid[rows] = loads[t] - b @ x_t
@@ -289,7 +289,7 @@ def test_criterion_10_invariant_suite():
         <= 1e-10 * max(1.0, eta ** 2)
 
     # zero load produces the zero solution
-    zero_cond = sc.condense_mesh(mesh, cfg, 1.0, lambda x_, y_: [(0.0, x_, y_)])
+    zero_cond = sc.condense_mesh(mesh, cfg, lambda x_, y_: [(0.0, x_, y_)])
     x_zero = full_solution(*slv.solve_condensed(mesh, dm, zero_cond)[:2])
     checks["zero"] = np.abs(x_zero).max() <= 1e-14
 

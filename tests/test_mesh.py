@@ -188,7 +188,7 @@ def test_refined_triangles_descend_from_triangle_i_mod_n(r1):
                        rtol=0, atol=1e-14 * r1)
 
     cfg = sc.StudyConfig(problem="poisson")
-    cls_root, cls = (sc.condense_mesh(m, cfg, 1.0, lambda x, y: [(0.0, x, y)]).cls
+    cls_root, cls = (sc.condense_mesh(m, cfg, lambda x, y: [(0.0, x, y)]).cls
                      for m in (root, mesh))
     same = (cls[np.arange(mesh.n_triangles) % n, None] == cls[None, :n])
     assert (same == (cls_root[np.arange(mesh.n_triangles) % n, None]

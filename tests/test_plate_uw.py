@@ -50,50 +50,44 @@ def clamped_square_exact(r=1.0):
 
 def test_gram_constant_v_entry():
     amap = general_map()
-    for d in (1.0, 4.0):
-        g = plw.local_gram_plate(amap, d)
-        assert np.isclose(g[0, 0], amap.det / d ** 4, rtol=1e-12)
+    g = plw.local_gram_plate(amap)
+    assert np.isclose(g[0, 0], amap.det, rtol=1e-12)
 
 
 def test_gram_block_structure():
-    g = plw.local_gram_plate(general_map(), 2.0)
+    g = plw.local_gram_plate(general_map())
     assert np.allclose(g[:10, 10:], 0.0)
     assert np.allclose(g, g.T, rtol=1e-12)
 
 
-def test_gram_scaling_identity():
-    amap = general_map()
-    g1 = plw.local_gram_plate(amap, 1.0)
-    g2 = plw.local_gram_plate(amap, 2.0)
-    mass_v = np.zeros_like(g1)
-    mass_v[:10, :10] = (g1 - g2)[:10, :10] / (1.0 - 2.0 ** -4)
-    kdd = np.zeros_like(g1)
-    kdd[10:, 10:] = (g2 - g1)[10:, 10:] / 15.0
-    rest = g1 - mass_v - kdd
+def test_gram_is_the_scaled_norm_in_units_of_d():
+    # with x = d x' and Q' = d^2 Q, the norm d^-4 |v|^2 + |hess v|^2 + |Q|^2
+    # + d^4 |div div Q|^2 on T is the unit norm on T / d times d^-2
     for d in (0.5, 3.0, 40.0):
-        expected = mass_v / d ** 4 + d ** 4 * kdd + rest
-        got = plw.local_gram_plate(amap, d)
-        assert np.allclose(got, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+        g = plw.local_gram_plate(fc.affine_map_from_vertices(GENERAL_TRI / d))
+        scale = np.r_[np.ones(10), np.full(45, d ** -2)]
+        oracle = d ** 2 * scale[:, None] * plate_gram_oracle(general_map(), d) * scale
+        assert np.allclose(g, oracle, rtol=1e-11, atol=1e-11 * np.abs(oracle).max())
 
 
-@pytest.mark.parametrize("d", [1.0, 10.0])
-def test_gram_matches_dense_oracle(d):
+@pytest.mark.parametrize("size", [1.0, 0.1])
+def test_gram_matches_dense_oracle(size):
+    # size 0.1: the elements in the norm scaled by d = 10, in units of d
     for verts in (GENERAL_TRI, 0.25 * fc.REF_VERTICES):
-        amap = fc.affine_map_from_vertices(verts)
-        g = plw.local_gram_plate(amap, d)
-        oracle = plate_gram_oracle(amap, d)
+        amap = fc.affine_map_from_vertices(size * verts)
+        g = plw.local_gram_plate(amap)
+        oracle = plate_gram_oracle(amap, 1.0)
         assert np.allclose(g, oracle, rtol=1e-11, atol=1e-11 * np.abs(oracle).max())
 
 
 def test_gram_spd_at_desk_scales():
-    # element sizes as they occur in studies: h ~ d / ny on squares, and
-    # h ~ 1 / ny with d = R on the mixed strips
-    for d in (1.0, 10.0, 100.0):
-        for ny in (2, 32):
-            amap = fc.affine_map_from_vertices(d / ny * GENERAL_TRI)
-            cholesky(plw.local_gram_plate(amap, d), lower=True)
-    amap = fc.affine_map_from_vertices(GENERAL_TRI / 16.0)
-    cholesky(plw.local_gram_plate(amap, 10.0), lower=True)
+    # element sizes as they occur in studies, in units of d: h ~ 1 / ny on
+    # squares, and h ~ 1 / (d ny) with d = R on the mixed strips (R = 10)
+    for ny in (2, 32):
+        amap = fc.affine_map_from_vertices(GENERAL_TRI / ny)
+        cholesky(plw.local_gram_plate(amap), lower=True)
+    amap = fc.affine_map_from_vertices(GENERAL_TRI / 160.0)
+    cholesky(plw.local_gram_plate(amap), lower=True)
 
 
 def test_b_moment_columns_against_constant_tests():

@@ -18,55 +18,44 @@ def general_map():
 
 def test_gram_constant_v_entry():
     amap = general_map()
-    for d in (1.0, 3.0, 50.0):
-        g = pw.local_gram_poisson(amap, d)
-        # first basis function is the constant with unit reference L2 norm
-        assert np.isclose(g[0, 0], amap.det / d ** 2, rtol=1e-13)
+    g = pw.local_gram_poisson(amap)
+    # first basis function is the constant with unit reference L2 norm
+    assert np.isclose(g[0, 0], amap.det, rtol=1e-13)
 
 
 def test_gram_block_diagonal_between_v_and_tau():
-    g = pw.local_gram_poisson(general_map(), 2.5)
+    g = pw.local_gram_poisson(general_map())
     assert np.allclose(g[:6, 6:], 0.0)
     assert np.allclose(g[6:, :6], 0.0)
 
 
-def test_gram_scaling_identity():
-    # G_d = d^-2 M_v + K_v + M_tau + d^2 K_div with constituents assembled once
-    amap = general_map()
-    g1 = pw.local_gram_poisson(amap, 1.0)
-    g2 = pw.local_gram_poisson(amap, 2.0)
-    # solve for the d-dependent and d-independent parts from two evaluations
-    mass_v = np.zeros_like(g1)
-    mass_v[:6, :6] = (g1 - g2)[:6, :6] / (1.0 - 0.25)
-    kdiv = np.zeros_like(g1)
-    kdiv[6:, 6:] = (g2 - g1)[6:, 6:] / 3.0
-    rest = g1 - mass_v - kdiv
+def test_gram_is_the_scaled_norm_in_units_of_d():
+    # with x = d x' and tau' = d tau, the norm d^-2 |v|^2 + |grad v|^2 + |tau|^2
+    # + d^2 |div tau|^2 on T is the unit norm on T / d times d^0
     for d in (0.5, 7.0, 120.0):
-        expected = mass_v / d ** 2 + d ** 2 * kdiv + rest
-        got = pw.local_gram_poisson(amap, d)
-        assert np.allclose(got, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+        g = pw.local_gram_poisson(fc.affine_map_from_vertices(GENERAL_TRI / d))
+        scale = np.r_[np.ones(6), np.full(12, 1.0 / d)]
+        oracle = scale[:, None] * poisson_gram_oracle(general_map(), d) * scale
+        assert np.allclose(g, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
 
 
-@pytest.mark.parametrize("d", [1.0, 10.0])
-def test_gram_matches_dense_oracle(d):
+@pytest.mark.parametrize("size", [1.0, 0.1])
+def test_gram_matches_dense_oracle(size):
+    # size 0.1: the elements in the norm scaled by d = 10, in units of d
     for verts in (GENERAL_TRI, 0.125 * fc.REF_VERTICES):
-        amap = fc.affine_map_from_vertices(verts)
-        g = pw.local_gram_poisson(amap, d)
-        oracle = poisson_gram_oracle(amap, d)
+        amap = fc.affine_map_from_vertices(size * verts)
+        g = pw.local_gram_poisson(amap)
+        oracle = poisson_gram_oracle(amap, 1.0)
         assert np.allclose(g, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
 
 
 def test_gram_symmetric_positive_definite():
+    # an element T in the norm scaled by d is T / d in units of d
     for d in (1e-2, 1.0, 1e2):
         for verts in (GENERAL_TRI, 0.01 * fc.REF_VERTICES):
-            g = pw.local_gram_poisson(fc.affine_map_from_vertices(verts), d)
+            g = pw.local_gram_poisson(fc.affine_map_from_vertices(verts / d))
             assert np.allclose(g, g.T, rtol=1e-12)
             cholesky(g, lower=True)  # raises if not SPD
-
-
-def test_gram_rejects_nonpositive_d():
-    with pytest.raises(ValueError):
-        pw.local_gram_poisson(general_map(), 0.0)
 
 
 def test_b_u_column_against_unit_divergence_test():

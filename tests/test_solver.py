@@ -44,8 +44,8 @@ def unpivoted_lu(gs):
 
 def condense_one(gram, b, load, n_field=1):
     """Condensed system of a single element."""
-    return slv.condense(gram[None], b[None], np.zeros(1, dtype=np.int64),
-                        np.ones((1, b.shape[1] - n_field)), load[None], n_field)
+    return slv.condense(lambda: (gram[None], b[None], load[None]), np.zeros(1, dtype=np.int64),
+                        np.ones((1, b.shape[1] - n_field)), n_field)
 
 
 def eliminated(s, r, n_field):
@@ -149,10 +149,10 @@ def test_condense_mesh_separates_similar_elements_of_different_size():
     mesh = msh.Mesh(verts, tris, edges, tri_edges, signs,
                     np.zeros(len(edges), np.int8), np.zeros(len(verts), np.int8))
     cfg = sc.StudyConfig(problem="poisson")
-    cond = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
+    cond = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
     for t in range(mesh.n_triangles):
         amap = fc.map_affine(mesh, t)
-        *_, schur = slv.condense_local(pw.local_gram_poisson(amap, 1.0),
+        *_, schur = slv.condense_local(pw.local_gram_poisson(amap),
                                        pw.local_b_poisson(amap, 0.0), pw.N_FIELD)
         assert np.allclose(cond.schur[cond.cls[t]], schur, rtol=1e-13, atol=0.0)
 
@@ -179,7 +179,7 @@ def test_condense_mesh_classes_match_rowwise_unique(perturb, monkeypatch):
     map_affine = fc.map_affine
     monkeypatch.setattr(fc, "map_affine", lambda m, t: mapped.append(t) or map_affine(m, t))
     cfg = sc.StudyConfig(problem="poisson")
-    cond = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
+    cond = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
     assert np.array_equal(mapped, first)
     assert np.array_equal(cond.cls, cls.reshape(-1))
 
@@ -191,14 +191,14 @@ def test_condense_mesh_signs_match_each_elements_own_system(problem):
     mesh = msh.refine_uniform(msh.refine_uniform(msh.make_rect_mesh(3.0, 2.0, 2)))
     cfg = sc.StudyConfig(problem=problem, gamma=1.0 if problem == "poisson" else 0.0)
     f = sc.exact_bundle(cfg).f
-    cond = sc.condense_mesh(mesh, cfg, 1.0, f)
+    cond = sc.condense_mesh(mesh, cfg, f)
     verts = mesh.vertices[mesh.triangles]
     if problem == "poisson":
         model, loads = pw, pw.local_load_poisson(verts, f)
-        local = lambda amap: (pw.local_gram_poisson(amap, 1.0), pw.local_b_poisson(amap, 1.0))
+        local = lambda amap: (pw.local_gram_poisson(amap), pw.local_b_poisson(amap, 1.0))
     else:
         model, loads = plw, plw.local_load_plate(verts, f)
-        local = lambda amap: (plw.local_gram_plate(amap, 1.0), plw.local_b_plate(amap))
+        local = lambda amap: (plw.local_gram_plate(amap), plw.local_b_plate(amap))
     # some class holds both orientations of an edge, and only the odd trace
     # slots are ever flipped
     assert (cond.sign < 0).any()
@@ -233,8 +233,8 @@ def test_flipping_one_elements_edge_signs_flips_only_its_signed_slots(problem, m
     f = sc.exact_bundle(cfg).f
     signs = mesh.tri_edge_signs.copy()
     signs[0] *= -1
-    cond = sc.condense_mesh(mesh, cfg, 1.0, f)
-    flipped = sc.condense_mesh(replace(mesh, tri_edge_signs=signs), cfg, 1.0, f)
+    cond = sc.condense_mesh(mesh, cfg, f)
+    flipped = sc.condense_mesh(replace(mesh, tri_edge_signs=signs), cfg, f)
     odd = np.zeros(cond.sign.shape, dtype=bool)
     odd[0, model.SIGNED_TRACE] = True
     assert np.array_equal(flipped.sign, np.where(odd, -cond.sign, cond.sign))
@@ -254,8 +254,8 @@ def test_condense_mesh_builds_one_system_per_element_shape(problem, model, gram_
     grams, classes = [], []
     gram, condense = getattr(model, gram_name), slv.condense
     monkeypatch.setattr(model, gram_name, lambda *a: grams.append(a) or gram(*a))
-    monkeypatch.setattr(slv, "condense", lambda g, *a: classes.append(len(g)) or
-                        condense(g, *a))
+    monkeypatch.setattr(slv, "condense", lambda build, cls, *a: classes.append(cls.max() + 1)
+                        or condense(build, cls, *a))
     argv = ["--problem", problem, "--r1", "10", "--r2", "10", "--levels", "4"]
     assert sc.main([*argv, "--out", str(tmp_path / "study.csv")]) == 0
     assert classes == [2, 3, 4, 5]
@@ -281,7 +281,7 @@ def test_assemble_element_order_invariance():
     cfg = sc.StudyConfig(problem="poisson")
     exact = sc.exact_bundle(cfg)
     dm = pw.dof_map_poisson(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
+    condensed = sc.condense_mesh(mesh, cfg, exact.f)
     dofs = dm.all_element_dofs(mesh)
     n = dm.n_trace
     gs = slv.assemble_global(dofs, n, condensed)
@@ -339,7 +339,7 @@ def test_assemble_against_hand_assembled_two_triangle_matrix():
     assert mesh.triangles.tolist() == [[0, 1, 3], [0, 3, 2]]
     assert mesh.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]
     cfg = sc.StudyConfig(problem="poisson")
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
+    condensed = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
     dm = pw.dof_map_poisson(mesh)
     hand_traces = np.array([[-1, -1, -1, 0, 3, 2], [-1, -1, -1, 2, 4, 1]])
     assert (dm.all_element_dofs(mesh) == hand_traces).all()
@@ -524,7 +524,7 @@ def solved_poisson(levels=1):
     cfg = sc.StudyConfig(problem="poisson")
     exact = sc.exact_bundle(cfg)
     dm = pw.dof_map_poisson(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
+    condensed = sc.condense_mesh(mesh, cfg, exact.f)
     dofs = dm.all_element_dofs(mesh)
     gs = slv.assemble_global(dofs, dm.n_trace, condensed)
     fields, traces, _ = slv.solve_condensed(mesh, dm, condensed)
@@ -554,7 +554,7 @@ def test_energy_residual_zero_for_zero_data():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: [(0.0, x, y)])
+    condensed = sc.condense_mesh(mesh, cfg, lambda x, y: [(0.0, x, y)])
     eta_t, eta = slv.energy_residual(condensed, np.zeros((mesh.n_triangles, pw.N_FIELD)),
                                      np.zeros(condensed.sign.shape))
     assert eta == 0.0
@@ -565,7 +565,7 @@ def test_zero_load_gives_zero_solution():
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     cfg = sc.StudyConfig(problem="poisson")
     dm = pw.dof_map_poisson(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: [(0.0, x, y)])
+    condensed = sc.condense_mesh(mesh, cfg, lambda x, y: [(0.0, x, y)])
     fields, traces, _ = slv.solve_condensed(mesh, dm, condensed)
     assert np.allclose(full_solution(fields, traces), 0.0, atol=1e-14)
 
@@ -593,7 +593,7 @@ def test_energy_residual_matches_dense_riesz_oracle():
     loads = pw.local_load_poisson(mesh.vertices[mesh.triangles],
                                   sc.exact_bundle(sc.StudyConfig(problem="poisson")).f)
     riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, pw,
-                               lambda amap: pw.local_gram_poisson(amap, 1.0),
+                               lambda amap: pw.local_gram_poisson(amap),
                                lambda amap: pw.local_b_poisson(amap, 0.0), loads)
     assert np.isclose(eta ** 2, riesz, rtol=1e-10)
 
@@ -605,12 +605,12 @@ def test_plate_energy_residual_matches_dense_riesz_oracle():
     f = sc.exact_bundle(cfg).f
     dm = plw.dof_map_plate(mesh)
     dofs = dm.all_element_dofs(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, f)
+    condensed = sc.condense_mesh(mesh, cfg, f)
     assert (condensed.sign < 0).any()
     fields, traces, local = slv.solve_condensed(mesh, dm, condensed)
     eta_t, eta = slv.energy_residual(condensed, fields, local)
     riesz = dense_riesz_eta_sq(mesh, dofs, fields, traces, plw,
-                               lambda amap: plw.local_gram_plate(amap, 1.0),
+                               lambda amap: plw.local_gram_plate(amap),
                                plw.local_b_plate,
                                plw.local_load_plate(mesh.vertices[mesh.triangles], f))
     assert np.isclose(eta ** 2, riesz, rtol=1e-10)
@@ -653,9 +653,9 @@ def test_pipeline_matches_dense_minimum_residual():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     for level in range(2):
         dm = pw.dof_map_poisson(mesh)
-        condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
+        condensed = sc.condense_mesh(mesh, cfg, exact.f)
         fields, traces, local = slv.solve_condensed(mesh, dm, condensed)
-        x_dense, eta_dense, _ = poisson_dense_minres(mesh, 1.0, 0.0, exact.f)
+        x_dense, eta_dense, _ = poisson_dense_minres(mesh, 0.0, exact.f)
         assert np.abs(full_solution(fields, traces) - x_dense).max() < 1e-9
         _, eta = slv.energy_residual(condensed, fields, local)
         assert np.isclose(eta, eta_dense, rtol=1e-9)
@@ -672,9 +672,9 @@ def test_plate_pipeline_matches_dense_minimum_residual_clamped():
     exact = sc.exact_bundle(cfg)
     for mesh in unit_square_meshes():
         dm = plw.dof_map_plate(mesh)
-        condensed = sc.condense_mesh(mesh, cfg, 1.0, exact.f)
+        condensed = sc.condense_mesh(mesh, cfg, exact.f)
         fields, traces, local = slv.solve_condensed(mesh, dm, condensed)
-        x_dense, eta_dense, _ = plate_dense_minres(mesh, 1.0, exact.f)
+        x_dense, eta_dense, _ = plate_dense_minres(mesh, exact.f)
         assert np.abs(full_solution(fields, traces) - x_dense).max() \
             < 1e-9 * np.abs(x_dense).max()
         _, eta = slv.energy_residual(condensed, fields, local)
@@ -688,23 +688,23 @@ def test_plate_clamped_system_is_well_conditioned():
     cfg = sc.StudyConfig(problem="plate")
     for mesh in unit_square_meshes():
         dm = plw.dof_map_plate(mesh)
-        condensed = sc.condense_mesh(mesh, cfg, 1.0, sc.exact_bundle(cfg).f)
+        condensed = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
         gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_trace, condensed)
         lam = np.linalg.eigvalsh(gs.matrix.toarray())
         assert lam[0] / lam[-1] > 1e-10
 
 
 def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
-    # the scaled norm (d = 4) leaves a normal matrix of condition ~6e7
-    cfg = sc.StudyConfig(problem="plate", r1=4.0, r2=1.0, bc="mixed", norm="scaled")
+    # the scaled 4 x 1 strip, in units of its d = 4, leaves a normal matrix of condition ~6e7
+    cfg, *_ = sc.unit_config(sc.StudyConfig(problem="plate", r1=4.0, r2=1.0, bc="mixed",
+                                            norm="scaled"))
     exact = sc.exact_bundle(cfg)
-    d = sc.pick_d(cfg)
-    mesh = msh.classify_boundary(msh.make_rect_mesh(4.0, 1.0, 1),
+    mesh = msh.classify_boundary(msh.make_rect_mesh(cfg.r1, cfg.r2, 1),
                                  msh.LEFT_RIGHT_DIRICHLET)
     dm = plw.dof_map_plate(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, d, exact.f)
+    condensed = sc.condense_mesh(mesh, cfg, exact.f)
     fields, traces, local = slv.solve_condensed(mesh, dm, condensed)
-    x_dense, eta_dense, _ = plate_dense_minres(mesh, d, exact.f)
+    x_dense, eta_dense, _ = plate_dense_minres(mesh, exact.f)
     assert np.abs(full_solution(fields, traces) - x_dense).max() < 1e-6 * np.abs(x_dense).max()
     _, eta = slv.energy_residual(condensed, fields, local)
     assert np.isclose(eta, eta_dense, rtol=1e-9)
@@ -716,14 +716,14 @@ def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
     ("plate", "mixed", 1.0, False), ("plate", "mixed", 4.0, False),
 ])
 def test_trace_system_is_the_schur_complement_of_the_full_system(problem, bc, r1, refine):
-    # 2- and 8-triangle meshes: unit squares and clamped/free plate strips
-    cfg = sc.StudyConfig(problem=problem, r1=r1, bc=bc, norm="scaled")
-    mesh = msh.classify_boundary(msh.make_rect_mesh(r1, 1.0, 1), bc)
+    # 2- and 8-triangle meshes: unit squares and clamped/free plate strips, in units of d
+    cfg, *_ = sc.unit_config(sc.StudyConfig(problem=problem, r1=r1, bc=bc, norm="scaled"))
+    mesh = msh.classify_boundary(msh.make_rect_mesh(cfg.r1, cfg.r2, 1), bc)
     if refine:
         mesh = msh.refine_uniform(mesh)
     dof_map = pw.dof_map_poisson if problem == "poisson" else plw.dof_map_plate
     dm = dof_map(mesh)
-    cond = sc.condense_mesh(mesh, cfg, sc.pick_d(cfg), sc.exact_bundle(cfg).f)
+    cond = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
     dofs = dm.all_element_dofs(mesh)
     a, r = full_normal_equations(dofs, dm.n_free, cond)
 
@@ -749,13 +749,14 @@ TREE_CASES = {
 
 
 def tree_level(cfg, depth):
-    """A level of the study cfg refined depth times: mesh, dof map,
-    condensed systems, assembled trace system and its TreeFactor."""
+    """A level of the study cfg, in units of d, refined depth times: mesh,
+    dof map, condensed systems, assembled trace system and its TreeFactor."""
+    cfg, *_ = sc.unit_config(cfg)
     mesh = msh.classify_boundary(msh.make_rect_mesh(cfg.r1, cfg.r2, cfg.ny0), cfg.bc)
     for _ in range(depth):
         mesh = msh.refine_uniform(mesh)
     dm = (pw.dof_map_poisson if cfg.problem == "poisson" else plw.dof_map_plate)(mesh)
-    cond = sc.condense_mesh(mesh, cfg, sc.pick_d(cfg), sc.exact_bundle(cfg).f)
+    cond = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
     gs = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_trace, cond)
     return mesh, dm, cond, gs, slv.TreeFactor(mesh, dm, gs)
 

@@ -372,21 +372,35 @@ def test_run_study_energy_column_uses_picked_scaling(monkeypatch):
                         lambda *args: calls.append(args) or energy_residual(*args))
     rows = sc.run_study(cfg)
     assert len(calls) == cfg.levels  # one energy residual per level
-    exact = sc.exact_bundle(cfg)
-    mesh = msh.classify_boundary(msh.make_rect_mesh(10.0, 10.0, 2),
-                                 msh.ALL_DIRICHLET)
-    sol = sc.solve_level(mesh, cfg, sc.pick_d(cfg), exact.f)
-    assert np.isclose(rows[0][3], sol.eta, rtol=1e-12)
+    # the study in units of d = 10, on the unit square; Poisson's eta scales by d^0
+    unit, d, scale = sc.unit_config(cfg)
+    assert (unit.r1, unit.r2, d, scale) == (1.0, 1.0, 10.0, 1.0)
+    mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 2), msh.ALL_DIRICHLET)
+    sol = sc.solve_level(mesh, unit, sc.exact_bundle(unit).f)
+    assert np.isclose(rows[0][3], sol.eta * scale, rtol=1e-12)
 
 
-def test_scaled_poisson_study_on_a_tiny_square_reproduces_the_unit_square():
-    # u = sin(pi x / R) sin(pi y / R) scales ||u|| by R and leaves the flux and the
-    # scaled residual as on the unit square; (pi / R)^2 is finite down to R ~ 1e-154
-    r = 1e-100
-    unit = np.array(sc.run_study(cfg_poisson(norm="scaled", levels=3)))
-    tiny = np.array(sc.run_study(cfg_poisson(r1=r, r2=r, norm="scaled", levels=3)))
-    assert (tiny[:, 0] == unit[:, 0]).all()
-    np.testing.assert_allclose(tiny[:, 1:], unit[:, 1:] * [r, 1.0, 1.0], rtol=1e-12, atol=0)
+@pytest.mark.parametrize("problem, r", [("poisson", 10.0), ("plate", 10.0), ("plate", 1e10),
+                                        ("plate", 1e-20), ("plate", 1e80), ("poisson", 1e100),
+                                        ("poisson", 1e-100)])
+def test_scaled_study_is_the_unit_square_study_in_units_of_d(problem, r):
+    # at d = R the scaled study on the R x R square is solved as the one on the unit
+    # square: the same rows, errU times d and errSigma and err times d^(1-k), bit for bit
+    k = sc.MODELS[problem].module.ORDER
+    unit = np.array(sc.run_study(sc.StudyConfig(problem=problem, norm="scaled", levels=3)))
+    rows = np.array(sc.run_study(sc.StudyConfig(problem=problem, r1=r, r2=r, norm="scaled",
+                                                levels=3)))
+    assert (rows[:, 0] == unit[:, 0]).all()
+    assert (rows[:, 1:] == unit[:, 1:] * [r, r ** (1 - k), r ** (1 - k)]).all()
+
+
+def test_scaled_mesh_keeps_the_columns_of_the_given_sides():
+    # in units of d = 11 the sides 7.5 x 1 have the ratio 7.499999999999999, which
+    # rounds to 7 columns; the mesh keeps the 8 of the given sides (81 unknowns)
+    cfg = cfg_poisson(r1=7.5, ny0=1, norm="scaled", d_override=11.0, levels=1)
+    unit, *_ = sc.unit_config(cfg)
+    assert unit.r1 / unit.r2 == 7.499999999999999
+    assert sc.run_study(cfg)[0][0] == 81
 
 
 @pytest.mark.parametrize("problem", ["poisson", "plate"])
@@ -395,13 +409,11 @@ def test_model_record_matches_its_module(problem):
     uw = model.module
     assert uw.N_FIELD == uw.ORDER + 2  # u and the ORDER + 1 flux components
     amap = fc.map_affine(msh.make_rect_mesh(1.0, 1.0, 1), 0)
-    assert model.gram(amap, 1.0).shape == (uw.N_TEST, uw.N_TEST)
+    assert model.gram(amap).shape == (uw.N_TEST, uw.N_TEST)
     assert model.b(amap, 0.0).shape == (uw.N_TEST, uw.N_TRIAL)
     mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 2), msh.ALL_DIRICHLET)
     assert model.dof_map(mesh).element_slots(mesh).shape[1] == uw.N_TRIAL - uw.N_FIELD
     assert set(uw.SIGNED_TRACE) <= set(range(uw.N_TRIAL - uw.N_FIELD))
-    # the constant test function has no derivative terms: its entry scales as d^-2k
-    assert model.gram(amap, 2.0)[0, 0] / model.gram(amap, 1.0)[0, 0] == 2.0 ** (-2 * uw.ORDER)
     assert model.load(mesh.vertices[mesh.triangles],
                       lambda x, y: [(1.0, 1.0 + 0 * x, 1.0 + 0 * y)]).shape == (
         mesh.n_triangles, uw.N_TEST)
@@ -464,14 +476,16 @@ def test_cli_stdout(capsys):
     ["--problem", "poisson", "--r1", "1e200"],
     ["--problem", "poisson", "--r1", "1e-160", "--r2", "1e-160"],
     ["--problem", "poisson", "--r1", "1e-300", "--r2", "1e-300"],
-    # scaling lengths whose test-norm powers d^-p, d^p (p = 2, 4) float64 cannot hold,
-    # given or picked from the sides
+    # scaling lengths that leave sides R / d whose mesh or load float64 cannot hold
     ["--problem", "plate", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e150"],
     ["--problem", "poisson", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e200"],
     ["--problem", "plate", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e-300"],
     ["--problem", "poisson", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e-160"],
-    ["--problem", "plate", "--r1", "1e80", "--r2", "1e80", "--norm", "scaled", "--levels", "1",
-     "--ny0", "1"],
+    # scaling lengths picked from the sides with d or d^(1-k) subnormal, where the rows
+    # are scaled back, and one whose reaction gamma d^2 overflows
+    ["--problem", "poisson", "--r1", "1e-310", "--r2", "1e-310", "--norm", "scaled"],
+    ["--problem", "plate", "--r1", "1e308", "--r2", "1e308", "--norm", "scaled"],
+    ["--problem", "poisson", "--gamma", "1e306", "--r1", "100", "--r2", "100", "--norm", "scaled"],
     # a side whose plate load factor (2 pi / side)^4 overflows; Poisson's (pi / side)^2 does not
     ["--problem", "plate", "--r1", "1e-77", "--r2", "1e-77"],
 ])
@@ -492,14 +506,20 @@ def test_cli_solver_failure_exits_two(monkeypatch, capsys):
     assert "solver failure" in err and "level 0" in err
 
 
-def test_cli_overflowing_element_systems_exit_two(monkeypatch, capsys):
-    # gamma = 1e300 overflows B^T G^-1 B: condensation stops the run with one
-    # message, without numpy warnings and before anything is factored
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["--problem", "poisson", "--gamma", "1e300", "--levels", "1", "--ny0", "1"],
+    ["--problem", "poisson", "--gamma", "1e306", "--r1", "100", "--r2", "100", "--levels", "1",
+     "--ny0", "1"],
+])
+def test_cli_overflowing_element_systems_exit_two(argv, monkeypatch, capsys):
+    # gamma = 1e300 overflows B^T G^-1 B, gamma = 1e306 B and the load as they are
+    # built: condensation stops the run with one message, without numpy warnings
+    # and before anything is factored
     factored = []
     tree_factor = slv.TreeFactor
     monkeypatch.setattr(slv, "TreeFactor", lambda *a: factored.append(a) or tree_factor(*a))
-    code = sc.main(["--problem", "poisson", "--gamma", "1e300", "--levels", "1",
-                    "--ny0", "1"])
+    code = sc.main(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -548,6 +568,6 @@ def test_plate_clamped_zero_load_gives_zero_solution():
     cfg = sc.StudyConfig(problem="plate")
     mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 1))
     dm = plw.dof_map_plate(mesh)
-    condensed = sc.condense_mesh(mesh, cfg, 1.0, lambda x, y: [(0.0, x, y)])
+    condensed = sc.condense_mesh(mesh, cfg, lambda x, y: [(0.0, x, y)])
     x = full_solution(*slv.solve_condensed(mesh, dm, condensed)[:2])
     assert np.allclose(x, 0.0, atol=1e-13)
