@@ -4,13 +4,16 @@ Meshes are immutable value objects: triangles are stored counterclockwise,
 edges with the lower vertex index first, and every triangle records for each
 of its edges whether its outward normal agrees with the global edge normal
 (the normal obtained by rotating the lower-to-higher-index direction
-clockwise by 90 degrees).  A DofMap numbers the trace unknowns that live on
-the vertices and edges of a mesh.
+clockwise by 90 degrees).  A mesh carries its boundary layout, and its edge
+and vertex tags are derived from the layout and the geometry on first use,
+so refinement only passes the layout on.  A DofMap numbers the trace
+unknowns that live on the vertices and edges of a mesh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +25,7 @@ NEUMANN = 2
 # boundary layouts, named as on the command line
 ALL_DIRICHLET = "dirichlet"
 LEFT_RIGHT_DIRICHLET = "mixed"
+LAYOUTS = (ALL_DIRICHLET, LEFT_RIGHT_DIRICHLET)
 
 
 @dataclass(frozen=True)
@@ -33,9 +37,10 @@ class Mesh:
     edges:          (ne, 2) vertex indices, lower index first
     tri_edges:      (nt, 3) edge index of local edge k = (vertex k, vertex k+1)
     tri_edge_signs: (nt, 3) +1 if local traversal runs lower->higher index
-    edge_tags:      (ne,) INTERIOR / DIRICHLET / NEUMANN
-    vertex_tags:    (nv,) same encoding; DIRICHLET wins at corners
+    layout:         boundary layout, one of LAYOUTS
     depth:          number of refine_uniform steps from the coarse mesh
+
+    edge_tags and vertex_tags are computed from the layout when first read.
     """
 
     vertices: np.ndarray
@@ -43,9 +48,12 @@ class Mesh:
     edges: np.ndarray
     tri_edges: np.ndarray
     tri_edge_signs: np.ndarray
-    edge_tags: np.ndarray
-    vertex_tags: np.ndarray
+    layout: str = ALL_DIRICHLET
     depth: int = 0
+
+    def __post_init__(self):
+        if self.layout not in LAYOUTS:
+            raise ValueError(f"unknown boundary layout {self.layout!r}")
 
     @property
     def n_vertices(self) -> int:
@@ -63,6 +71,35 @@ class Mesh:
         """Edges incident to exactly one triangle."""
         counts = np.bincount(self.tri_edges.ravel(), minlength=self.n_edges)
         return counts == 1
+
+    @cached_property
+    def edge_tags(self) -> np.ndarray:
+        """(ne,) INTERIOR / DIRICHLET / NEUMANN.  ALL_DIRICHLET tags the whole
+        boundary Dirichlet; LEFT_RIGHT_DIRICHLET tags only the boundary edges
+        with both ends on the line x = xmin or both on x = xmax, and the rest
+        of the boundary Neumann.  The lines are found to a relative tolerance
+        of 1e-12, since vertices sit exactly on grid lines."""
+        on_boundary = self.boundary_edge_mask()
+        if not on_boundary.any():
+            raise ValueError("mesh has no boundary edges")
+        dirichlet = on_boundary
+        if self.layout == LEFT_RIGHT_DIRICHLET:
+            x = self.vertices[:, 0]
+            tol = 1e-12 * np.ptp(self.vertices, axis=0).min()
+            # [edge, end, line]: both ends on the same vertical line
+            on_line = np.abs(x[self.edges][:, :, None] - [x.min(), x.max()]) <= tol
+            dirichlet = on_boundary & on_line.all(axis=1).any(axis=1)
+        return np.select([dirichlet, on_boundary], [DIRICHLET, NEUMANN],
+                         INTERIOR).astype(np.int8)
+
+    @cached_property
+    def vertex_tags(self) -> np.ndarray:
+        """(nv,) same encoding: DIRICHLET at the ends of Dirichlet edges (so
+        at the corners of a mixed layout), else NEUMANN at those of Neumann edges."""
+        tags = np.full(self.n_vertices, INTERIOR, dtype=np.int8)
+        for tag in (NEUMANN, DIRICHLET):  # DIRICHLET applied last so it wins
+            tags[self.edges[self.edge_tags == tag]] = tag
+        return tags
 
 
 @dataclass(frozen=True)
@@ -135,15 +172,6 @@ def _connect(triangles: np.ndarray):
     return edges, tri_edges, signs.astype(np.int8)
 
 
-def _vertex_tags_from_edges(n_vertices: int, edges: np.ndarray, edge_tags: np.ndarray) -> np.ndarray:
-    """Vertex gets DIRICHLET if incident to a Dirichlet edge, else NEUMANN if on the boundary."""
-    tags = np.full(n_vertices, INTERIOR, dtype=np.int8)
-    for tag in (NEUMANN, DIRICHLET):  # DIRICHLET applied last so it wins
-        sel = edges[edge_tags == tag]
-        tags[sel.ravel()] = tag
-    return tags
-
-
 def columns(r1: float, r2: float, ny: int) -> float:
     """round(ny * r1 / r2), at least 1, as a float (inf where the ratio overflows)."""
     return max(1.0, float(np.floor(ny * r1 / r2 + 0.5)))
@@ -153,8 +181,8 @@ def make_rect_mesh(r1: float, r2: float, ny: int, nx: int | None = None) -> Mesh
     """Triangulation of (0, r1) x (0, r2) with ny rows of nx diagonally split cells.
 
     nx = columns(r1, r2, ny) by default, so cells stay close to unit aspect ratio.
-    Each cell is split along its lower-left to upper-right diagonal.  All boundary
-    edges start out tagged Dirichlet; use classify_boundary for other layouts.
+    Each cell is split along its lower-left to upper-right diagonal.  The layout
+    is ALL_DIRICHLET; use classify_boundary for another.
     """
     if not (r1 > 0 and r2 > 0):
         raise ValueError(f"rectangle sides must be positive, got {r1} x {r2}")
@@ -173,18 +201,14 @@ def make_rect_mesh(r1: float, r2: float, ny: int, nx: int | None = None) -> Mesh
     triangles = np.stack([ll, ll + 1, ll + nx + 2,
                           ll, ll + nx + 2, ll + nx + 1], axis=1).reshape(-1, 3)
 
-    edges, tri_edges, signs = _connect(triangles)
-    mesh = Mesh(vertices, triangles, edges, tri_edges, signs,
-                np.zeros(len(edges), np.int8), np.zeros(len(vertices), np.int8))
-    return classify_boundary(mesh, ALL_DIRICHLET)
+    return Mesh(vertices, triangles, *_connect(triangles))
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into four congruent children (red refinement).
 
     Midpoint vertices are appended after the parent vertices in edge order,
-    children of boundary edges inherit the parent tag, and all edges created
-    inside a parent triangle are interior.  Child k of triangle t is
+    and the refined mesh keeps the boundary layout.  Child k of triangle t is
     triangle t + k nt, and child 0 keeps the vertex order of t at half its
     Jacobian.  So after d refinements of a mesh of n triangles, triangle i
     descends from triangle i mod n of that mesh, and triangle r < n is
@@ -203,50 +227,10 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1),
     ])
 
-    edges, tri_edges, signs = _connect(children)
-
-    # sub-edge (parent endpoint, parent midpoint) inherits the parent tag; the
-    # midpoint index is the higher one, and edges are sorted by (lower, higher)
-    n = len(vertices)
-    tagged = np.nonzero(mesh.edge_tags != INTERIOR)[0]
-    halves = mesh.edges[tagged] * n + (nv + tagged)[:, None]
-    edge_tags = np.full(len(edges), INTERIOR, dtype=np.int8)
-    edge_tags[np.searchsorted(edges[:, 0] * n + edges[:, 1], halves)] = \
-        mesh.edge_tags[tagged][:, None]
-    vertex_tags = _vertex_tags_from_edges(len(vertices), edges, edge_tags)
-    return Mesh(vertices, children, edges, tri_edges, signs, edge_tags, vertex_tags,
-                mesh.depth + 1)
+    return Mesh(vertices, children, *_connect(children), mesh.layout, mesh.depth + 1)
 
 
 def classify_boundary(mesh: Mesh, layout: str) -> Mesh:
-    """Return a copy of the mesh with boundary edges/vertices tagged for a BC layout.
-
-    ALL_DIRICHLET tags the whole boundary Dirichlet; LEFT_RIGHT_DIRICHLET tags
-    only the edges on the lines x = xmin and x = xmax (the remaining boundary
-    becomes Neumann).  Detection uses a relative tolerance of 1e-12 since
-    vertices sit exactly on grid lines.
-    """
-    if layout not in (ALL_DIRICHLET, LEFT_RIGHT_DIRICHLET):
-        raise ValueError(f"unknown boundary layout {layout!r}")
-    on_boundary = mesh.boundary_edge_mask()
-    if not on_boundary.any():
-        raise ValueError("mesh has no boundary edges")
-
-    edge_tags = np.full(mesh.n_edges, INTERIOR, dtype=np.int8)
-    if layout == ALL_DIRICHLET:
-        edge_tags[on_boundary] = DIRICHLET
-    else:
-        x = mesh.vertices[:, 0]
-        lo, hi = x.min(), x.max()
-        width = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
-        tol = 1e-12 * min(width)
-        on_dirichlet = np.zeros(mesh.n_edges, dtype=bool)
-        for line in (lo, hi):  # both endpoints on the same vertical line
-            on_line = np.abs(x - line) <= tol
-            on_dirichlet |= on_line[mesh.edges[:, 0]] & on_line[mesh.edges[:, 1]]
-        edge_tags[on_boundary & on_dirichlet] = DIRICHLET
-        edge_tags[on_boundary & ~on_dirichlet] = NEUMANN
-
-    vertex_tags = _vertex_tags_from_edges(mesh.n_vertices, mesh.edges, edge_tags)
-    return replace(mesh, edge_tags=edge_tags, vertex_tags=vertex_tags)
-
+    """The mesh with another boundary layout; Mesh.edge_tags says how each
+    layout tags the boundary."""
+    return replace(mesh, layout=layout)

@@ -77,7 +77,7 @@ class StudyConfig:
     def validate(self) -> None:
         if self.problem not in MODELS:
             raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.bc not in (msh.ALL_DIRICHLET, msh.LEFT_RIGHT_DIRICHLET):
+        if self.bc not in msh.LAYOUTS:
             raise ConfigError(f"unknown boundary layout {self.bc!r}")
         if self.norm not in (NORM_STANDARD, NORM_SCALED):
             raise ConfigError(f"unknown norm mode {self.norm!r}")
@@ -304,24 +304,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dpg-lock",
+    """The CLI; an option left out is left out of the namespace, so that
+    StudyConfig's default fills it in."""
+    parser = _Parser(prog="dpg-lock", argument_default=argparse.SUPPRESS,
                      description="Convergence studies for minimum-residual "
                                  "schemes with domain-scaled test norms.")
     parser.add_argument("--problem", choices=tuple(MODELS), required=True)
-    parser.add_argument("--gamma", type=float, default=0.0,
+    parser.add_argument("--gamma", type=float,
                         help="reaction coefficient (poisson only, default 0)")
-    parser.add_argument("--r1", type=float, default=1.0, help="domain width")
-    parser.add_argument("--r2", type=float, default=1.0, help="domain height")
-    parser.add_argument("--bc", choices=(msh.ALL_DIRICHLET, msh.LEFT_RIGHT_DIRICHLET),
-                        default=msh.ALL_DIRICHLET)
-    parser.add_argument("--norm", choices=(NORM_STANDARD, NORM_SCALED),
-                        default=NORM_STANDARD)
-    parser.add_argument("--d", type=float, default=None, dest="d_override",
+    parser.add_argument("--r1", type=float, help="domain width")
+    parser.add_argument("--r2", type=float, help="domain height")
+    parser.add_argument("--bc", choices=msh.LAYOUTS)
+    parser.add_argument("--norm", choices=(NORM_STANDARD, NORM_SCALED))
+    parser.add_argument("--d", type=float, dest="d_override",
                         help="override the scaling length of the scaled norm")
-    parser.add_argument("--levels", type=int, default=5)
-    parser.add_argument("--ny0", type=int, default=2,
+    parser.add_argument("--levels", type=int)
+    parser.add_argument("--ny0", type=int,
                         help="cell rows of the coarsest mesh (default 2)")
-    parser.add_argument("--out", type=str, default=None,
+    parser.add_argument("--out", type=str,
                         help="CSV output path (default: stdout)")
     return parser
 

@@ -135,13 +135,25 @@ def test_classify_idempotent():
     assert (again.vertex_tags == m.vertex_tags).all()
 
 
-def test_refine_inherits_tags():
-    m = msh.classify_boundary(msh.make_rect_mesh(4.0, 1.0, 1),
-                              msh.LEFT_RIGHT_DIRICHLET)
-    r = msh.refine_uniform(m)
-    fresh = msh.classify_boundary(r, msh.LEFT_RIGHT_DIRICHLET)
-    assert (r.edge_tags == fresh.edge_tags).all()
-    assert (r.vertex_tags == fresh.vertex_tags).all()
+def test_refined_mixed_strip_keeps_its_layout_and_tags():
+    m = msh.classify_boundary(msh.make_rect_mesh(10.0, 1.0, 2), msh.LEFT_RIGHT_DIRICHLET)
+    for _ in range(3):
+        m = msh.refine_uniform(m)
+    assert m.layout == msh.LEFT_RIGHT_DIRICHLET and m.depth == 3
+    # 16 cell rows on each of x = 0 and x = 10, 160 columns on each of y = 0 and y = 1
+    assert (m.edge_tags == msh.DIRICHLET).sum() == 32
+    assert (m.edge_tags == msh.NEUMANN).sum() == 320
+    corners = np.isin(m.vertices[:, 0], [0.0, 10.0]) & np.isin(m.vertices[:, 1], [0.0, 1.0])
+    assert corners.sum() == 4 and (m.vertex_tags[corners] == msh.DIRICHLET).all()
+
+
+def test_unknown_layout_is_rejected():
+    m = msh.make_rect_mesh(1.0, 1.0, 1)
+    with pytest.raises(ValueError, match="unknown boundary layout 'bogus'"):
+        msh.Mesh(m.vertices, m.triangles, m.edges, m.tri_edges, m.tri_edge_signs,
+                 layout="bogus")
+    with pytest.raises(ValueError, match="unknown boundary layout 'bogus'"):
+        msh.classify_boundary(m, "bogus")
 
 
 

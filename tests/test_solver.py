@@ -146,8 +146,7 @@ def test_condense_mesh_separates_similar_elements_of_different_size():
     verts = np.array([[0, 0], [1, 0], [0, 1], [3, 0], [5, 0], [3, 2]], float)
     tris = np.array([[0, 1, 2], [3, 4, 5]])
     edges, tri_edges, signs = msh._connect(tris)
-    mesh = msh.Mesh(verts, tris, edges, tri_edges, signs,
-                    np.zeros(len(edges), np.int8), np.zeros(len(verts), np.int8))
+    mesh = msh.Mesh(verts, tris, edges, tri_edges, signs)
     cfg = sc.StudyConfig(problem="poisson")
     cond = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
     for t in range(mesh.n_triangles):
@@ -906,8 +905,8 @@ def test_cli_exits_two_on_an_indefinite_coarse_block(monkeypatch, capsys):
 def test_cli_exits_two_on_an_indefinite_interior_block(monkeypatch, capsys):
     condense = slv.condense
 
-    def negated_refined(gram, b, cls, *args):  # on the refined level only
-        cond = condense(gram, b, cls, *args)
+    def negated_refined(elements, cls, *args):  # on the refined level only
+        cond = condense(elements, cls, *args)
         return negated_middle_child(cond) if len(cls) > 2 else cond
 
     monkeypatch.setattr(slv, "condense", negated_refined)

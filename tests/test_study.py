@@ -454,6 +454,11 @@ def test_cli_writes_csv_and_exits_zero(tmp_path):
     assert "dofDPG,errU,errSigma,err" in content
 
 
+def test_cli_defaults_are_the_config_defaults():
+    args = sc.build_parser().parse_args(["--problem", "plate"])
+    assert sc.StudyConfig(**vars(args)) == sc.StudyConfig("plate")
+
+
 def test_cli_stdout(capsys):
     code = sc.main(["--problem", "poisson", "--levels", "1", "--ny0", "1"])
     assert code == 0
