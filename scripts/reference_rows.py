@@ -1,7 +1,8 @@
 """The CSV rows of the benchmark's reference studies, and how far they lie
 from another set of rows.
 
-    PYTHONPATH=src python3 scripts/reference_rows.py > rows.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/reference_rows.py > rows.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/reference_rows.py --against rows.json
     PYTHONPATH=src python3 scripts/reference_rows.py --against perfbench/reference.json
 
 Runs each study of perfbench/reference.json in-process (the file is only
@@ -15,6 +16,10 @@ That file counts one unknown more on clamped plates than the studies do
 (pinning the twisting-moment kernel came after it was recorded, and the
 benchmark allows the difference), so against it their dofDPG reads false;
 compare with this script's output from the parent commit instead.
+The rows depend on the BLAS thread count (up to 6e-3 relative on the
+5-level mixed plate strip, 2e-10 on plate R10 at 6 levels), so the two
+sets of rows compared must come from one OPENBLAS_NUM_THREADS, as in the
+first two commands (the first run at the parent commit).
 """
 
 from __future__ import annotations

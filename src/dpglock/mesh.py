@@ -180,7 +180,8 @@ def columns(r1: float, r2: float, ny: int) -> float:
 def make_rect_mesh(r1: float, r2: float, ny: int, nx: int | None = None) -> Mesh:
     """Triangulation of (0, r1) x (0, r2) with ny rows of nx diagonally split cells.
 
-    nx = columns(r1, r2, ny) by default, so cells stay close to unit aspect ratio.
+    nx = columns(r1, r2, ny) by default; only the columns are matched, so a
+    tall domain needs a larger ny for near-square cells.
     Each cell is split along its lower-left to upper-right diagonal.  The layout
     is ALL_DIRICHLET; use classify_boundary for another.
     """

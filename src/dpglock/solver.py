@@ -261,8 +261,9 @@ class TreeFactor:
     mesh h refinements coarser.  Triangle r is that triangle scaled down
     (refine_uniform), so the patch's shape class is cls[r].  The four
     children of a patch leave Schur complements on their boundary traces.
-    Merged, the traces strictly inside the patch's triangle are eliminated
-    by one checked Cholesky factor per height and class, which leaves the
+    Merged, the traces strictly inside the patch's triangle, the ones two
+    children list (one or three list a boundary trace), are eliminated by
+    one checked Cholesky factor per height and class, which leaves the
     patch's Schur complement on its boundary.  The patches of a class share
     local numbering and matrices up to a +-1 per local trace, as elements
     do in gs.sign.  No interior trace touches the domain boundary, so
@@ -270,8 +271,8 @@ class TreeFactor:
     the coarse mesh's triangles, bisected recursively at the median of their
     centroids along the wider axis: each block eliminates, as one more
     one-patch step, the free traces that no triangle outside it touches.
-    solve takes right sides up by L^-1 and traces down by L^-T, as matrix
-    products over each class's patches; the explicit M_II^-1 of an
+    solve takes right sides up the steps by L^-1 and traces down by L^-T, as
+    matrix products over each step's patches; the explicit M_II^-1 of an
     ill-conditioned coarse block would raise the backward error 1000-fold.
     """
 
@@ -282,34 +283,33 @@ class TreeFactor:
         self.dof = dofmap.slot_values(dofmap.vertex, dofmap.edge)
         ids = dofmap.element_slots(mesh)
         cls, sign, schur = gs.cls, gs.sign, dict(enumerate(gs.blocks))
-        # per height and class: (interior slots, signs, boundary slots, signs)
-        # of each patch and [L^-1 | L^-1 M_IB] for its interior block M_II = L L^T
+        # steps, in elimination order (one per height and class, then one per
+        # coarse block): interior slots, signs, boundary slots, signs of its
+        # patches and [L^-1 | L^-1 M_IB] for their interior block M_II = L L^T
         self.steps = []
         for h in range(1, mesh.depth + 1):
             n, nb = nt >> 2 * h, ids.shape[1]
             cat, cat_sign = (a.reshape(4, n, nb).transpose(1, 0, 2).reshape(n, 4 * nb)
                              for a in (ids, sign))
-            # patch 0 numbers the merged traces, interior first; its boundary
-            # is the edges of one of its triangles and their vertices
-            on_edge = np.bincount(mesh.tri_edges[::n].ravel(), minlength=mesh.n_edges) == 1
-            on_vertex = np.zeros(mesh.n_vertices, bool)
-            on_vertex[mesh.edges[on_edge]] = True
-            u, first, inv = np.unique(cat[0], return_index=True, return_inverse=True)
-            on_boundary = dofmap.slot_values(on_vertex, on_edge)[u]
-            order, ni = np.argsort(on_boundary, kind="stable"), len(u) - on_boundary.sum()
+            # patch 0 numbers the merged traces, interior first: two of its
+            # children list an interior trace, one or three a boundary one
+            u, first, inv, count = np.unique(cat[0], return_index=True, return_inverse=True,
+                                             return_counts=True)
+            inside = count == 2
+            order, ni = np.argsort(~inside, kind="stable"), inside.sum()
             pos = np.argsort(order)[inv]  # merged position of every child slot
             ids, sign = cat[:, first[order]], cat_sign[:, first[order]]
-            rel = cat_sign * sign[:, pos]
-            step, schur_up = [], {}
+            schur_up = {}
             for c in np.unique(cls[:n]):
                 sel = np.flatnonzero(cls[:n] == c)
+                rel = cat_sign[sel[0]] * sign[sel[0], pos]  # of the class's first patch
                 m = np.zeros((len(u), len(u)))
                 for k in range(4):
-                    p, r = pos[k * nb:(k + 1) * nb], rel[sel[0], k * nb:(k + 1) * nb]
+                    p, r = pos[k * nb:(k + 1) * nb], rel[k * nb:(k + 1) * nb]
                     m[np.ix_(p, p)] += r[:, None] * schur[cls[sel[0] + k * n]] * r
                 op, schur_up[c] = eliminate(m, ni, f"interior block of height {h}, class {c}")
-                step.append((ids[sel, :ni], sign[sel, :ni], ids[sel, ni:], sign[sel, ni:], op))
-            self.steps.append(step)
+                self.steps.append((ids[sel, :ni], sign[sel, :ni],
+                                   ids[sel, ni:], sign[sel, ni:], op))
             ids, sign, schur = ids[:, ni:], sign[:, ni:], schur_up
         free = self.dof[ids] >= 0
         touches = np.bincount(ids[free], minlength=len(self.dof))
@@ -319,8 +319,8 @@ class TreeFactor:
             """(slots, matrix) parts summing to the block's system, its inside eliminated."""
             if len(tris) == 1:
                 r, keep = tris[0], free[tris[0]]
-                parts = [(ids[r, keep],
-                          (sign[r, :, None] * schur[cls[r]] * sign[r])[np.ix_(keep, keep)])]
+                s = sign[r, keep]
+                parts = [(ids[r, keep], s[:, None] * schur[cls[r]][np.ix_(keep, keep)] * s)]
             else:
                 axis = np.ptp(centroid[tris], axis=0).argmax()
                 half = tris[np.argsort(centroid[tris, axis], kind="stable")]
@@ -338,8 +338,8 @@ class TreeFactor:
             x, y = centroid[tris].mean(axis=0)
             op, schur_up = eliminate(m, ni, f"coarse block of {len(tris)} triangles "
                                             f"at ({x:.3g}, {y:.3g})")
-            slots, one = slots[order][None], np.ones((1, len(slots)))
-            self.steps.append([(slots[:, :ni], one[:, :ni], slots[:, ni:], one[:, ni:], op)])
+            slots = slots[order][None]
+            self.steps.append((slots[:, :ni], 1.0, slots[:, ni:], 1.0, op))
             return [(slots[0, ni:], schur_up)]
 
         finish(np.arange(len(ids)))
@@ -350,16 +350,13 @@ class TreeFactor:
         w = np.zeros(len(self.dof))
         w[free] = b[self.dof[free]]
         y = []  # L^-1 f_I of every patch, f_I its interior right side
-        for step in self.steps:
-            for inner, inner_sign, outer, outer_sign, k in step:
-                y.append((w[inner] * inner_sign) @ k[:, :len(k)].T)
-                w -= np.bincount(outer.ravel(), (y[-1] @ k[:, len(k):] * outer_sign).ravel(),
-                                 len(w))
+        for inner, inner_sign, outer, outer_sign, k in self.steps:
+            y.append((w[inner] * inner_sign) @ k[:, :len(k)].T)
+            w -= np.bincount(outer.ravel(), (y[-1] @ k[:, len(k):] * outer_sign).ravel(), len(w))
         xs = np.zeros(len(self.dof))
-        for step in reversed(self.steps):
-            for inner, inner_sign, outer, outer_sign, k in reversed(step):
-                z = y.pop() - (xs[outer] * outer_sign) @ k[:, len(k):].T
-                xs[inner] = z @ k[:, :len(k)] * inner_sign
+        for inner, inner_sign, outer, outer_sign, k in reversed(self.steps):
+            z = y.pop() - (xs[outer] * outer_sign) @ k[:, len(k):].T
+            xs[inner] = z @ k[:, :len(k)] * inner_sign
         out = np.empty(len(b))
         out[self.dof[free]] = xs[free]
         return out

@@ -738,12 +738,14 @@ def test_trace_system_is_the_schur_complement_of_the_full_system(problem, bc, r1
 
 
 # the refinement-tree factor on a clamped plate, the mixed plate strip and the
-# mixed Poisson strip, each on one row of coarse cells
+# mixed Poisson strip, each on one row of coarse cells, and on the clamped
+# plate's default two rows (8 coarse triangles), the benchmark's layout
 TREE_CASES = {
     "clamped plate": sc.StudyConfig(problem="plate", norm="scaled", ny0=1),
     "mixed plate strip": sc.StudyConfig(problem="plate", r1=10.0, bc="mixed", norm="scaled",
                                         ny0=1),
     "mixed poisson strip": sc.StudyConfig(problem="poisson", r1=10.0, bc="mixed", ny0=1),
+    "clamped plate, two rows": sc.StudyConfig(problem="plate", norm="scaled"),
 }
 
 
@@ -760,13 +762,24 @@ def tree_level(cfg, depth):
     return mesh, dm, cond, gs, slv.TreeFactor(mesh, dm, gs)
 
 
+def steps_by_height(mesh, cond, tree):
+    """tree.steps regrouped: one list per height h = 1 .. depth, of one step
+    per class of the height-h patches, and the list of coarse steps."""
+    steps, heights = tree.steps, []
+    for h in range(1, mesh.depth + 1):
+        k = len(np.unique(cond.cls[:mesh.n_triangles >> 2 * h]))
+        heights.append(steps[:k])
+        steps = steps[k:]
+    return heights, steps
+
+
 def test_coarse_dissection_keeps_its_fronts_small():
     # the plate R10 L4 top level: 554 free traces on the coarse skeleton of 8
     # triangles; bisecting them, no front holds more than a quarter of them
     # (138; one dense factor of the skeleton would take all 554)
     cfg = sc.StudyConfig(problem="plate", r1=10.0, r2=10.0, norm="scaled")
-    mesh, *_, tree = tree_level(cfg, 3)
-    fronts = [step[0][4].shape for step in tree.steps[mesh.depth:]]
+    mesh, _, cond, _, tree = tree_level(cfg, 3)
+    fronts = [step[4].shape for step in steps_by_height(mesh, cond, tree)[1]]
     skeleton = sum(ni for ni, _ in fronts)
     assert skeleton == 554
     assert max(n for _, n in fronts) <= skeleton / 4
@@ -799,7 +812,7 @@ def test_tree_patches_of_a_class_match_their_representative(case):
     nt = mesh.n_triangles
     ids, lookup = trace_slots(mesh, dm)
     child = {r: (ids[r], cond.sign[r]) for r in range(nt)}  # boundary of each height-0 patch
-    for h, step in enumerate(tree.steps[:mesh.depth], start=1):
+    for h, step in enumerate(steps_by_height(mesh, cond, tree)[0], start=1):
         n = nt >> 2 * h
         classes = np.unique(cond.cls[:n])
         assert len(step) == len(classes)
@@ -835,9 +848,10 @@ def test_tree_patches_of_a_class_match_their_representative(case):
 
 @pytest.mark.parametrize("case", TREE_CASES)
 def test_tree_interior_traces_are_free_and_off_the_domain_boundary(case):
-    mesh, dm, _, _, tree = tree_level(TREE_CASES[case], 3)
+    mesh, dm, cond, _, tree = tree_level(TREE_CASES[case], 3)
     _, lookup = trace_slots(mesh, dm)
-    inner = [np.concatenate([i.ravel() for i, *_ in step]) for step in tree.steps]
+    heights, coarse = steps_by_height(mesh, cond, tree)
+    inner = [np.concatenate([i.ravel() for i, *_ in step]) for step in heights + [coarse]]
     patches = np.concatenate(inner[:mesh.depth])
     assert (lookup(patches, mesh.vertex_tags, mesh.edge_tags) == msh.INTERIOR).all()
     # the patches and the coarse blocks eliminate every free trace once
