@@ -1,8 +1,8 @@
 """The CSV rows of the benchmark's reference studies, and how far they lie
 from another set of rows.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/reference_rows.py > rows.json
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/reference_rows.py --against rows.json
+    PYTHONPATH=src python3 scripts/reference_rows.py > rows.json
+    PYTHONPATH=src python3 scripts/reference_rows.py --against rows.json
     PYTHONPATH=src python3 scripts/reference_rows.py --against perfbench/reference.json
 
 Runs each study of perfbench/reference.json in-process (the file is only
@@ -18,20 +18,26 @@ benchmark allows the difference), so against it their dofDPG reads false;
 compare with this script's output from the parent commit instead.
 The rows depend on the BLAS thread count (up to 6e-3 relative on the
 5-level mixed plate strip, 2e-10 on plate R10 at 6 levels), so the two
-sets of rows compared must come from one OPENBLAS_NUM_THREADS, as in the
-first two commands (the first run at the parent commit).
+sets of rows compared must come from one OPENBLAS_NUM_THREADS.  Run as a
+script, it sets OPENBLAS_NUM_THREADS=1 unless the environment sets it, so
+the first two commands (the first run at the parent commit) compare rows
+at one thread; to compare at another count, set it on both runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+if __name__ == "__main__":  # before numpy loads OpenBLAS; an explicit setting wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from dpglock import study_cli as sc
+import numpy as np  # noqa: E402
+
+from dpglock import study_cli as sc  # noqa: E402
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 ERRORS = ("errU", "errSigma", "err")

@@ -254,23 +254,25 @@ def backward_scale(gs: GlobalSystem, x: np.ndarray, ax: np.ndarray) -> float:
 class TreeFactor:
     """Factor of a mesh's trace system gs, the sum of its elements' blocks
     (assemble_global), by nested dissection along the refinement tree, once
-    per patch class.
+    per patch class, then over the coarse mesh.
 
     On a mesh refined d times (Mesh.depth), the triangles r + m n with
     m < 4^h and n = nt / 4^h form the height-h patch under triangle r of the
     mesh h refinements coarser.  Triangle r is that triangle scaled down
     (refine_uniform), so the patch's shape class is cls[r].  The four
     children of a patch leave Schur complements on their boundary traces.
-    Merged, the traces strictly inside the patch's triangle, the ones two
-    children list (one or three list a boundary trace), are eliminated by
-    one checked Cholesky factor per height and class, which leaves the
-    patch's Schur complement on its boundary.  The patches of a class share
-    local numbering and matrices up to a +-1 per local trace, as elements
-    do in gs.sign.  No interior trace touches the domain boundary, so
-    constrained slots ride along to the coarse skeleton, the boundaries of
-    the coarse mesh's triangles, bisected recursively at the median of their
-    centroids along the wider axis: each block eliminates, as one more
-    one-patch step, the free traces that no triangle outside it touches.
+    The patches of a class share local numbering and matrices up to a +-1
+    per local trace, as elements do in gs.sign.  No interior trace touches
+    the domain boundary, so constrained slots ride along to the coarse
+    skeleton, the boundaries of the coarse mesh's triangles, bisected
+    recursively at the median of their centroids along the wider axis.
+    The heights and the coarse blocks go through one merge step (merge) and
+    differ only in how they lay out their parts and in their inside rule.
+    At a height, a patch's merged traces strictly inside its triangle are
+    the ones two children list (one or three list a boundary trace), and
+    they are eliminated by one checked Cholesky factor per class.  A coarse
+    block eliminates, as a one-patch step, the free traces that no triangle
+    outside it touches.  Either leaves a Schur complement on the boundary.
     solve takes right sides up the steps by L^-1 and traces down by L^-T, as
     matrix products over each step's patches; the explicit M_II^-1 of an
     ill-conditioned coarse block would raise the backward error 1000-fold.
@@ -291,58 +293,67 @@ class TreeFactor:
             n, nb = nt >> 2 * h, ids.shape[1]
             cat, cat_sign = (a.reshape(4, n, nb).transpose(1, 0, 2).reshape(n, 4 * nb)
                              for a in (ids, sign))
-            # patch 0 numbers the merged traces, interior first: two of its
-            # children list an interior trace, one or three a boundary one
-            u, first, inv, count = np.unique(cat[0], return_index=True, return_inverse=True,
-                                             return_counts=True)
-            inside = count == 2
-            order, ni = np.argsort(~inside, kind="stable"), inside.sum()
-            pos = np.argsort(order)[inv]  # merged position of every child slot
-            ids, sign = cat[:, first[order]], cat_sign[:, first[order]]
-            schur_up = {}
-            for c in np.unique(cls[:n]):
-                sel = np.flatnonzero(cls[:n] == c)
-                rel = cat_sign[sel[0]] * sign[sel[0], pos]  # of the class's first patch
-                m = np.zeros((len(u), len(u)))
-                for k in range(4):
-                    p, r = pos[k * nb:(k + 1) * nb], rel[k * nb:(k + 1) * nb]
-                    m[np.ix_(p, p)] += r[:, None] * schur[cls[sel[0] + k * n]] * r
-                op, schur_up[c] = eliminate(m, ni, f"interior block of height {h}, class {c}")
-                self.steps.append((ids[sel, :ni], sign[sel, :ni],
-                                   ids[sel, ni:], sign[sel, ni:], op))
-            ids, sign, schur = ids[:, ni:], sign[:, ni:], schur_up
+            ids, sign, schur = self.merge(
+                cat, cat_sign, cls[:n], lambda r: [schur[cls[r + k * n]] for k in range(4)],
+                lambda slots, count: count == 2,
+                lambda c: f"interior block of height {h}, class {c}")
         free = self.dof[ids] >= 0
         touches = np.bincount(ids[free], minlength=len(self.dof))
         centroid = mesh.vertices[mesh.triangles].mean(axis=1).reshape(-1, len(ids), 2).mean(axis=0)
 
         def finish(tris):
-            """(slots, matrix) parts summing to the block's system, its inside eliminated."""
+            """(slots, signs, matrix) parts summing to the block's system, its
+            inside eliminated."""
             if len(tris) == 1:
                 r, keep = tris[0], free[tris[0]]
-                s = sign[r, keep]
-                parts = [(ids[r, keep], s[:, None] * schur[cls[r]][np.ix_(keep, keep)] * s)]
+                parts = [(ids[r, keep], sign[r, keep], schur[cls[r]][np.ix_(keep, keep)])]
             else:
                 axis = np.ptp(centroid[tris], axis=0).argmax()
                 half = tris[np.argsort(centroid[tris, axis], kind="stable")]
                 parts = finish(half[:len(half) // 2]) + finish(half[len(half) // 2:])
-            slots, inv = np.unique(np.concatenate([p for p, _ in parts]), return_inverse=True)
+            slots, signs, blocks = zip(*parts)
             touched, count = np.unique(ids[tris][free[tris]], return_counts=True)
-            inside = count[np.searchsorted(touched, slots)] == touches[slots]
-            if not inside.any():
-                return parts
-            order, ni = np.argsort(~inside, kind="stable"), inside.sum()
-            pos = np.split(np.argsort(order)[inv], np.cumsum([len(p) for p, _ in parts[:-1]]))
-            m = np.zeros((len(slots), len(slots)))
-            for p, (_, block) in zip(pos, parts):
-                m[np.ix_(p, p)] += block
             x, y = centroid[tris].mean(axis=0)
-            op, schur_up = eliminate(m, ni, f"coarse block of {len(tris)} triangles "
-                                            f"at ({x:.3g}, {y:.3g})")
-            slots = slots[order][None]
-            self.steps.append((slots[:, :ni], 1.0, slots[:, ni:], 1.0, op))
-            return [(slots[0, ni:], schur_up)]
+            up = self.merge(
+                np.concatenate(slots)[None], np.concatenate(signs)[None], np.zeros(1, int),
+                lambda r: blocks, lambda u, _: count[np.searchsorted(touched, u)] == touches[u],
+                lambda _: f"coarse block of {len(tris)} triangles at ({x:.3g}, {y:.3g})")
+            return parts if up is None else [(up[0][0], up[1][0], up[2][0])]
 
         finish(np.arange(len(ids)))
+
+    def merge(self, slots, signs, group, blocks, inside, what):
+        """Merge and elimination of the parts listed by each row of the
+        (rows, k) slots and signs: row r's parts are the matrices blocks(r),
+        in turn on the next len(block) of its slots and signs.  Row 0 numbers
+        the merged slots, with the ones that inside(slots, count) marks first
+        (count: how many of row 0's part slots list each).  The rows of a
+        group share their matrices up to the signs, so the sum of the first
+        row's parts, signed relative to the merged signs (those of the first
+        part listing each slot), is eliminated once per group and appended
+        as one step for the group's rows.  Returns the rows' outer slots and
+        signs and {group: Schur complement}, or None, and no step, when
+        nothing is inside."""
+        u, first, inv, count = np.unique(slots[0], return_index=True, return_inverse=True,
+                                         return_counts=True)
+        inner = inside(u, count)
+        if not inner.any():
+            return None
+        order, ni = np.argsort(~inner, kind="stable"), inner.sum()
+        pos = np.argsort(order)[inv]  # merged position of every part slot
+        merged, merged_sign, schur = slots[:, first[order]], signs[:, first[order]], {}
+        for g in np.unique(group):
+            sel = np.flatnonzero(group == g)
+            parts = blocks(sel[0])
+            cuts = np.cumsum([len(block) for block in parts[:-1]])
+            rel = signs[sel[0]] * merged_sign[sel[0], pos]  # of the group's first row
+            m = np.zeros((len(u), len(u)))
+            for p, r, block in zip(np.split(pos, cuts), np.split(rel, cuts), parts):
+                m[np.ix_(p, p)] += r[:, None] * block * r
+            op, schur[g] = eliminate(m, ni, what(g))
+            self.steps.append((merged[sel, :ni], merged_sign[sel, :ni],
+                               merged[sel, ni:], merged_sign[sel, ni:], op))
+        return merged[:, ni:], merged_sign[:, ni:], schur
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The traces x with A x = b, A the sum of the element systems."""

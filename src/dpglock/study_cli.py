@@ -22,6 +22,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from math import comb
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,6 +75,16 @@ class StudyConfig:
     ny0: int = 2
     out: Optional[str] = None
 
+    def __post_init__(self):
+        # real numbers (numpy scalars too) become Python floats and ints, so that they
+        # compute in float64 and echo as CLI flags; validate rejects anything else
+        for name, kind, to in (("gamma", Real, float), ("r1", Real, float), ("r2", Real, float),
+                               ("d_override", Real, float), ("levels", Integral, int),
+                               ("ny0", Integral, int)):
+            value = getattr(self, name)
+            if isinstance(value, kind) and not isinstance(value, bool):
+                object.__setattr__(self, name, to(value))
+
     def validate(self) -> None:
         if self.problem not in MODELS:
             raise ConfigError(f"unknown problem {self.problem!r}")
@@ -82,6 +93,8 @@ class StudyConfig:
         if self.norm not in (NORM_STANDARD, NORM_SCALED):
             raise ConfigError(f"unknown norm mode {self.norm!r}")
         d = 1.0 if self.d_override is None else self.d_override
+        if not all(type(x) is float for x in (self.r1, self.r2, self.gamma, d)):
+            raise ConfigError("r1, r2, gamma and d must be real numbers")
         if not np.isfinite([self.r1, self.r2, self.gamma, d]).all():
             raise ConfigError("r1, r2, gamma and d must be finite")
         if not (self.r1 > 0 and self.r2 > 0):
@@ -90,7 +103,7 @@ class StudyConfig:
             raise ConfigError("gamma must be nonnegative")
         if self.problem == PLATE and self.gamma != 0:
             raise ConfigError("the plate model has no reaction term")
-        if not all(isinstance(n, (int, np.integer)) for n in (self.levels, self.ny0)):
+        if not all(type(n) is int for n in (self.levels, self.ny0)):
             raise ConfigError("levels and ny0 must be integers")
         if self.levels < 1:
             raise ConfigError("need at least one refinement level")
@@ -222,19 +235,14 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, f) -> slv.Condensed:
                                  load(verts, f)), cls, sign, uw.N_FIELD)
 
 
-@dataclass(frozen=True)
-class LevelSolution:
-    n_free: int
-    fields: np.ndarray
-    eta: float
-
-
-def solve_level(mesh: msh.Mesh, cfg: StudyConfig, f) -> LevelSolution:
+def solve_level(mesh: msh.Mesh, cfg: StudyConfig, f):
+    """(n_free, fields, eta): the free unknown count of the level, its
+    (nt, n_field) fields and its energy residual."""
     dofmap = MODELS[cfg.problem].dof_map(mesh)
     cond = condense_mesh(mesh, cfg, f)
     fields, _, local = slv.solve_condensed(mesh, dofmap, cond)
     _, eta = slv.energy_residual(cond, fields, local)
-    return LevelSolution(dofmap.n_free, fields, eta)
+    return dofmap.n_free, fields, eta
 
 
 def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
@@ -269,11 +277,11 @@ def run_study(cfg: StudyConfig):
     rows = []
     for level in range(cfg.levels):
         try:
-            sol = solve_level(mesh, unit, exact.f)
+            n_free, fields, eta = solve_level(mesh, unit, exact.f)
         except slv.SolverError as exc:
             raise slv.SolverError(f"level {level}: {exc}") from exc
-        err_u, err_flux = compute_errors(mesh, unit, sol.fields, exact)
-        rows.append((sol.n_free, err_u * d, err_flux * scale, sol.eta * scale))
+        err_u, err_flux = compute_errors(mesh, unit, fields, exact)
+        rows.append((n_free, err_u * d, err_flux * scale, eta * scale))
         if level + 1 < cfg.levels:
             mesh = msh.refine_uniform(mesh)
     return rows

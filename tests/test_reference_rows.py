@@ -1,8 +1,11 @@
-"""scripts/reference_rows.py's comparison, on hand-made row sets."""
+"""scripts/reference_rows.py's comparison, on hand-made row sets, and its BLAS thread default."""
 
 import importlib.util
 import json
 import math
+import os
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,4 +68,20 @@ def test_against_exits_one_when_any_row_differs(against, code, monkeypatch, tmp_
     path.write_text(json.dumps(against))
     assert script.main(["--against", str(path)]) == code
     assert script.main([]) == 0  # printing the rows alone always succeeds
+    capsys.readouterr()
+
+
+def test_only_a_script_run_defaults_to_one_blas_thread(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    environ = dict(os.environ)
+    load_script()
+    assert dict(os.environ) == environ
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--help"])
+    with pytest.raises(SystemExit):
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # an explicit setting wins
+    with pytest.raises(SystemExit):
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
     capsys.readouterr()

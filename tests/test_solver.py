@@ -693,6 +693,29 @@ def test_plate_clamped_system_is_well_conditioned():
         assert lam[0] / lam[-1] > 1e-10
 
 
+@pytest.mark.parametrize("refine", [0, 1, 2])
+def test_clamped_plate_pins_the_constant_twisting_moment_kernel(refine):
+    # with the clamped vertex triples fixed and no edge slot, a constant m_tn
+    # on every edge telescopes to zero around each triangle: A v = 0 for v = 1
+    # on every m_tn unknown; dof_map_plate fixes one m_tn slot to remove it
+    cfg = sc.StudyConfig(problem="plate")
+    mesh = msh.make_rect_mesh(1.0, 1.0, 1)
+    for _ in range(refine):
+        mesh = msh.refine_uniform(mesh)
+    vertex_fixed = np.repeat((mesh.vertex_tags == msh.DIRICHLET)[:, None], 3, axis=1)
+    dm = plw.PlateDofMap.number(mesh, plw.N_FIELD, vertex_fixed,
+                                np.zeros((mesh.n_edges, 3), bool))
+    condensed = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
+    a = slv.assemble_global(dm.all_element_dofs(mesh), dm.n_trace, condensed).matrix
+    v = np.zeros(dm.n_trace)
+    v[dm.edge[:, 2]] = 1.0
+    assert np.linalg.norm(a @ v) <= 1e-14 * abs(a).max() * np.linalg.norm(v)
+    pinned = plw.dof_map_plate(mesh)
+    assert (pinned.edge[:, 2] < 0).sum() == 1
+    assert (pinned.edge[:, :2] >= 0).all()
+    assert np.array_equal(pinned.vertex < 0, vertex_fixed)
+
+
 def test_plate_pipeline_matches_dense_minimum_residual_mixed_strip():
     # the scaled 4 x 1 strip, in units of its d = 4, leaves a normal matrix of condition ~6e7
     cfg, *_ = sc.unit_config(sc.StudyConfig(problem="plate", r1=4.0, r2=1.0, bc="mixed",

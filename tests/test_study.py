@@ -52,9 +52,25 @@ def test_config_validation():
     for bad in (dict(r1=np.inf), dict(r2=np.nan), dict(gamma=np.nan), dict(gamma=np.inf),
                 dict(norm="scaled", d_override=np.nan),
                 dict(norm="scaled", d_override=np.inf),
-                dict(levels=2.5), dict(ny0=1.5), dict(levels=np.nan)):
+                dict(levels=2.5), dict(ny0=1.5), dict(levels=np.nan),
+                dict(levels=True), dict(ny0=True), dict(levels=np.bool_(True)),
+                dict(gamma=False), dict(r1="1"), dict(r1=1 + 0j), dict(r2=np.complex128(1.0))):
         with pytest.raises(sc.ConfigError):
             cfg_poisson(**bad).validate()
+
+
+def test_config_holds_numpy_scalars_as_python_numbers():
+    # they echo as flags that parse back to the config, and compute in float64
+    cfg = cfg_poisson(gamma=np.int64(1), r1=np.float64(2.0), r2=np.float32(0.5),
+                      norm="scaled", d_override=np.float32(0.25), levels=np.int64(1),
+                      ny0=np.int32(2))
+    assert all(type(x) is float for x in (cfg.gamma, cfg.r1, cfg.r2, cfg.d_override))
+    assert type(cfg.levels) is int and type(cfg.ny0) is int
+    echo = sc.flag_echo(cfg)
+    assert "np." not in echo
+    assert sc.StudyConfig(**vars(sc.build_parser().parse_args(echo.split()))) == cfg
+    single = cfg_poisson(r1=np.float32(1.0), r2=np.float32(1.0), levels=1)
+    assert sc.run_study(single) == sc.run_study(cfg_poisson(levels=1))
 
 
 def test_exact_bundle_mixed_rhs_value():
@@ -376,8 +392,8 @@ def test_run_study_energy_column_uses_picked_scaling(monkeypatch):
     unit, d, scale = sc.unit_config(cfg)
     assert (unit.r1, unit.r2, d, scale) == (1.0, 1.0, 10.0, 1.0)
     mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 2), msh.ALL_DIRICHLET)
-    sol = sc.solve_level(mesh, unit, sc.exact_bundle(unit).f)
-    assert np.isclose(rows[0][3], sol.eta * scale, rtol=1e-12)
+    *_, eta = sc.solve_level(mesh, unit, sc.exact_bundle(unit).f)
+    assert np.isclose(rows[0][3], eta * scale, rtol=1e-12)
 
 
 @pytest.mark.parametrize("problem, r", [("poisson", 10.0), ("plate", 10.0), ("plate", 1e10),
