@@ -172,24 +172,26 @@ def _connect(triangles: np.ndarray):
     return edges, tri_edges, signs.astype(np.int8)
 
 
-def columns(r1: float, r2: float, ny: int) -> float:
-    """round(ny * r1 / r2), at least 1, as a float (inf where the ratio overflows)."""
-    return max(1.0, float(np.floor(ny * r1 / r2 + 0.5)))
+def cells(r1: float, r2: float, n: int) -> tuple:
+    """(nx, ny): n cells along the shorter side and round(n long / short), at least 1, along
+    the longer one, as floats (inf where the ratio overflows)."""
+    k = max(1.0, float(np.floor(n * max(r1, r2) / min(r1, r2) + 0.5)))
+    return (k, float(n)) if r1 >= r2 else (float(n), k)
 
 
-def make_rect_mesh(r1: float, r2: float, ny: int, nx: int | None = None) -> Mesh:
+def make_rect_mesh(r1: float, r2: float, n: int, shape: tuple | None = None) -> Mesh:
     """Triangulation of (0, r1) x (0, r2) with ny rows of nx diagonally split cells.
 
-    nx = columns(r1, r2, ny) by default; only the columns are matched, so a
-    tall domain needs a larger ny for near-square cells.
+    (nx, ny) = shape, by default cells(r1, r2, n): n cells along the shorter
+    side, so that the cells are near-square.
     Each cell is split along its lower-left to upper-right diagonal.  The layout
     is ALL_DIRICHLET; use classify_boundary for another.
     """
     if not (r1 > 0 and r2 > 0):
         raise ValueError(f"rectangle sides must be positive, got {r1} x {r2}")
-    if ny < 1:
-        raise ValueError(f"ny must be >= 1, got {ny}")
-    nx = int(columns(r1, r2, ny) if nx is None else nx)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    nx, ny = map(int, cells(r1, r2, n) if shape is None else shape)
 
     xs = np.linspace(0.0, r1, nx + 1)
     ys = np.linspace(0.0, r2, ny + 1)

@@ -17,10 +17,11 @@ x = R1, natural ones elsewhere).  The load is the model operator applied to u.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from math import comb
 from numbers import Integral, Real
 from typing import Callable, Optional
@@ -62,39 +63,55 @@ MODELS = {
 }
 
 
+def option(kind, default=MISSING, *, flag=None, choices=None, help=None, echo=True):
+    """A StudyConfig field and its command line option: the kind of its value (float, int
+    or str), its flag (--name by default), choices and help text, and whether the CSV
+    comment echoes it."""
+    return dataclasses.field(default=default, metadata=dict(kind=kind, flag=flag,
+                                                            choices=choices, help=help, echo=echo))
+
+
+def flag(f: dataclasses.Field) -> str:
+    return f.metadata["flag"] or f"--{f.name}"
+
+
+# per kind, the values that StudyConfig turns into it: real numbers (numpy scalars too)
+# become Python floats and ints, so that they compute in float64 and echo as CLI flags,
+# and path objects become strings; validate rejects anything else
+COERCE = {float: (Real, float), int: (Integral, int), str: (os.PathLike, os.fspath)}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    problem: str
-    gamma: float = 0.0
-    r1: float = 1.0
-    r2: float = 1.0
-    bc: str = msh.ALL_DIRICHLET
-    norm: str = NORM_STANDARD
-    d_override: Optional[float] = None
-    levels: int = 5
-    ny0: int = 2
-    out: Optional[str] = None
+    """One study; each field is a command line option (see option)."""
+
+    problem: str = option(str, choices=tuple(MODELS))
+    gamma: float = option(float, 0.0, help="reaction coefficient (poisson only, default 0)")
+    r1: float = option(float, 1.0, help="domain width")
+    r2: float = option(float, 1.0, help="domain height")
+    bc: str = option(str, msh.ALL_DIRICHLET, choices=msh.LAYOUTS)
+    norm: str = option(str, NORM_STANDARD, choices=(NORM_STANDARD, NORM_SCALED))
+    d_override: Optional[float] = option(float, None, flag="--d",
+                                         help="override the scaling length of the scaled norm")
+    levels: int = option(int, 5)
+    ny0: int = option(int, 2, help="cells along the shorter side of the coarsest mesh (default 2)")
+    out: Optional[str] = option(str, None, help="CSV output path (default: stdout)", echo=False)
 
     def __post_init__(self):
-        # real numbers (numpy scalars too) become Python floats and ints, so that they
-        # compute in float64 and echo as CLI flags; validate rejects anything else
-        for name, kind, to in (("gamma", Real, float), ("r1", Real, float), ("r2", Real, float),
-                               ("d_override", Real, float), ("levels", Integral, int),
-                               ("ny0", Integral, int)):
-            value = getattr(self, name)
-            if isinstance(value, kind) and not isinstance(value, bool):
-                object.__setattr__(self, name, to(value))
+        for f in dataclasses.fields(self):
+            value, (accepts, to) = getattr(self, f.name), COERCE[f.metadata["kind"]]
+            if isinstance(value, accepts) and not isinstance(value, bool):
+                object.__setattr__(self, f.name, to(value))
 
     def validate(self) -> None:
-        if self.problem not in MODELS:
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.bc not in msh.LAYOUTS:
-            raise ConfigError(f"unknown boundary layout {self.bc!r}")
-        if self.norm not in (NORM_STANDARD, NORM_SCALED):
-            raise ConfigError(f"unknown norm mode {self.norm!r}")
+        for f in dataclasses.fields(self):  # before any range check: type, then choices
+            value, kind, choices = getattr(self, f.name), f.metadata["kind"], f.metadata["choices"]
+            if type(value) is not kind and not (value is None and f.default is None):
+                raise ConfigError(f"{flag(f)} must be of type {kind.__name__}, not {value!r}")
+            if choices and value not in choices:
+                raise ConfigError(f"unknown {f.name} {value!r}; {flag(f)} takes one of "
+                                  f"{', '.join(choices)}")
         d = 1.0 if self.d_override is None else self.d_override
-        if not all(type(x) is float for x in (self.r1, self.r2, self.gamma, d)):
-            raise ConfigError("r1, r2, gamma and d must be real numbers")
         if not np.isfinite([self.r1, self.r2, self.gamma, d]).all():
             raise ConfigError("r1, r2, gamma and d must be finite")
         if not (self.r1 > 0 and self.r2 > 0):
@@ -103,8 +120,6 @@ class StudyConfig:
             raise ConfigError("gamma must be nonnegative")
         if self.problem == PLATE and self.gamma != 0:
             raise ConfigError("the plate model has no reaction term")
-        if not all(type(n) is int for n in (self.levels, self.ny0)):
-            raise ConfigError("levels and ny0 must be integers")
         if self.levels < 1:
             raise ConfigError("need at least one refinement level")
         if self.ny0 < 1:
@@ -121,13 +136,13 @@ class StudyConfig:
                 and np.isfinite(unit.gamma)):
             raise ConfigError(f"scaling length d = {d:.3g}: d or d^{1 - k} is not a normal "
                               f"float64, or the reaction gamma d^{2 * k} overflows")
-        # the finest mesh on the sides R/d (nx columns, 2 triangles a cell, 4 children each) must
-        # be indexable with normal float64 Jacobians, and the load's (k pi / side)^2k finite
-        nx = msh.columns(self.r1, self.r2, self.ny0)
-        room = np.iinfo(np.intp).bits - 1 - float(np.log2(2.0 * nx * self.ny0))
+        # the finest mesh on the sides R/d (nx x ny cells, 2 triangles a cell, 4 children each)
+        # must be indexable with normal float64 Jacobians, and the load's (k pi / side)^2k finite
+        nx, ny = msh.cells(self.r1, self.r2, self.ny0)
+        room = np.iinfo(np.intp).bits - 1 - float(np.log2(2.0 * nx * ny))
         if self.levels - 1 >= room / 2:  # compared exactly, however large levels is
             raise ConfigError("the finest mesh has more triangles than an array can hold")
-        det = unit.r1 / nx * unit.r2 / self.ny0 / 4.0 ** (self.levels - 1)
+        det = unit.r1 / nx * unit.r2 / ny / 4.0 ** (self.levels - 1)
         if not np.finfo(float).tiny <= det < np.inf:
             raise ConfigError(f"the finest Jacobian determinant {det:.3g} is not a normal float64")
         if min(unit.r1, unit.r2) < k * np.pi / np.finfo(float).max ** (1 / (2 * k)):
@@ -268,11 +283,11 @@ def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
 def run_study(cfg: StudyConfig):
     """One row (dofDPG, errU, errSigma, err) per refinement level; errSigma
     is the error of the flux field, whatever the problem calls it.  The levels are solved
-    in units of d, with the columns of the given sides: R1/d / R2/d may round the other way."""
+    in units of d, with the cell counts of the given sides: R1/d / R2/d may round the other way."""
     cfg.validate()
     unit, d, scale = unit_config(cfg)
     mesh = msh.classify_boundary(msh.make_rect_mesh(
-        unit.r1, unit.r2, cfg.ny0, msh.columns(cfg.r1, cfg.r2, cfg.ny0)), cfg.bc)
+        unit.r1, unit.r2, cfg.ny0, msh.cells(cfg.r1, cfg.r2, cfg.ny0)), cfg.bc)
     exact = exact_bundle(unit)
     rows = []
     for level in range(cfg.levels):
@@ -288,13 +303,10 @@ def run_study(cfg: StudyConfig):
 
 
 def flag_echo(cfg: StudyConfig) -> str:
-    parts = [f"--problem {cfg.problem}", f"--gamma {cfg.gamma!r}",
-             f"--r1 {cfg.r1!r}", f"--r2 {cfg.r2!r}", f"--bc {cfg.bc}",
-             f"--norm {cfg.norm}"]
-    if cfg.d_override is not None:
-        parts.append(f"--d {cfg.d_override!r}")
-    parts += [f"--levels {cfg.levels}", f"--ny0 {cfg.ny0}"]
-    return " ".join(parts)
+    """The echoed options of cfg as flags that parse back to it; a float prints in its
+    shortest round-trip form."""
+    values = [(f, getattr(cfg, f.name)) for f in dataclasses.fields(cfg) if f.metadata["echo"]]
+    return " ".join(f"{flag(f)} {value}" for f, value in values if value is not None)
 
 
 def write_csv(cfg: StudyConfig, rows, stream) -> None:
@@ -317,20 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dpg-lock", argument_default=argparse.SUPPRESS,
                      description="Convergence studies for minimum-residual "
                                  "schemes with domain-scaled test norms.")
-    parser.add_argument("--problem", choices=tuple(MODELS), required=True)
-    parser.add_argument("--gamma", type=float,
-                        help="reaction coefficient (poisson only, default 0)")
-    parser.add_argument("--r1", type=float, help="domain width")
-    parser.add_argument("--r2", type=float, help="domain height")
-    parser.add_argument("--bc", choices=msh.LAYOUTS)
-    parser.add_argument("--norm", choices=(NORM_STANDARD, NORM_SCALED))
-    parser.add_argument("--d", type=float, dest="d_override",
-                        help="override the scaling length of the scaled norm")
-    parser.add_argument("--levels", type=int)
-    parser.add_argument("--ny0", type=int,
-                        help="cell rows of the coarsest mesh (default 2)")
-    parser.add_argument("--out", type=str,
-                        help="CSV output path (default: stdout)")
+    for f in dataclasses.fields(StudyConfig):
+        parser.add_argument(flag(f), dest=f.name, type=f.metadata["kind"],
+                            required=f.default is MISSING, choices=f.metadata["choices"],
+                            help=f.metadata["help"])
     return parser
 
 

@@ -302,3 +302,20 @@ def test_criterion_10_invariant_suite():
     ok = all(checks.values())
     report(10, ok, "invariants " + ", ".join(
         f"{name}={'ok' if good else 'FAIL'}" for name, good in checks.items()))
+
+
+def test_criterion_11_tall_mixed_domain_needs_no_scaling():
+    # on R1 = 1 the mixed layout's Dirichlet sides x = 0 and x = 1 are the long ones, so
+    # the Poincare length is R1 = 1 and the standard norm is the scaled one: no locking
+    details = []
+    ok = True
+    for r in (10.0, 100.0):
+        rows = run(problem="poisson", r1=1.0, r2=r, bc="mixed", norm="standard", levels=4,
+                   ny0=1)
+        s_sigma, s_err = slope(rows, 2), slope(rows, 3)
+        reductions = ratios(rows, 2)
+        ok &= -0.62 <= s_sigma <= -0.38 and -0.62 <= s_err <= -0.38
+        ok &= all(q >= 1.5 for q in reductions)
+        details.append(f"1 x {r:g}: slopes ({s_sigma:.3f}, {s_err:.3f}), "
+                       f"min reduction {min(reductions):.2f}")
+    report(11, ok, "; ".join(details) + " (need slopes in band, reductions >= 1.5)")

@@ -20,11 +20,13 @@ def test_rect_mesh_counts(r1, r2, ny, nv, nt, ne):
     assert euler(m) == 1
 
 
-@pytest.mark.parametrize("r1,r2,ny", [(1, 1, 1), (10, 1, 1), (3, 2, 4), (1, 5, 3)])
-def test_rect_mesh_triangles_match_cell_loop(r1, r2, ny):
-    # cells row by row, each split into (ll, lr, ur) and (ll, ur, ul)
-    m = msh.make_rect_mesh(r1, r2, ny)
-    nx = max(1, int(np.floor(ny * r1 / r2 + 0.5)))
+@pytest.mark.parametrize("r1,r2,n,nx,ny", [(1, 1, 1, 1, 1), (10, 1, 1, 10, 1), (3, 2, 4, 6, 4),
+                                           (1, 5, 3, 3, 15)],
+                         ids=["1-1-1", "10-1-1", "3-2-4", "1-5-3"])  # r1-r2-n
+def test_rect_mesh_triangles_match_cell_loop(r1, r2, n, nx, ny):
+    # n cells along the shorter side; cells row by row, each split into (ll, lr, ur) and
+    # (ll, ur, ul)
+    m = msh.make_rect_mesh(r1, r2, n)
     tris = []
     for j in range(ny):
         for i in range(nx):
@@ -33,6 +35,16 @@ def test_rect_mesh_triangles_match_cell_loop(r1, r2, ny):
     expected = np.array(tris, dtype=np.int64)
     assert m.triangles.dtype == expected.dtype
     assert (m.triangles == expected).all() and m.triangles.shape == expected.shape
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r2", [0.1, 1.0, 10.0, 100.0])
+def test_coarse_cells_are_near_square(r2, n):
+    m = msh.make_rect_mesh(1.0, r2, n)
+    legs = m.vertices[m.triangles[0, 1:]] - m.vertices[m.triangles[0, 0]]  # ll to lr and ur
+    width, height = legs[0, 0], legs[1, 1]
+    assert 0.5 <= width / height <= 2.0
+    assert min(m.vertices.max(axis=0) / [width, height]) == pytest.approx(n)
 
 
 def test_rect_mesh_rejects_bad_input():

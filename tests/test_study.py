@@ -1,6 +1,7 @@
 import io
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import comb
 from pathlib import Path
 
@@ -34,7 +35,7 @@ def test_pick_d(cfg, expected):
     assert sc.pick_d(cfg) == expected
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(sc.ConfigError):
         cfg_poisson(r1=-1.0).validate()
     with pytest.raises(sc.ConfigError):
@@ -51,12 +52,36 @@ def test_config_validation():
         cfg_poisson(problem="heat").validate()
     for bad in (dict(r1=np.inf), dict(r2=np.nan), dict(gamma=np.nan), dict(gamma=np.inf),
                 dict(norm="scaled", d_override=np.nan),
-                dict(norm="scaled", d_override=np.inf),
-                dict(levels=2.5), dict(ny0=1.5), dict(levels=np.nan),
-                dict(levels=True), dict(ny0=True), dict(levels=np.bool_(True)),
-                dict(gamma=False), dict(r1="1"), dict(r1=1 + 0j), dict(r2=np.complex128(1.0))):
+                dict(norm="scaled", d_override=np.inf)):
         with pytest.raises(sc.ConfigError):
             cfg_poisson(**bad).validate()
+    # values of the wrong type, text fields included, are named as such before any range check
+    for bad in (dict(levels=2.5), dict(ny0=1.5), dict(levels=np.nan),
+                dict(levels=True), dict(ny0=True), dict(levels=np.bool_(True)),
+                dict(gamma=False), dict(r1="1"), dict(r1=1 + 0j), dict(r2=np.complex128(1.0)),
+                dict(problem=["poisson"]), dict(bc=["mixed"]), dict(norm=1), dict(out=3)):
+        with pytest.raises(sc.ConfigError, match="must be of type"):
+            cfg_poisson(**bad).validate()
+    path = cfg_poisson(out=tmp_path / "study.csv")  # a path object is taken as its string
+    path.validate()
+    assert path.out == str(tmp_path / "study.csv")
+
+
+def test_flag_echo_parses_back_to_the_config():
+    cfg = sc.StudyConfig(problem="plate", gamma=0.5, r1=3.0, r2=0.25, bc="mixed", norm="scaled",
+                         d_override=1.5, levels=3, ny0=4)
+    echoed = [f for f in fields(cfg) if f.metadata["echo"]]
+    assert all(getattr(cfg, f.name) != f.default for f in echoed)  # every one at a non-default
+    assert sc.StudyConfig(**vars(sc.build_parser().parse_args(sc.flag_echo(cfg).split()))) == cfg
+
+
+def test_readme_lists_every_flag():
+    # the one copy of the option list that the StudyConfig fields do not generate
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    flags = re.findall(r"--\w+", sc.build_parser().format_usage())
+    assert len(flags) == len(fields(sc.StudyConfig))
+    assert [f for f in flags if not re.search(rf"`{f}\b|/{f}\b", section)] == []
 
 
 def test_config_holds_numpy_scalars_as_python_numbers():
@@ -419,6 +444,28 @@ def test_scaled_mesh_keeps_the_columns_of_the_given_sides():
     assert sc.run_study(cfg)[0][0] == 81
 
 
+def mirrored(mesh):
+    """The mesh reflected about y = x, its triangles kept counterclockwise."""
+    triangles = mesh.triangles[:, ::-1]
+    return msh.Mesh(mesh.vertices[:, ::-1], triangles, *msh._connect(triangles))
+
+
+@pytest.mark.parametrize("r", [1.0, 10.0])
+def test_transposed_study_is_the_same_discrete_problem(r, monkeypatch):
+    # reflection about y = x maps each cell's lower-left to upper-right diagonal onto
+    # itself, so the all-Dirichlet study on R x 1, the one on 1 x R and the one on the
+    # mirror image of the R x 1 mesh are one discrete problem, up to rounding
+    rows = np.array(sc.run_study(cfg_poisson(r1=r, levels=4)))
+    transposed = np.array(sc.run_study(cfg_poisson(r2=r, levels=4)))
+    make = msh.make_rect_mesh
+    monkeypatch.setattr(msh, "make_rect_mesh",
+                        lambda r1, r2, n, shape: mirrored(make(r2, r1, n, shape[::-1])))
+    mirror = np.array(sc.run_study(cfg_poisson(r2=r, levels=4)))
+    for other in (transposed, mirror):
+        assert (other[:, 0] == rows[:, 0]).all()
+        assert np.abs(other[:, 1:] / rows[:, 1:] - 1).max() <= 1e-10
+
+
 @pytest.mark.parametrize("problem", ["poisson", "plate"])
 def test_model_record_matches_its_module(problem):
     model = sc.MODELS[problem]
@@ -495,6 +542,7 @@ def test_cli_stdout(capsys):
     ["--problem", "poisson", "--levels", "2", "--out", "/nonexistent/dir/x.csv"],
     # finite sides whose mesh, manufactured solution or Jacobians float64 cannot hold
     ["--problem", "poisson", "--r1", "1e200"],
+    ["--problem", "poisson", "--r1", "1", "--r2", "1e200", "--levels", "2"],
     ["--problem", "poisson", "--r1", "1e-160", "--r2", "1e-160"],
     ["--problem", "poisson", "--r1", "1e-300", "--r2", "1e-300"],
     # scaling lengths that leave sides R / d whose mesh or load float64 cannot hold
