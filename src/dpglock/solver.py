@@ -264,8 +264,8 @@ class TreeFactor:
     The patches of a class share local numbering and matrices up to a +-1
     per local trace, as elements do in gs.sign.  No interior trace touches
     the domain boundary, so constrained slots ride along to the coarse
-    skeleton, the boundaries of the coarse mesh's triangles, bisected
-    recursively at the median of their centroids along the wider axis.
+    skeleton, the boundaries of the coarse mesh's triangles, in the blocks
+    of their bisection.
     The heights and the coarse blocks go through one merge step (merge) and
     differ only in how they lay out their parts and in their inside rule.
     At a height, a patch's merged traces strictly inside its triangle are
@@ -276,6 +276,12 @@ class TreeFactor:
     solve takes right sides up the steps by L^-1 and traces down by L^-T, as
     matrix products over each step's patches; the explicit M_II^-1 of an
     ill-conditioned coarse block would raise the backward error 1000-fold.
+
+    A factor holds dof and steps: per step, the interior and boundary slots
+    of its patches, their +-1 signs as int8, and its [L^-1 | L^-1 M_IB].
+    No object of the factor or of its construction refers to itself, so
+    reference counting frees the factor once solve_condensed returns, and
+    a level holds no earlier level's factor.
     """
 
     def __init__(self, mesh, dofmap, gs: GlobalSystem):
@@ -284,7 +290,7 @@ class TreeFactor:
         nt = mesh.n_triangles
         self.dof = dofmap.slot_values(dofmap.vertex, dofmap.edge)
         ids = dofmap.element_slots(mesh)
-        cls, sign, schur = gs.cls, gs.sign, dict(enumerate(gs.blocks))
+        cls, sign, schur = gs.cls, gs.sign.astype(np.int8), dict(enumerate(gs.blocks))
         # steps, in elimination order (one per height and class, then one per
         # coarse block): interior slots, signs, boundary slots, signs of its
         # patches and [L^-1 | L^-1 M_IB] for their interior block M_II = L L^T
@@ -300,17 +306,14 @@ class TreeFactor:
         free = self.dof[ids] >= 0
         touches = np.bincount(ids[free], minlength=len(self.dof))
         centroid = mesh.vertices[mesh.triangles].mean(axis=1).reshape(-1, len(ids), 2).mean(axis=0)
-
-        def finish(tris):
-            """(slots, signs, matrix) parts summing to the block's system, its
-            inside eliminated."""
+        done = []  # per block factored and not yet joined: (slots, signs, matrix) parts
+        for tris in bisection(centroid, np.arange(len(ids))):
             if len(tris) == 1:
                 r, keep = tris[0], free[tris[0]]
                 parts = [(ids[r, keep], sign[r, keep], schur[cls[r]][np.ix_(keep, keep)])]
             else:
-                axis = np.ptp(centroid[tris], axis=0).argmax()
-                half = tris[np.argsort(centroid[tris, axis], kind="stable")]
-                parts = finish(half[:len(half) // 2]) + finish(half[len(half) // 2:])
+                right = done.pop()
+                parts = done.pop() + right
             slots, signs, blocks = zip(*parts)
             touched, count = np.unique(ids[tris][free[tris]], return_counts=True)
             x, y = centroid[tris].mean(axis=0)
@@ -318,9 +321,7 @@ class TreeFactor:
                 np.concatenate(slots)[None], np.concatenate(signs)[None], np.zeros(1, int),
                 lambda r: blocks, lambda u, _: count[np.searchsorted(touched, u)] == touches[u],
                 lambda _: f"coarse block of {len(tris)} triangles at ({x:.3g}, {y:.3g})")
-            return parts if up is None else [(up[0][0], up[1][0], up[2][0])]
-
-        finish(np.arange(len(ids)))
+            done.append(parts if up is None else [(up[0][0], up[1][0], up[2][0])])
 
     def merge(self, slots, signs, group, blocks, inside, what):
         """Merge and elimination of the parts listed by each row of the
@@ -371,6 +372,18 @@ class TreeFactor:
         out = np.empty(len(b))
         out[self.dof[free]] = xs[free]
         return out
+
+
+def bisection(centroid: np.ndarray, tris: np.ndarray) -> list:
+    """The blocks of the recursive bisection of the triangles tris at the
+    median of their centroids along the wider axis, down to one triangle,
+    each block after the two halves that it joins."""
+    if len(tris) == 1:
+        return [tris]
+    axis = np.ptp(centroid[tris], axis=0).argmax()
+    half = tris[np.argsort(centroid[tris, axis], kind="stable")]
+    return (bisection(centroid, half[:len(half) // 2]) + bisection(centroid, half[len(half) // 2:])
+            + [tris])
 
 
 def solve_condensed(mesh, dofmap, cond: Condensed):

@@ -293,8 +293,9 @@ def run_study(cfg: StudyConfig):
     for level in range(cfg.levels):
         try:
             n_free, fields, eta = solve_level(mesh, unit, exact.f)
-        except slv.SolverError as exc:
-            raise slv.SolverError(f"level {level}: {exc}") from exc
+        except slv.SolverError as exc:  # its coordinates are the mesh's, in units of d
+            units = f" (lengths in units of d = {d:g})" if d != 1 else ""
+            raise slv.SolverError(f"level {level}{units}: {exc}") from exc
         err_u, err_flux = compute_errors(mesh, unit, fields, exact)
         rows.append((n_free, err_u * d, err_flux * scale, eta * scale))
         if level + 1 < cfg.levels:

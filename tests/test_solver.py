@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -890,7 +892,7 @@ def test_tree_solve_matches_dense_solve_on_the_poisson_strip(depth):
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
-@pytest.mark.parametrize("case", ["clamped plate", "mixed plate strip"])
+@pytest.mark.parametrize("case", ["clamped plate", "mixed plate strip", "clamped plate, two rows"])
 def test_tree_solve_of_a_plate_meets_the_certificate(case, depth):
     *_, gs, tree = tree_level(TREE_CASES[case], depth)
     a, b = gs.matrix, gs.rhs
@@ -934,9 +936,15 @@ def test_tree_rejects_an_indefinite_coarse_block(case):
 def test_cli_exits_two_on_an_indefinite_coarse_block(monkeypatch, capsys):
     condense = slv.condense
     monkeypatch.setattr(slv, "condense", lambda *a: negated(condense(*a), 0))
-    assert sc.main(["--problem", "poisson", "--levels", "2", "--ny0", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "level 0" in err and "coarse block of" in err
+    for norm, where in [
+        ("standard", "level 0: coarse block of 1 triangles at (66.7, 33.3)"),
+        # solved on the unit square: the driver names the unit of the coordinates
+        ("scaled", "level 0 (lengths in units of d = 100): coarse block of 1 triangles "
+                   "at (0.667, 0.333)"),
+    ]:
+        assert sc.main(["--problem", "poisson", "--r1", "100", "--r2", "100", "--norm", norm,
+                        "--levels", "2", "--ny0", "1"]) == 2
+        assert where in capsys.readouterr().err
 
 
 def test_cli_exits_two_on_an_indefinite_interior_block(monkeypatch, capsys):
@@ -950,6 +958,47 @@ def test_cli_exits_two_on_an_indefinite_interior_block(monkeypatch, capsys):
     assert sc.main(["--problem", "poisson", "--levels", "2", "--ny0", "1"]) == 2
     err = capsys.readouterr().err
     assert "level 1" in err and "height 1, class" in err
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic garbage collector off for one test: only reference counting frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_tree_factor_is_freed_when_its_level_is_solved(collector_off, monkeypatch):
+    mesh, dm, cond = tree_level(TREE_CASES["clamped plate, two rows"], 1)[:3]
+    factors, tree_factor = [], slv.TreeFactor
+
+    def recorded(*args):
+        factor = tree_factor(*args)
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(slv, "TreeFactor", recorded)
+    slv.solve_condensed(mesh, dm, cond)
+    assert len(factors) == 1 and factors[0]() is None
+
+
+def test_a_study_leaves_no_reference_cycle(collector_off):
+    gc.collect()  # what earlier code left
+    sc.run_study(sc.StudyConfig(problem="plate", norm="scaled", ny0=1, levels=3))
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage
+                if str(getattr(o, "__module__", "")).startswith("dpglock")]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_factor_rejects_a_negative_pivot():
