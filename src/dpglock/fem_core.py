@@ -1,16 +1,23 @@
-"""Reference-triangle polynomial bases, quadrature rules, and affine element maps.
+"""Reference-triangle polynomial bases, quadrature rules, affine element maps,
+and the volume part of the ultraweak element of order k.
 
 The reference triangle has vertices (0,0), (1,0), (0,1); local edge k runs
 from vertex k to vertex k+1 (mod 3), traversed counterclockwise.  Scalar bases
 are monomials orthonormalized against the reference L2 inner product, which
 keeps local Gram matrices well conditioned under strongly scaled test norms.
+
+Both model problems are the ultraweak form of order k (k = 1 Poisson, k = 2
+the plate) with a symmetric k-tensor flux and test tensor: test_norm_rows
+builds the rows of their test norm and field_columns B's field columns, from
+the tables that the model module passes, and multiplicities gives both how
+often each tensor component counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -253,3 +260,53 @@ def load_vectors(verts: np.ndarray, f, rule: QuadRule, values: np.ndarray,
     for sl, det, terms in point_values(verts, rule.points, f):
         load[sl, :values.shape[1]] = (sum(terms) * rule.weights * det[:, None]) @ values
     return load
+
+
+def multiplicities(k: int) -> np.ndarray:
+    """C(k, i), i = 0..k: how often the component d^k / dx^(k-i) dy^i, the
+    i-th of a symmetric k-tensor, appears among the tensor's 2^k entries, so
+    that tensor products are sum_i C(k, i) S_i T_i."""
+    return np.array([comb(k, i) for i in range(k + 1)], float)
+
+
+def test_norm_rows(wdet: np.ndarray, v: np.ndarray, dv: np.ndarray,
+                   tau: np.ndarray, dtau: np.ndarray) -> np.ndarray:
+    """The rows A of the order-k test norm of one element, G = A^T A:
+
+        (v, v)_T + (grad^k v, grad^k v)_T + (tau, tau)_T + (div^k tau, div^k tau)_T
+
+    over the test functions v and tau = (tau_0, ..., tau_k), the components of
+    a symmetric k-tensor, with tensor products counting component i C(k, i)
+    times and div^k tau = sum_i C(k, i) d^(k-i, i) tau_i.  v (nq, nv) and tau
+    (nq, nt) are the scalar bases at the volume quadrature points with
+    weights wdet (nq,) (det included); dv (nq, nv, k+1) and dtau
+    (nq, nt, k+1) their physical k-th derivatives d^(k-i, i).  A row holds
+    one term (of one tensor component) at one quadrature point, scaled by
+    sqrt(wdet C(k, i))."""
+    k = dv.shape[-1] - 1
+    c, root = multiplicities(k), np.sqrt(wdet)[:, None]
+    v, tau = root * v, root * tau
+    dv, dtau = root[..., None] * np.sqrt(c) * dv, root[..., None] * dtau
+    zv, zt = np.zeros_like(v), np.zeros_like(tau)
+    # columns (v, tau_0, ..., tau_k); rows v, grad^k v, tau and div^k tau, a
+    # block row per tensor component
+    return np.block([[v] + [zt] * (k + 1),
+                     *[[dv[..., i]] + [zt] * (k + 1) for i in range(k + 1)],
+                     *[[zv] + [np.sqrt(c[i]) * tau if j == i else zt for j in range(k + 1)]
+                       for i in range(k + 1)],
+                     [zv] + [c[i] * dtau[..., i] for i in range(k + 1)]])
+
+
+def field_columns(wdet: np.ndarray, v: np.ndarray, dv: np.ndarray,
+                  tau: np.ndarray, dtau: np.ndarray, gamma: float) -> np.ndarray:
+    """B's k + 2 field columns on one element, for the tables of
+    test_norm_rows: the volume part of the ultraweak form of order k,
+
+        (u, gamma v + div^k tau)_T + sum_i C(k, i) (sigma_i, d^(k-i, i) v + tau_i)_T,
+
+    with the constant fields u and sigma = (sigma_0, ..., sigma_k); rows
+    (v, tau_0, ..., tau_k), columns (u, sigma_0, ..., sigma_k)."""
+    c = multiplicities(dv.shape[-1] - 1)
+    div = np.concatenate([c[i] * dtau[..., i] for i in range(len(c))], axis=1)
+    return np.block([[gamma * (wdet @ v)[:, None], np.einsum("q,qic->ic", wdet, dv) * c],
+                     [(wdet @ div)[:, None], np.kron(np.diag(c), (wdet @ tau)[:, None])]])

@@ -26,7 +26,11 @@ components, measured in the norm
 
 where tensor products count the off-diagonal twice, Q : P = Q11 P11
 + 2 Q12 P12 + Q22 P22, and div div Q = Q11_xx + 2 Q12_xy + Q22_yy (a scaled
-norm is this one in units of its length d, see study_cli).
+norm is this one in units of its length d, see study_cli).  The norm and
+B's field columns are fem_core's order-k element volume at k = 2
+(test_norm_rows, field_columns), whose multiplicities C(2, i) = (1, 2, 1)
+are these weights; this module holds the bases and quadrature tables, B's
+trace columns, the load and the dof map.
 
 The deflection pairing on an element boundary is
 
@@ -73,8 +77,6 @@ EDGE_DEGREE = 9
 # large coefficients; degree 10 leaves O(1e-2) errors on coarse elements
 LOAD_DEGREE = 16
 
-COMPONENT_WEIGHT = (1.0, 2.0, 1.0)  # multiplicity of (11, 12, 22) in tensor products
-
 
 def _hermite(s):
     """Cubic Hermite shape functions and derivatives on [0, 1]."""
@@ -116,46 +118,27 @@ def _hess_components(amap, hessians):
 
 def local_gram_plate(amap: fc.AffineMap) -> np.ndarray:
     """Test inner product on the 55 broken test functions of one element:
-    G = A^T A, one block row of A per norm term at the volume quadrature points,
-    tensor components weighted by the square roots of COMPONENT_WEIGHT."""
+    G = A^T A for the rows A of fem_core.test_norm_rows (k = 2)."""
     vol, v3, q4, *_ = _kernels()
-    root = np.sqrt(vol.weights * amap.det)[:, None]
-    cw = np.sqrt(COMPONENT_WEIGHT)
-    v = root * v3.values
-    h3 = root[..., None] * cw * _hess_components(amap, v3.hessians)
-    q = root * q4.values
-    h4 = root[..., None] * _hess_components(amap, q4.hessians)
-    zv, zq = np.zeros_like(v), np.zeros_like(q)
-    # columns (v, Q11, Q12, Q22); rows v, hess v, Q and div div Q
-    a = np.block([[v, zq, zq, zq],
-                  [h3[..., 0], zq, zq, zq],
-                  [h3[..., 1], zq, zq, zq],
-                  [h3[..., 2], zq, zq, zq],
-                  [zv, cw[0] * q, zq, zq],
-                  [zv, zq, cw[1] * q, zq],
-                  [zv, zq, zq, cw[2] * q],
-                  [zv, h4[..., 0], 2.0 * h4[..., 1], h4[..., 2]]])
+    a = fc.test_norm_rows(vol.weights * amap.det, v3.values, _hess_components(amap, v3.hessians),
+                          q4.values, _hess_components(amap, q4.hessians))
     return a.T @ a
 
 
 def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
     """Trial-to-test matrix of the ultraweak plate form on one element.
 
-    Volume part: (M, hess v + Q)_T + (u, div div Q)_T with the identity
-    compliance tensor.  Skeleton part: -<w-trace, Q> and +<m-trace, v> as
+    Volume part (fem_core.field_columns, k = 2, no reaction):
+    (M, hess v + Q)_T + (u, div div Q)_T with the identity compliance
+    tensor.  Skeleton part: -<w-trace, Q> and +<m-trace, v> as
     described in the module docstring.
     """
     vol, v3, q4, _, _, edge, edge_v3, edge_q4, v3_verts, hermite = _kernels()
     val, slope, dval, dslope, lin = hermite
-    wdet = vol.weights * amap.det
-    h3 = _hess_components(amap, v3.hessians)
-    h4 = _hess_components(amap, q4.hessians)
-    ddiv = np.concatenate([h4[:, :, 0], 2.0 * h4[:, :, 1], h4[:, :, 2]], axis=1)
-
     b = np.zeros((N_TEST, N_TRIAL))
-    b[TEST_V:, 0] = wdet @ ddiv
-    b[:TEST_V, 1:4] = np.einsum("q,qic->ic", wdet, h3) * COMPONENT_WEIGHT
-    b[TEST_V:, 1:4] = np.kron(np.diag(COMPONENT_WEIGHT), (wdet @ q4.values)[:, None])
+    b[:, :N_FIELD] = fc.field_columns(vol.weights * amap.det, v3.values,
+                                      _hess_components(amap, v3.hessians), q4.values,
+                                      _hess_components(amap, q4.hessians), 0.0)
 
     for k in range(3):
         length = amap.edge_lengths[k]

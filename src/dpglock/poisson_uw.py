@@ -8,7 +8,10 @@ are broken: v in P2 and tau in (P2)^2 per element, measured in the norm
 
     (v, v)_T + (grad v, grad v)_T + (tau, tau)_T + (div tau, div tau)_T
 
-(a scaled norm is this one in units of its length d, see study_cli).
+(a scaled norm is this one in units of its length d, see study_cli).  The
+norm and B's field columns are fem_core's order-k element volume at k = 1
+(test_norm_rows, field_columns); this module holds the bases and quadrature
+tables, B's trace columns, the load and the dof map.
 
 Local trial column order: [u, sigma_x, sigma_y, uhat_v0..v2, sighat_e0..e2];
 test row order: [v (6), tau_x (6), tau_y (6)].
@@ -50,45 +53,28 @@ def _kernels():
 
 def local_gram_poisson(amap: fc.AffineMap) -> np.ndarray:
     """Test inner product on the 18 broken test functions of one element:
-    G = A^T A, one block row of A per norm term at the volume quadrature points."""
+    G = A^T A for the rows A of fem_core.test_norm_rows (k = 1)."""
     vol, test, *_ = _kernels()
-    root = np.sqrt(vol.weights * amap.det)[:, None]
-    v = root * test.values
-    gx, gy = np.moveaxis(root[..., None] * amap.push_gradients(test.gradients), -1, 0)
-    z = np.zeros_like(v)
-    # columns (v, tau_x, tau_y); rows v, grad v, tau, div tau
-    a = np.block([[v, z, z],
-                  [gx, z, z],
-                  [gy, z, z],
-                  [z, v, z],
-                  [z, z, v],
-                  [z, gx, gy]])
+    grad = amap.push_gradients(test.gradients)
+    a = fc.test_norm_rows(vol.weights * amap.det, test.values, grad, test.values, grad)
     return a.T @ a
 
 
 def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
     """Trial-to-test matrix of the ultraweak bilinear form on one element.
 
-    Volume part: (u, div tau + gamma v)_T + (sigma, tau + grad v)_T.
+    Volume part (fem_core.field_columns, k = 1):
+    (u, div tau + gamma v)_T + (sigma, tau + grad v)_T.
     Skeleton part: -int_dT uhat (tau . n) for the piecewise-linear hat traces,
     and -sighat int_e v per edge, sighat taken along the outward normal.
     """
     if gamma < 0:
         raise ValueError(f"reaction coefficient must be nonnegative, got {gamma}")
     vol, test, _, _, edge, edge_vals, hats = _kernels()
-    wdet = vol.weights * amap.det
-    gphys = amap.push_gradients(test.gradients)
-    int_v = wdet @ test.values
-    int_grad = np.einsum("q,qid->id", wdet, gphys)
-
+    grad = amap.push_gradients(test.gradients)
     b = np.zeros((N_TEST, N_TRIAL))
-    b[:6, 0] = gamma * int_v
-    b[6:12, 0] = int_grad[:, 0]
-    b[12:18, 0] = int_grad[:, 1]
-    b[:6, 1] = int_grad[:, 0]
-    b[6:12, 1] = int_v
-    b[:6, 2] = int_grad[:, 1]
-    b[12:18, 2] = int_v
+    b[:, :N_FIELD] = fc.field_columns(vol.weights * amap.det, test.values, grad,
+                                      test.values, grad, gamma)
 
     for k in range(3):
         w = edge.weights * amap.edge_lengths[k]

@@ -66,14 +66,11 @@ class Condensed:
 
 def inverse_factor(a: np.ndarray, what: str) -> np.ndarray:
     """L^-1 for the Cholesky factor L (A = L L^T) of every matrix A of an
-    SPD (..., n, n) stack; a matrix that is not SPD raises NotSPDError, one
-    that does not fit in memory SolverError."""
+    SPD (..., n, n) stack; a matrix that is not SPD raises NotSPDError."""
     try:
         return np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"{what} is not SPD: {exc}") from exc
-    except MemoryError as exc:
-        raise SolverError(f"{what} does not fit in memory: {exc}") from exc
 
 
 def eliminate(m: np.ndarray, ni: int, what: str):

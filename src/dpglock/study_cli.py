@@ -22,7 +22,6 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, replace
-from math import comb
 from numbers import Integral, Real
 from typing import Callable, Optional
 
@@ -219,8 +218,8 @@ def exact_bundle(cfg: StudyConfig) -> ExactBundle:
         return [(1.0, dx[i], dy[j]) for i, j in orders]
 
     # gamma u + (-lap)^k u, (-lap)^k = (-1)^k sum_i C(k, i) d_x^(2k-2i) d_y^(2i)
-    op = {(0, 0): cfg.gamma, **{(2 * k - 2 * i, 2 * i): (-1.0) ** k * comb(k, i)
-                                for i in range(k + 1)}}
+    op = {(0, 0): cfg.gamma, **{(2 * k - 2 * i, 2 * i): (-1.0) ** k * c
+                                for i, c in enumerate(fc.multiplicities(k))}}
     op = {order: c for order, c in op.items() if c != 0}
     return ExactBundle(du, lambda x, y: [(c, dx, dy) for c, (_, dx, dy)
                                          in zip(op.values(), du(x, y, *op))])
@@ -265,11 +264,12 @@ def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
     """(errU, errSigma): L2 errors of the (nt, n_field) piecewise-constant
     fields by degree-10 quadrature, summed over the blocks of
     fem_core.point_values.  The flux (-1)^(k+1) grad^k u has the components
-    d^k u / dx^(k-i) dy^i, i = 0..k, each counted C(k, i) times."""
+    d^k u / dx^(k-i) dy^i, i = 0..k, each counted C(k, i) times
+    (fem_core.multiplicities)."""
     rule = fc.quad_triangle(ERROR_QUAD_DEGREE)
     k = MODELS[cfg.problem].module.ORDER
     orders = [(k - i, i) for i in range(k + 1)]
-    sign, weight = (-1.0) ** (k + 1), np.array([comb(k, i) for i in range(k + 1)], float)
+    sign, weight = (-1.0) ** (k + 1), fc.multiplicities(k)
     err_u_sq = err_flux_sq = 0.0
     for sl, det, (u, *flux) in fc.point_values(mesh.vertices[mesh.triangles], rule.points,
                                                lambda x, y: exact.du(x, y, (0, 0), *orders)):
@@ -283,23 +283,26 @@ def compute_errors(mesh: msh.Mesh, cfg: StudyConfig, fields: np.ndarray,
 def run_study(cfg: StudyConfig):
     """One row (dofDPG, errU, errSigma, err) per refinement level; errSigma
     is the error of the flux field, whatever the problem calls it.  The levels are solved
-    in units of d, with the cell counts of the given sides: R1/d / R2/d may round the other way."""
+    in units of d, with the cell counts of the given sides: R1/d / R2/d may round the other way.
+    A SolverError, or a MemoryError while a level's mesh is built, solved or
+    evaluated, raises SolverError naming the level."""
     cfg.validate()
     unit, d, scale = unit_config(cfg)
-    mesh = msh.classify_boundary(msh.make_rect_mesh(
-        unit.r1, unit.r2, cfg.ny0, msh.cells(cfg.r1, cfg.r2, cfg.ny0)), cfg.bc)
     exact = exact_bundle(unit)
-    rows = []
-    for level in range(cfg.levels):
-        try:
+    rows, level = [], 0
+    try:
+        mesh = msh.classify_boundary(msh.make_rect_mesh(
+            unit.r1, unit.r2, cfg.ny0, msh.cells(cfg.r1, cfg.r2, cfg.ny0)), cfg.bc)
+        for level in range(cfg.levels):
+            if level:
+                mesh = msh.refine_uniform(mesh)
             n_free, fields, eta = solve_level(mesh, unit, exact.f)
-        except slv.SolverError as exc:  # its coordinates are the mesh's, in units of d
-            units = f" (lengths in units of d = {d:g})" if d != 1 else ""
-            raise slv.SolverError(f"level {level}{units}: {exc}") from exc
-        err_u, err_flux = compute_errors(mesh, unit, fields, exact)
-        rows.append((n_free, err_u * d, err_flux * scale, eta * scale))
-        if level + 1 < cfg.levels:
-            mesh = msh.refine_uniform(mesh)
+            err_u, err_flux = compute_errors(mesh, unit, fields, exact)
+            rows.append((n_free, err_u * d, err_flux * scale, eta * scale))
+    except (slv.SolverError, MemoryError) as exc:  # its coordinates are the mesh's, in units of d
+        units = f" (lengths in units of d = {d:g})" if d != 1 else ""
+        what = exc if isinstance(exc, slv.SolverError) else f"does not fit in memory: {exc}"
+        raise slv.SolverError(f"level {level}{units}: {what}") from exc
     return rows
 
 

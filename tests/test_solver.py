@@ -432,19 +432,39 @@ def test_solve_rejects_a_nan_solution():
 
 def test_factorization_out_of_memory_is_a_solver_failure(monkeypatch, capsys):
     # numpy reports a failed allocation as MemoryError; a dense factor too
-    # large for memory must still exit with the solver-failure code, not
-    # crash with a traceback
-    import scipy.sparse as sp
-
+    # large for memory must still exit with the solver-failure code and one
+    # line naming its level, not crash with a traceback.  run_study maps the
+    # MemoryError of every stage of a level (test_study), so it is checked
+    # here through the CLI: solve_spd itself lets it pass
     def oom(*args, **kwargs):
         raise MemoryError("Unable to allocate the factor")
 
     monkeypatch.setattr(slv.np.linalg, "cholesky", oom)
-    gs = matrix_system(sp.csr_matrix(np.eye(2)), np.ones(2))
-    with pytest.raises(slv.SolverError, match="does not fit in memory"):
-        slv.solve_spd(gs, factor=dense)
     assert sc.main(["--problem", "poisson", "--levels", "1"]) == 2
-    assert "solver failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("dpg-lock: solver failure: level 0: does not fit in "
+                                       "memory: Unable to allocate the factor\n")
+
+
+@pytest.mark.parametrize("r1, n", [(1.0, 8), (10.0, 80)])
+def test_bisection_joins_halves_split_at_the_median(r1, n):
+    # the 8-triangle square and the 20 x 2-cell strip; walked with a stack,
+    # each block of more than one triangle joins the two blocks before it
+    mesh = msh.make_rect_mesh(r1, 1.0, 2)
+    assert mesh.n_triangles == n
+    centroid = mesh.vertices[mesh.triangles].mean(axis=1)
+    blocks = slv.bisection(centroid, np.arange(n))
+    stack = []
+    for block in blocks:
+        if len(block) > 1:
+            right, left = stack.pop(), stack.pop()
+            assert not set(left) & set(right) and set(left) | set(right) == set(block)
+            assert len(left) + len(right) == len(block) and len(left) == len(block) // 2
+            axis = np.ptp(centroid[block], axis=0).argmax()
+            assert centroid[left, axis].max() <= centroid[right, axis].min()
+        stack.append(block)
+    assert sorted(int(b[0]) for b in blocks if len(b) == 1) == list(range(n))
+    assert len(blocks) == 2 * n - 1 and len(stack) == 1 and stack[0] is blocks[-1]
+    assert sorted(blocks[-1]) == list(range(n))
 
 
 # the studies of the benchmark, in the order of its reference rows

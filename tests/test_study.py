@@ -575,6 +575,25 @@ def test_cli_solver_failure_exits_two(monkeypatch, capsys):
     assert "solver failure" in err and "level 0" in err
 
 
+@pytest.mark.parametrize("module, stage, level", [
+    (msh, "make_rect_mesh", 0), (msh, "refine_uniform", 1), (sc, "compute_errors", 0)])
+def test_cli_out_of_memory_exits_two_naming_the_level(module, stage, level, monkeypatch,
+                                                      capsys):
+    # a failed allocation anywhere in a study, here while its mesh is built or
+    # refined or its errors evaluated, exits with the solver-failure code and
+    # one line naming the level, without a large allocation
+    def oom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(module, stage, oom)
+    code = sc.main(["--problem", "plate", "--levels", "2", "--ny0", "1", "--norm", "scaled",
+                    "--r1", "2", "--r2", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"dpg-lock: solver failure: level {level} (lengths in units of d = 2): "
+        "does not fit in memory: Unable to allocate 74.5 GiB\n")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["--problem", "poisson", "--gamma", "1e300", "--levels", "1", "--ny0", "1"],
