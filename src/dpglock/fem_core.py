@@ -6,17 +6,21 @@ from vertex k to vertex k+1 (mod 3), traversed counterclockwise.  Scalar bases
 are monomials orthonormalized against the reference L2 inner product, which
 keeps local Gram matrices well conditioned under strongly scaled test norms.
 
+Derivative tables are held by order: a table of order j, shape (..., j+1),
+lists the derivatives d^(j-i, i) = d^j / dx^(j-i) dy^i, i = 0..j, and
+AffineMap.push takes one of any order to physical coordinates.
+
 Both model problems are the ultraweak form of order k (k = 1 Poisson, k = 2
 the plate) with a symmetric k-tensor flux and test tensor: test_norm_rows
 builds the rows of their test norm and field_columns B's field columns, from
-the tables that the model module passes, and multiplicities gives both how
-often each tensor component counts.
+the element map, the volume rule, the model's two test bases and k, and
+multiplicities gives both how often each tensor component counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 
 import numpy as np
@@ -105,15 +109,18 @@ def _eval_monomials(powers: np.ndarray, pts: np.ndarray, dx: int = 0, dy: int = 
 
 @dataclass(frozen=True)
 class ReferenceBasis:
-    """Orthonormal polynomial basis of P^p on the reference triangle with
-    value/gradient/Hessian tables at the points basis_p was given."""
+    """Orthonormal polynomial basis of P^p on the reference triangle, its
+    derivative tables of orders 0, 1 and 2 at the points basis_p was given:
+    derivatives[j] (npts, n, j+1) holds d^(j-i, i) of the n basis functions."""
 
-    dim: int
-    values: np.ndarray    # (npts, dim)
-    gradients: np.ndarray  # (npts, dim, 2)
-    hessians: np.ndarray   # (npts, dim, 2, 2)
-    coeffs: np.ndarray     # (dim, dim) rows over monomials, for re-expansion
+    derivatives: tuple
+    coeffs: np.ndarray     # (n, n) rows over monomials, for re-expansion
     powers: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        """(npts, n) values, the order-0 table."""
+        return self.derivatives[0][..., 0]
 
 
 @lru_cache(maxsize=None)
@@ -133,25 +140,18 @@ def basis_p(p: int, points) -> ReferenceBasis:
         raise ValueError(f"unsupported basis degree {p}")
     coeffs, powers = _orthonormal_coeffs(p)
     pts = np.asarray(points, float)
-    values = _eval_monomials(powers, pts) @ coeffs.T
-    grads = np.stack([_eval_monomials(powers, pts, 1, 0) @ coeffs.T,
-                      _eval_monomials(powers, pts, 0, 1) @ coeffs.T], axis=2)
-    hxx = _eval_monomials(powers, pts, 2, 0) @ coeffs.T
-    hxy = _eval_monomials(powers, pts, 1, 1) @ coeffs.T
-    hyy = _eval_monomials(powers, pts, 0, 2) @ coeffs.T
-    hess = np.stack([np.stack([hxx, hxy], axis=2),
-                     np.stack([hxy, hyy], axis=2)], axis=2)
-    return ReferenceBasis(len(powers), values, grads, hess, coeffs, powers)
+    return ReferenceBasis(tuple(np.stack([_eval_monomials(powers, pts, j - i, i) @ coeffs.T
+                                          for i in range(j + 1)], axis=2) for j in range(3)),
+                          coeffs, powers)
 
 
 @dataclass(frozen=True)
 class AffineMap:
     """Affine map from the reference triangle onto a physical triangle.
 
-    Physical gradients are jac_inv_t @ reference gradients, physical Hessians
-    jac_inv_t @ H_ref @ jac_inv_t.T.  Edge data follow the local edge order
-    k = (vertex k, vertex k+1): outward unit normal, counterclockwise unit
-    tangent and length.
+    push takes derivative tables to physical coordinates.  Edge data follow
+    the local edge order k = (vertex k, vertex k+1): outward unit normal,
+    counterclockwise unit tangent and length.
     """
 
     verts: np.ndarray
@@ -162,14 +162,17 @@ class AffineMap:
     edge_tangents: np.ndarray
     edge_lengths: np.ndarray
 
-    def push_gradients(self, ref_grads: np.ndarray) -> np.ndarray:
-        """(..., 2) reference gradients to physical ones."""
-        return ref_grads @ self.jac_inv_t.T
-
-    def push_hessians(self, ref_hess: np.ndarray) -> np.ndarray:
-        """(..., 2, 2) reference Hessians to physical ones."""
-        a = self.jac_inv_t
-        return np.einsum("ab,...bc,dc->...ad", a, ref_hess, a)
+    def push(self, table: np.ndarray) -> np.ndarray:
+        """A (..., j+1) table of reference derivatives of order j to physical
+        ones.  With (a, b) and (c, d) the rows of jac_inv_t, d/dx = a d/dxi
+        + b d/deta and d/dy = c d/dxi + d d/deta, so physical d^(j-i, i) is
+        sum_m T[i, m] d^(j-m, m) in reference coordinates, row i of T being
+        the coefficients of (a + b t)^(j-i) (c + d t)^i; at j = 1, T is
+        jac_inv_t."""
+        j = table.shape[-1] - 1
+        ab, cd = self.jac_inv_t
+        return table @ np.array([reduce(np.convolve, [ab] * (j - i) + [cd] * i, [1.0])
+                                 for i in range(j + 1)]).T
 
 
 def affine_map_from_vertices(verts: np.ndarray) -> AffineMap:
@@ -269,21 +272,30 @@ def multiplicities(k: int) -> np.ndarray:
     return np.array([comb(k, i) for i in range(k + 1)], float)
 
 
-def test_norm_rows(wdet: np.ndarray, v: np.ndarray, dv: np.ndarray,
-                   tau: np.ndarray, dtau: np.ndarray) -> np.ndarray:
+def _volume_tables(amap: AffineMap, vol: QuadRule, v_basis: ReferenceBasis,
+                  tau_basis: ReferenceBasis, k: int):
+    """(wdet, v, dv, tau, dtau) on the element of amap: the weights (nq,) of
+    the volume rule vol times det, the scalar bases v (nq, nv) and tau
+    (nq, nt) at its points, and their physical k-th derivatives dv
+    (nq, nv, k+1) and dtau (nq, nt, k+1)."""
+    return (vol.weights * amap.det, v_basis.values, amap.push(v_basis.derivatives[k]),
+            tau_basis.values, amap.push(tau_basis.derivatives[k]))
+
+
+def test_norm_rows(amap: AffineMap, vol: QuadRule, v_basis: ReferenceBasis,
+                   tau_basis: ReferenceBasis, k: int) -> np.ndarray:
     """The rows A of the order-k test norm of one element, G = A^T A:
 
         (v, v)_T + (grad^k v, grad^k v)_T + (tau, tau)_T + (div^k tau, div^k tau)_T
 
     over the test functions v and tau = (tau_0, ..., tau_k), the components of
     a symmetric k-tensor, with tensor products counting component i C(k, i)
-    times and div^k tau = sum_i C(k, i) d^(k-i, i) tau_i.  v (nq, nv) and tau
-    (nq, nt) are the scalar bases at the volume quadrature points with
-    weights wdet (nq,) (det included); dv (nq, nv, k+1) and dtau
-    (nq, nt, k+1) their physical k-th derivatives d^(k-i, i).  A row holds
-    one term (of one tensor component) at one quadrature point, scaled by
-    sqrt(wdet C(k, i))."""
-    k = dv.shape[-1] - 1
+    times and div^k tau = sum_i C(k, i) d^(k-i, i) tau_i.  v_basis and
+    tau_basis are the scalar bases, tabulated at the points of the volume
+    rule vol, and amap the element's map (_volume_tables).  A row holds one
+    term (of one tensor component) at one quadrature point, scaled by
+    sqrt(w det C(k, i))."""
+    wdet, v, dv, tau, dtau = _volume_tables(amap, vol, v_basis, tau_basis, k)
     c, root = multiplicities(k), np.sqrt(wdet)[:, None]
     v, tau = root * v, root * tau
     dv, dtau = root[..., None] * np.sqrt(c) * dv, root[..., None] * dtau
@@ -297,16 +309,17 @@ def test_norm_rows(wdet: np.ndarray, v: np.ndarray, dv: np.ndarray,
                      [zv] + [c[i] * dtau[..., i] for i in range(k + 1)]])
 
 
-def field_columns(wdet: np.ndarray, v: np.ndarray, dv: np.ndarray,
-                  tau: np.ndarray, dtau: np.ndarray, gamma: float) -> np.ndarray:
-    """B's k + 2 field columns on one element, for the tables of
+def field_columns(amap: AffineMap, vol: QuadRule, v_basis: ReferenceBasis,
+                  tau_basis: ReferenceBasis, k: int, gamma: float) -> np.ndarray:
+    """B's k + 2 field columns on one element, for the arguments of
     test_norm_rows: the volume part of the ultraweak form of order k,
 
         (u, gamma v + div^k tau)_T + sum_i C(k, i) (sigma_i, d^(k-i, i) v + tau_i)_T,
 
     with the constant fields u and sigma = (sigma_0, ..., sigma_k); rows
     (v, tau_0, ..., tau_k), columns (u, sigma_0, ..., sigma_k)."""
-    c = multiplicities(dv.shape[-1] - 1)
-    div = np.concatenate([c[i] * dtau[..., i] for i in range(len(c))], axis=1)
+    wdet, v, dv, tau, dtau = _volume_tables(amap, vol, v_basis, tau_basis, k)
+    c = multiplicities(k)
+    div = np.concatenate([c[i] * dtau[..., i] for i in range(k + 1)], axis=1)
     return np.block([[gamma * (wdet @ v)[:, None], np.einsum("q,qic->ic", wdet, dv) * c],
                      [(wdet @ div)[:, None], np.kron(np.diag(c), (wdet @ tau)[:, None])]])

@@ -27,10 +27,11 @@ components, measured in the norm
 where tensor products count the off-diagonal twice, Q : P = Q11 P11
 + 2 Q12 P12 + Q22 P22, and div div Q = Q11_xx + 2 Q12_xy + Q22_yy (a scaled
 norm is this one in units of its length d, see study_cli).  The norm and
-B's field columns are fem_core's order-k element volume at k = 2
+B's field columns are fem_core's order-k element volume at k = ORDER = 2
 (test_norm_rows, field_columns), whose multiplicities C(2, i) = (1, 2, 1)
-are these weights; this module holds the bases and quadrature tables, B's
-trace columns, the load and the dof map.
+are these weights, and to which this module hands its volume rule and its
+bases of v and of Q's components; it holds the bases and quadrature
+tables, B's trace columns, the load and the dof map.
 
 The deflection pairing on an element boundary is
 
@@ -110,18 +111,11 @@ def _kernels():
     return vol, v3, q4, load_rule, v3_load, edge, edge_v3, edge_q4, v3_at_vertices, hermite
 
 
-def _hess_components(amap, hessians):
-    """Physical (xx, xy, yy) second derivatives, shape (nq, n, 3)."""
-    h = amap.push_hessians(hessians)
-    return np.stack([h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]], axis=-1)
-
-
 def local_gram_plate(amap: fc.AffineMap) -> np.ndarray:
     """Test inner product on the 55 broken test functions of one element:
     G = A^T A for the rows A of fem_core.test_norm_rows (k = 2)."""
     vol, v3, q4, *_ = _kernels()
-    a = fc.test_norm_rows(vol.weights * amap.det, v3.values, _hess_components(amap, v3.hessians),
-                          q4.values, _hess_components(amap, q4.hessians))
+    a = fc.test_norm_rows(amap, vol, v3, q4, ORDER)
     return a.T @ a
 
 
@@ -136,9 +130,7 @@ def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
     vol, v3, q4, _, _, edge, edge_v3, edge_q4, v3_verts, hermite = _kernels()
     val, slope, dval, dslope, lin = hermite
     b = np.zeros((N_TEST, N_TRIAL))
-    b[:, :N_FIELD] = fc.field_columns(vol.weights * amap.det, v3.values,
-                                      _hess_components(amap, v3.hessians), q4.values,
-                                      _hess_components(amap, q4.hessians), 0.0)
+    b[:, :N_FIELD] = fc.field_columns(amap, vol, v3, q4, ORDER, 0.0)
 
     for k in range(3):
         length = amap.edge_lengths[k]
@@ -146,7 +138,7 @@ def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
         n = amap.edge_normals[k]
         tg = amap.edge_tangents[k]
         qv = edge_q4[k].values
-        qg = amap.push_gradients(edge_q4[k].gradients)
+        qg = amap.push(edge_q4[k].derivatives[1])
 
         # weighted n . div Q, n.Qn and t.Qn of the 45 tensor test functions,
         # stacked over the edge points: (3 nq, 45)
@@ -166,7 +158,7 @@ def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
         ends = 4 + 3 * np.array([k, (k + 1) % 3])[:, None] + np.arange(3)
         b[TEST_V:, ends.ravel()] += traces.T @ profiles
 
-        vg = amap.push_gradients(edge_v3[k].gradients)
+        vg = amap.push(edge_v3[k].derivatives[1])
         b[:TEST_V, 13 + 3 * k] = -(w @ (vg @ n))
         b[:TEST_V, 14 + 3 * k] = w @ edge_v3[k].values
         b[:TEST_V, 15 + 3 * k] = v3_verts[k] - v3_verts[(k + 1) % 3]

@@ -9,9 +9,10 @@ are broken: v in P2 and tau in (P2)^2 per element, measured in the norm
     (v, v)_T + (grad v, grad v)_T + (tau, tau)_T + (div tau, div tau)_T
 
 (a scaled norm is this one in units of its length d, see study_cli).  The
-norm and B's field columns are fem_core's order-k element volume at k = 1
-(test_norm_rows, field_columns); this module holds the bases and quadrature
-tables, B's trace columns, the load and the dof map.
+norm and B's field columns are fem_core's order-k element volume at
+k = ORDER = 1 (test_norm_rows, field_columns), to which this module hands
+its volume rule and test bases; it holds the bases and quadrature tables,
+B's trace columns, the load and the dof map.
 
 Local trial column order: [u, sigma_x, sigma_y, uhat_v0..v2, sighat_e0..e2];
 test row order: [v (6), tau_x (6), tau_y (6)].
@@ -55,8 +56,7 @@ def local_gram_poisson(amap: fc.AffineMap) -> np.ndarray:
     """Test inner product on the 18 broken test functions of one element:
     G = A^T A for the rows A of fem_core.test_norm_rows (k = 1)."""
     vol, test, *_ = _kernels()
-    grad = amap.push_gradients(test.gradients)
-    a = fc.test_norm_rows(vol.weights * amap.det, test.values, grad, test.values, grad)
+    a = fc.test_norm_rows(amap, vol, test, test, ORDER)
     return a.T @ a
 
 
@@ -71,10 +71,8 @@ def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
     if gamma < 0:
         raise ValueError(f"reaction coefficient must be nonnegative, got {gamma}")
     vol, test, _, _, edge, edge_vals, hats = _kernels()
-    grad = amap.push_gradients(test.gradients)
     b = np.zeros((N_TEST, N_TRIAL))
-    b[:, :N_FIELD] = fc.field_columns(vol.weights * amap.det, test.values, grad,
-                                      test.values, grad, gamma)
+    b[:, :N_FIELD] = fc.field_columns(amap, vol, test, test, ORDER, gamma)
 
     for k in range(3):
         w = edge.weights * amap.edge_lengths[k]

@@ -200,9 +200,7 @@ def sine_power(p: int, c: float, t: np.ndarray, orders) -> dict:
     """{k: k-th derivative of sin(c t)^p at t, for k in orders}, p in {0, 1, 2}.  As
     sin(c t)^p = a + b sin(w t + q pi/2), that is [k = 0] a + b w^k sin(w t + (k + q) pi/2),
     and sin(w t + m pi/2) is sin, cos, -sin or -cos of w t for m % 4 = 0, 1, 2 or 3."""
-    if p == 0:  # the constant 1, without trig
-        return {k: np.full(np.shape(t), float(k == 0)) for k in orders}
-    a, b, w, q = ((0.0, 1.0, c, 0), (0.5, -0.5, 2 * c, 1))[p - 1]
+    a, b, w, q = ((1.0, 0.0, 0.0, 0), (0.0, 1.0, c, 0), (0.5, -0.5, 2 * c, 1))[p]
     trig = {m: (np.sin, np.cos)[m](w * t) for m in {(k + q) % 2 for k in orders}}
     return {k: (a if k == 0 else 0.0)
             + b * w ** k * (1, 1, -1, -1)[(k + q) % 4] * trig[(k + q) % 2] for k in orders}

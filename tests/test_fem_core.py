@@ -52,14 +52,14 @@ def test_quad_degree_range():
 def test_basis_dimension(p, dim):
     q = fc.quad_triangle(2 * p)
     basis = fc.basis_p(p, q.points)
-    assert basis.dim == dim
+    assert [d.shape for d in basis.derivatives] == [(len(q.points), dim, j + 1) for j in range(3)]
     assert basis.values.shape == (len(q.points), dim)
 
 
 def test_basis_p0_constant():
     basis = fc.basis_p(0, np.array([[0.1, 0.2], [0.3, 0.3]]))
     assert np.allclose(basis.values, basis.values[0, 0])
-    assert np.allclose(basis.gradients, 0.0)
+    assert np.allclose(basis.derivatives[1], 0.0)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -67,10 +67,11 @@ def test_basis_orthonormal_and_reproduces_polynomials(p):
     q = fc.quad_triangle(2 * p)
     basis = fc.basis_p(p, q.points)
     gram = np.einsum("q,qi,qj->ij", q.weights, basis.values, basis.values)
-    assert np.allclose(gram, np.eye(basis.dim), atol=2e-11)
+    dim = basis.values.shape[1]
+    assert np.allclose(gram, np.eye(dim), atol=2e-11)
     # reproduce a random polynomial of degree p exactly via L2 projection
     rng = np.random.default_rng(7)
-    coef = rng.standard_normal(basis.dim)
+    coef = rng.standard_normal(dim)
     target = fc._eval_monomials(basis.powers, q.points) @ coef
     proj = np.einsum("q,qi,q->i", q.weights, basis.values, target)
     assert np.allclose(basis.values @ proj, target, atol=1e-12)
@@ -86,7 +87,7 @@ def test_basis_gradients_match_finite_differences(p):
         plus = fc.basis_p(p, pts + e).values
         minus = fc.basis_p(p, pts - e).values
         fd = (plus - minus) / (2 * h)
-        assert np.allclose(basis.gradients[:, :, d], fd, atol=1e-6)
+        assert np.allclose(basis.derivatives[1][:, :, d], fd, atol=1e-6)
 
 
 def test_basis_hessians_match_finite_differences():
@@ -95,10 +96,11 @@ def test_basis_hessians_match_finite_differences():
     h = 1e-5
     basis = fc.basis_p(4, pts)
     for d, e in ((0, np.array([h, 0.0])), (1, np.array([0.0, h]))):
-        plus = fc.basis_p(4, pts + e).gradients
-        minus = fc.basis_p(4, pts - e).gradients
+        plus = fc.basis_p(4, pts + e).derivatives[1]
+        minus = fc.basis_p(4, pts - e).derivatives[1]
         fd = (plus - minus) / (2 * h)
-        assert np.allclose(basis.hessians[:, :, d, :], fd, atol=5e-6)
+        # d/dx of (d_x, d_y) is (d_xx, d_xy), d/dy is (d_xy, d_yy)
+        assert np.allclose(basis.derivatives[2][:, :, d:d + 2], fd, atol=5e-6)
 
 
 def test_basis_degree_range():
@@ -119,8 +121,11 @@ def test_scaled_map():
     h = 0.25
     amap = fc.affine_map_from_vertices(h * fc.REF_VERTICES)
     assert np.isclose(amap.det, h ** 2)
-    g = amap.push_gradients(np.array([[1.0, 0.0]]))
+    g = amap.push(np.array([[1.0, 0.0]]))
     assert np.allclose(g, [[1.0 / h, 0.0]])
+    # on h ref every derivative of order j scales by h^-j alone
+    assert np.array_equal(amap.push(np.eye(2)), np.eye(2) / h)
+    assert np.array_equal(amap.push(np.eye(3)), np.eye(3) / h ** 2)
 
 
 def test_map_normals_tangents_orthonormal():
@@ -148,7 +153,7 @@ def test_hessian_pushforward_vs_finite_differences():
     amap = fc.affine_map_from_vertices(verts)
     ref_pt = np.array([[0.3, 0.3]])
     basis = fc.basis_p(3, ref_pt)
-    hess = amap.push_hessians(basis.hessians)[0]
+    hess = amap.push(basis.derivatives[2])[0]
 
     # finite differences of pushed-forward gradients in physical coordinates
     h = 1e-6
@@ -157,12 +162,15 @@ def test_hessian_pushforward_vs_finite_differences():
     def phys_grad(xp):
         ref = (np.asarray(xp) - verts[0]) @ jac_inv.T
         b = fc.basis_p(3, ref[None, :])
-        return amap.push_gradients(b.gradients)[0]
+        return amap.push(b.derivatives[1])[0]
 
     x0 = verts[0] + amap.jac @ ref_pt[0]
     for d, e in ((0, np.array([h, 0.0])), (1, np.array([0.0, h]))):
         fd = (phys_grad(x0 + e) - phys_grad(x0 - e)) / (2 * h)
-        assert np.allclose(hess[:, d, :], fd, atol=1e-6)
+        assert np.allclose(hess[:, d:d + 2], fd, atol=1e-6)
+    # the order-1 push is the product with jac_inv_t, bit for bit
+    ref = fc.basis_p(4, fc.quad_triangle(8).points).derivatives[1]
+    assert np.array_equal(amap.push(ref), ref @ amap.jac_inv_t.T)
 
 
 def test_quadrature_matches_symbolic_on_random_polynomials():

@@ -450,20 +450,26 @@ def mirrored(mesh):
     return msh.Mesh(mesh.vertices[:, ::-1], triangles, *msh._connect(triangles))
 
 
+# the plate's band is the known deviation of a transposed clamped plate (ROADMAP,
+# head of the open items): at 4 levels up to 1.8e-7 on the 10 x 1 level 0 and 7.2e-9
+# on the mirrored square; ROADMAP items 1 (an error estimate that covers it) and 3
+# (the trace space) should tighten it
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
 @pytest.mark.parametrize("r", [1.0, 10.0])
-def test_transposed_study_is_the_same_discrete_problem(r, monkeypatch):
+def test_transposed_study_is_the_same_discrete_problem(problem, r, monkeypatch):
     # reflection about y = x maps each cell's lower-left to upper-right diagonal onto
     # itself, so the all-Dirichlet study on R x 1, the one on 1 x R and the one on the
     # mirror image of the R x 1 mesh are one discrete problem, up to rounding
-    rows = np.array(sc.run_study(cfg_poisson(r1=r, levels=4)))
-    transposed = np.array(sc.run_study(cfg_poisson(r2=r, levels=4)))
+    rows = np.array(sc.run_study(cfg_poisson(problem=problem, r1=r, levels=4)))
+    transposed = np.array(sc.run_study(cfg_poisson(problem=problem, r2=r, levels=4)))
     make = msh.make_rect_mesh
     monkeypatch.setattr(msh, "make_rect_mesh",
                         lambda r1, r2, n, shape: mirrored(make(r2, r1, n, shape[::-1])))
-    mirror = np.array(sc.run_study(cfg_poisson(r2=r, levels=4)))
+    mirror = np.array(sc.run_study(cfg_poisson(problem=problem, r2=r, levels=4)))
     for other in (transposed, mirror):
         assert (other[:, 0] == rows[:, 0]).all()
-        assert np.abs(other[:, 1:] / rows[:, 1:] - 1).max() <= 1e-10
+        assert np.abs(other[:, 1:] / rows[:, 1:] - 1).max() <= {"poisson": 1e-10,
+                                                                "plate": 1e-6}[problem]
 
 
 @pytest.mark.parametrize("problem", ["poisson", "plate"])
