@@ -16,28 +16,23 @@ That file counts one unknown more on clamped plates than the studies do
 (pinning the twisting-moment kernel came after it was recorded, and the
 benchmark allows the difference), so against it their dofDPG reads false;
 compare with this script's output from the parent commit instead.
-The rows depend on the BLAS thread count (up to 6e-3 relative on the
-5-level mixed plate strip, 2e-10 on plate R10 at 6 levels), so the two
-sets of rows compared must come from one OPENBLAS_NUM_THREADS.  Run as a
-script, it sets OPENBLAS_NUM_THREADS=1 unless the environment sets it, so
-the first two commands (the first run at the parent commit) compare rows
-at one thread; to compare at another count, set it on both runs.
+run_study runs numpy's BLAS on one thread (solver.one_blas_thread), so
+the rows are the same whatever OPENBLAS_NUM_THREADS is.  Rows recorded at
+a commit without that pin depend on the thread count, by up to 6e-3
+relative on the 5-level mixed plate strip and 2e-10 on plate R10 at 6
+levels; record them with OPENBLAS_NUM_THREADS=1 to compare.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-if __name__ == "__main__":  # before numpy loads OpenBLAS; an explicit setting wins
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from dpglock import study_cli as sc  # noqa: E402
+from dpglock import study_cli as sc
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 ERRORS = ("errU", "errSigma", "err")

@@ -19,12 +19,16 @@ the coarse mesh.  The full trace matrix is never summed for the solve: its
 products A x, for the refinement residuals, go through the class Schur
 complements (GlobalSystem.apply), and the backward error that certifies the
 solve is scaled by a lower bound on |A|_2 from the same blocks (solve_spd).
+A study runs numpy's BLAS on one thread (one_blas_thread).
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy  # scipy.sparse loads on first use, for the readers of GlobalSystem.matrix
@@ -62,6 +66,34 @@ class Condensed:
     z: np.ndarray      # (nt, n_test) L^-1 l, the whitened load
     field: np.ndarray  # (nt, n_field) S_ff^-1 r_f, with r = C^T z
     rhs: np.ndarray    # (nt, n_trace) sign (r_t - S_tf S_ff^-1 r_f)
+
+
+@cache
+def numpy_openblas():
+    """numpy's OpenBLAS through ctypes, or None: the ILP64 scipy-openblas that numpy's
+    Linux and Windows wheels bundle in site-packages/numpy.libs and load with numpy."""
+    libs = Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*")
+    return next((ctypes.CDLL(str(path)) for path in libs), None)
+
+
+@contextmanager
+def one_blas_thread():
+    """Runs the block with numpy's OpenBLAS on one thread and restores the previous count
+    however the block ends.  On one thread, BLAS and LAPACK split their sums one way, so
+    the results do not depend on the core count or on OPENBLAS_NUM_THREADS, and no idle
+    worker spins on another core between the many mid-sized calls.  Where numpy has no
+    such library (numpy_openblas() is None: another BLAS or another layout, such as the
+    macOS wheels' numpy/.dylibs), it does nothing."""
+    lib = numpy_openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def inverse_factor(a: np.ndarray, what: str) -> np.ndarray:
@@ -340,7 +372,7 @@ class TreeFactor:
         order, ni = np.argsort(~inner, kind="stable"), inner.sum()
         pos = np.argsort(order)[inv]  # merged position of every part slot
         merged, merged_sign, schur = slots[:, first[order]], signs[:, first[order]], {}
-        for g in np.unique(group):
+        for g in np.flatnonzero(np.bincount(group)):  # np.unique would import numpy.ma
             sel = np.flatnonzero(group == g)
             parts = blocks(sel[0])
             cuts = np.cumsum([len(block) for block in parts[:-1]])

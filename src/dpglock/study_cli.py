@@ -282,25 +282,27 @@ def run_study(cfg: StudyConfig):
     """One row (dofDPG, errU, errSigma, err) per refinement level; errSigma
     is the error of the flux field, whatever the problem calls it.  The levels are solved
     in units of d, with the cell counts of the given sides: R1/d / R2/d may round the other way.
-    A SolverError, or a MemoryError while a level's mesh is built, solved or
-    evaluated, raises SolverError naming the level."""
+    They run numpy's BLAS on one thread (solver.one_blas_thread), so the rows are the same
+    whatever the core count or OPENBLAS_NUM_THREADS.  A SolverError, or a MemoryError while
+    a level's mesh is built, solved or evaluated, raises SolverError naming the level."""
     cfg.validate()
     unit, d, scale = unit_config(cfg)
     exact = exact_bundle(unit)
     rows, level = [], 0
-    try:
-        mesh = msh.classify_boundary(msh.make_rect_mesh(
-            unit.r1, unit.r2, cfg.ny0, msh.cells(cfg.r1, cfg.r2, cfg.ny0)), cfg.bc)
-        for level in range(cfg.levels):
-            if level:
-                mesh = msh.refine_uniform(mesh)
-            n_free, fields, eta = solve_level(mesh, unit, exact.f)
-            err_u, err_flux = compute_errors(mesh, unit, fields, exact)
-            rows.append((n_free, err_u * d, err_flux * scale, eta * scale))
-    except (slv.SolverError, MemoryError) as exc:  # its coordinates are the mesh's, in units of d
-        units = f" (lengths in units of d = {d:g})" if d != 1 else ""
-        what = exc if isinstance(exc, slv.SolverError) else f"does not fit in memory: {exc}"
-        raise slv.SolverError(f"level {level}{units}: {what}") from exc
+    with slv.one_blas_thread():
+        try:
+            mesh = msh.classify_boundary(msh.make_rect_mesh(
+                unit.r1, unit.r2, cfg.ny0, msh.cells(cfg.r1, cfg.r2, cfg.ny0)), cfg.bc)
+            for level in range(cfg.levels):
+                if level:
+                    mesh = msh.refine_uniform(mesh)
+                n_free, fields, eta = solve_level(mesh, unit, exact.f)
+                err_u, err_flux = compute_errors(mesh, unit, fields, exact)
+                rows.append((n_free, err_u * d, err_flux * scale, eta * scale))
+        except (slv.SolverError, MemoryError) as exc:  # coordinates are the mesh's, in units of d
+            units = f" (lengths in units of d = {d:g})" if d != 1 else ""
+            what = exc if isinstance(exc, slv.SolverError) else f"does not fit in memory: {exc}"
+            raise slv.SolverError(f"level {level}{units}: {what}") from exc
     return rows
 
 

@@ -1,5 +1,8 @@
 import io
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from math import comb
@@ -621,19 +624,17 @@ def test_cli_overflowing_element_systems_exit_two(argv, monkeypatch, capsys):
     assert factored == []
 
 
-def test_cli_entry_point_runs():
-    import os
-    import subprocess
-    import sys
-
+def run_child(*argv, **env):
+    """python argv in a fresh process that imports the package this session imports,
+    installed or not, with env added to the environment."""
     import dpglock
-    # the child imports the package this session imports, installed or not
     path = [str(Path(dpglock.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    result = subprocess.run(
-        [sys.executable, "-m", "dpglock", "--problem", "poisson",
-         "--levels", "1", "--ny0", "1"],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **env))
+
+
+def test_cli_entry_point_runs():
+    result = run_child("-m", "dpglock", "--problem", "poisson", "--levels", "1", "--ny0", "1")
     assert result.returncode == 0
     assert "dofDPG" in result.stdout
     assert result.stderr == ""
@@ -642,19 +643,83 @@ def test_cli_entry_point_runs():
 def test_import_leaves_scipy_sparse_and_linalg_unloaded():
     # an untraced study needs neither, and loading them is most of the
     # import time; the benchmark reads scipy.__version__ after the import
-    import os
-    import subprocess
-    import sys
-
-    import dpglock
-    path = [str(Path(dpglock.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, dpglock; print(sorted("
-         "{'scipy', 'scipy.sparse', 'scipy.linalg'} & sys.modules.keys()))"],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    result = run_child("-c", "import sys, dpglock; print(sorted("
+                             "{'scipy', 'scipy.sparse', 'scipy.linalg'} & sys.modules.keys()))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['scipy']"
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_a_study_leaves_numpy_ma_unloaded(problem):
+    # numpy.ma takes 11-18 ms to import; np.unique without return flags imports it
+    result = run_child("-c", "import sys; from dpglock import study_cli as sc; "
+                             f"sc.run_study(sc.StudyConfig(problem={problem!r}, levels=2)); "
+                             "print('numpy.ma' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_rows_do_not_depend_on_the_blas_thread_count():
+    # without the pin, level 2's errU differs by 6.9e-10 relative between 1 and 2 threads
+    argv = ("-m", "dpglock", "--problem", "plate", "--r1", "10", "--r2", "1", "--bc", "mixed",
+            "--norm", "scaled", "--levels", "3")
+    one, two = (run_child(*argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout == two.stdout
+
+
+def blas_threads() -> int:
+    return slv.numpy_openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_numpy_openblas_is_found():
+    # numpy's Linux and Windows wheels bundle scipy-openblas in numpy.libs; were it not
+    # found there, one_blas_thread would do nothing
+    if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+        pytest.skip("numpy is built on another BLAS")
+    assert slv.numpy_openblas() is not None
+    assert blas_threads() >= 1
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS set to two threads for the test, whatever the environment set."""
+    lib = slv.numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy has no scipy-openblas to pin")
+    before = blas_threads()
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield blas_threads()
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+@pytest.mark.parametrize("argv,code,levels", [
+    (["--problem", "poisson", "--levels", "2", "--ny0", "1"], 0, 2),
+    (["--problem", "plate", "--levels", "1", "--ny0", "1", "--norm", "scaled", "--d", "1e70"],
+     2, 1),  # SolverError on level 0
+    (["--problem", "plate", "--levels", "0"], 1, 0),  # ConfigError
+])
+def test_levels_run_on_one_blas_thread_and_the_count_comes_back(argv, code, levels,
+                                                               two_blas_threads,
+                                                               monkeypatch, capsys):
+    seen, solve_level = [], sc.solve_level
+
+    def recorder(*args):
+        seen.append(blas_threads())
+        return solve_level(*args)
+
+    monkeypatch.setattr(sc, "solve_level", recorder)
+    assert sc.main(argv) == code
+    assert blas_threads() == two_blas_threads
+    assert seen == [1] * levels
+    capsys.readouterr()
+
+
+def test_without_numpy_openblas_the_pin_does_nothing(two_blas_threads, monkeypatch):
+    lib = slv.numpy_openblas()
+    monkeypatch.setattr(slv, "numpy_openblas", lambda: None)
+    with slv.one_blas_thread():
+        assert lib.scipy_openblas_get_num_threads64_() == two_blas_threads
 
 
 def test_plate_clamped_zero_load_gives_zero_solution():
