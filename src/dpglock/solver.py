@@ -62,7 +62,7 @@ class Condensed:
     schur: np.ndarray  # (nc, n_trace, n_trace) S_tt - S_tf S_ff^-1 S_ft, S = C^T C
     lift: np.ndarray   # (nc, n_field, n_trace) S_ff^-1 S_ft
     cls: np.ndarray    # (nt,) congruence class of each element
-    sign: np.ndarray   # (nt, n_trace) +-1, the mesh orientation of each trace slot
+    sign: np.ndarray   # (nt, n_trace) int8 +-1, the mesh orientation of each trace slot
     z: np.ndarray      # (nt, n_test) L^-1 l, the whitened load
     field: np.ndarray  # (nt, n_field) S_ff^-1 r_f, with r = C^T z
     rhs: np.ndarray    # (nt, n_trace) sign (r_t - S_tf S_ff^-1 r_f)
@@ -108,11 +108,16 @@ def inverse_factor(a: np.ndarray, what: str) -> np.ndarray:
 def eliminate(m: np.ndarray, ni: int, what: str):
     """Elimination of the first ni unknowns of every symmetric matrix M of a
     (..., n, n) stack: [L^-1 | L^-1 M_IB] for the Cholesky factor L of M_II,
-    and the symmetrized Schur complement M_BB - M_BI M_II^-1 M_IB."""
-    linv = inverse_factor(m[..., :ni, :ni], what)
-    w = linv @ m[..., :ni, ni:]
-    s = m[..., ni:, ni:] - w.swapaxes(-1, -2) @ w
-    return np.concatenate([linv, w], axis=-1), 0.5 * (s + s.swapaxes(-1, -2))
+    written into one array, and the symmetrized Schur complement
+    M_BB - M_BI M_II^-1 M_IB, formed in place."""
+    op = np.empty((*m.shape[:-2], ni, m.shape[-1]))
+    op[..., :ni] = inverse_factor(m[..., :ni, :ni], what)
+    w = np.matmul(op[..., :ni], m[..., :ni, ni:], out=op[..., ni:])
+    s = w.swapaxes(-1, -2) @ w
+    np.subtract(m[..., ni:, ni:], s, out=s)
+    s += s.swapaxes(-1, -2)  # numpy copies the overlapping operand first
+    s *= 0.5
+    return op, s
 
 
 def condense_local(gram: np.ndarray, b: np.ndarray, n_field: int):
@@ -140,12 +145,19 @@ def by_class(cls: np.ndarray, x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 def condense_rhs(linv: np.ndarray, c: np.ndarray, op: np.ndarray,
                  cls: np.ndarray, sign: np.ndarray, load: np.ndarray):
     """Whitened loads z = L^-1 l, field parts S_ff^-1 r_f and signed trace
-    right sides sign (r_t - S_tf S_ff^-1 r_f) of all elements, r = C^T z."""
+    right sides sign (r_t - S_tf S_ff^-1 r_f) of all elements, r = C^T z,
+    in one pass per class: the products of by_class, with no full-length r."""
     n_field = op.shape[1]
-    z = by_class(cls, load, linv.swapaxes(-1, -2))
-    r = by_class(cls, z, c)
-    g = by_class(cls, r[:, :n_field], op)
-    return z, g[:, :n_field], (r[:, n_field:] - g[:, n_field:]) * sign
+    z, field, rhs = (np.empty((len(cls), n)) for n in (c.shape[1], n_field, op.shape[2] - n_field))
+    for k in range(len(c)):
+        sel = np.flatnonzero(cls == k)  # once: a boolean mask is resolved at each use
+        z[sel] = load[sel] @ linv[k].T
+        r = z[sel] @ c[k]
+        g = r[:, :n_field] @ op[k]
+        field[sel] = g[:, :n_field]
+        rhs[sel] = (r[:, n_field:] - g[:, n_field:]) * sign[sel]
+        del r, g  # before the next class's loads are gathered
+    return z, field, rhs
 
 
 def condense(elements, cls: np.ndarray, sign: np.ndarray, n_field: int) -> Condensed:
@@ -307,7 +319,7 @@ class TreeFactor:
     ill-conditioned coarse block would raise the backward error 1000-fold.
 
     A factor holds dof and steps: per step, the interior and boundary slots
-    of its patches, their +-1 signs as int8, and its [L^-1 | L^-1 M_IB].
+    of its patches as int32, their +-1 signs as int8, and its [L^-1 | L^-1 M_IB].
     No object of the factor or of its construction refers to itself, so
     reference counting frees the factor once solve_condensed returns, and
     a level holds no earlier level's factor.
@@ -318,8 +330,8 @@ class TreeFactor:
         # slots, -1 the others
         nt = mesh.n_triangles
         self.dof = dofmap.slot_values(dofmap.vertex, dofmap.edge)
-        ids = dofmap.element_slots(mesh)
-        cls, sign, schur = gs.cls, gs.sign.astype(np.int8), dict(enumerate(gs.blocks))
+        ids = dofmap.element_slots(mesh).astype(np.int32)  # StudyConfig.validate bounds them
+        cls, sign, schur = gs.cls, gs.sign.astype(np.int8, copy=False), dict(enumerate(gs.blocks))
         # steps, in elimination order (one per height and class, then one per
         # coarse block): interior slots, signs, boundary slots, signs of its
         # patches and [L^-1 | L^-1 M_IB] for their interior block M_II = L L^T
@@ -379,7 +391,9 @@ class TreeFactor:
             rel = signs[sel[0]] * merged_sign[sel[0], pos]  # of the group's first row
             m = np.zeros((len(u), len(u)))
             for p, r, block in zip(np.split(pos, cuts), np.split(rel, cuts), parts):
-                m[np.ix_(p, p)] += r[:, None] * block * r
+                for i in range(0, len(p), 256):  # by 256 rows: no part-sized temporary
+                    rows = slice(i, i + 256)
+                    m[np.ix_(p[rows], p)] += r[rows, None] * block[rows] * r
             op, schur[g] = eliminate(m, ni, what(g))
             self.steps.append((merged[sel, :ni], merged_sign[sel, :ni],
                                merged[sel, ni:], merged_sign[sel, ni:], op))

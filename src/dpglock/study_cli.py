@@ -130,17 +130,20 @@ class StudyConfig:
             if self.d_override <= 0:
                 raise ConfigError("scaling override must be positive")
         # solved in units of d, the rows are scaled back by d and d^(1-k)
-        k, (unit, d, scale) = MODELS[self.problem].module.ORDER, unit_config(self)
+        model, (unit, d, scale) = MODELS[self.problem].module, unit_config(self)
+        k, n_trace = model.ORDER, model.N_TRIAL - model.N_FIELD
         if not (all(np.finfo(float).tiny <= x < np.inf for x in (d, scale))
                 and np.isfinite(unit.gamma)):
             raise ConfigError(f"scaling length d = {d:.3g}: d or d^{1 - k} is not a normal "
                               f"float64, or the reaction gamma d^{2 * k} overflows")
         # the finest mesh on the sides R/d (nx x ny cells, 2 triangles a cell, 4 children each)
-        # must be indexable with normal float64 Jacobians, and the load's (k pi / side)^2k finite
+        # must list its trace slots by int32 (TreeFactor), with normal float64 Jacobians, and
+        # the load's (k pi / side)^2k finite
         nx, ny = msh.cells(self.r1, self.r2, self.ny0)
-        room = np.iinfo(np.intp).bits - 1 - float(np.log2(2.0 * nx * ny))
+        room = 31 - float(np.log2(2.0 * nx * ny * n_trace))
         if self.levels - 1 >= room / 2:  # compared exactly, however large levels is
-            raise ConfigError("the finest mesh has more triangles than an array can hold")
+            raise ConfigError(f"the finest mesh lists 2^31 or more trace slots ({n_trace} a "
+                              "triangle), more than int32 indexes")
         det = unit.r1 / nx * unit.r2 / ny / 4.0 ** (self.levels - 1)
         if not np.finfo(float).tiny <= det < np.inf:
             raise ConfigError(f"the finest Jacobian determinant {det:.3g} is not a normal float64")
@@ -240,7 +243,7 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, f) -> slv.Condensed:
     first, cls = fc.unique_rows(np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64))
     amaps = [fc.map_affine(mesh, t) for t in first]
     uw, gram, b, load, _ = MODELS[cfg.problem]
-    sign = np.ones((mesh.n_triangles, uw.N_TRIAL - uw.N_FIELD))
+    sign = np.ones((mesh.n_triangles, uw.N_TRIAL - uw.N_FIELD), np.int8)
     sign[:, uw.SIGNED_TRACE] = mesh.tri_edge_signs
     return slv.condense(lambda: (np.stack([gram(amap) for amap in amaps]),
                                  np.stack([b(amap, cfg.gamma) for amap in amaps]),

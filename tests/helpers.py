@@ -11,6 +11,9 @@ from dataclasses import replace
 import numpy as np
 
 from dpglock import fem_core as fc
+from dpglock import mesh as msh
+from dpglock import solver as slv
+from dpglock import study_cli as sc
 
 
 def dense_triangle_rule(n=16):
@@ -362,3 +365,19 @@ def shape_regularity(mesh):
     sides = p - np.roll(p, 1, axis=1)
     diam = np.sqrt((sides ** 2).sum(axis=2)).max(axis=1)
     return float((diam ** 2 / signed_areas(mesh)).max())
+
+
+def condense_rhs_arguments(problem, ny0, refine):
+    """The arguments (linv, c, op, cls, sign, load) that condense_mesh passes
+    to solver.condense_rhs on the unit square of ny0 cells a side, refined
+    refine times."""
+    mesh = msh.make_rect_mesh(1.0, 1.0, ny0)
+    for _ in range(refine):
+        mesh = msh.refine_uniform(mesh)
+    cfg, calls, real = sc.StudyConfig(problem=problem), [], slv.condense_rhs
+    slv.condense_rhs = lambda *args: calls.append(args) or real(*args)
+    try:
+        sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
+    finally:
+        slv.condense_rhs = real
+    return calls[0]

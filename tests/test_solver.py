@@ -14,8 +14,8 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import (full_normal_equations, full_solution, permuted, plate_dense_minres,
-                     poisson_dense_minres, trial_signs)
+from helpers import (condense_rhs_arguments, full_normal_equations, full_solution, permuted,
+                     plate_dense_minres, poisson_dense_minres, trial_signs)
 
 
 def random_spd(n, rng):
@@ -571,6 +571,44 @@ def test_by_class_matches_a_product_per_row():
     assert np.abs(slv.by_class(cls, x, blocks) - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
+def eliminate_reference(m, ni, what):
+    """eliminate as separate products and their concatenation."""
+    linv = slv.inverse_factor(m[..., :ni, :ni], what)
+    w = linv @ m[..., :ni, ni:]
+    s = m[..., ni:, ni:] - w.swapaxes(-1, -2) @ w
+    return np.concatenate([linv, w], axis=-1), 0.5 * (s + s.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("shape, ni", [((3, 40, 40), 15), ((40, 40), 15), ((3, 40, 40), 40),
+                                       ((40, 40), 40)])
+def test_eliminate_equals_the_separate_products(shape, ni):
+    # ni = n leaves an empty boundary, as the last coarse block of a TreeFactor does
+    # (381 x 381 on plate R10 L6); the 1e-9 asymmetry gives the symmetrization work
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(shape)
+    m = a @ a.swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1]) + 1e-9 * rng.standard_normal(shape)
+    for got, want in zip(slv.eliminate(m, ni, "m"), eliminate_reference(m, ni, "m")):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def condense_rhs_reference(linv, c, op, cls, sign, load):
+    """condense_rhs as three by_class products over all elements."""
+    n_field = op.shape[1]
+    z = slv.by_class(cls, load, linv.swapaxes(-1, -2))
+    r = slv.by_class(cls, z, c)
+    g = slv.by_class(cls, r[:, :n_field], op)
+    return z, g[:, :n_field], (r[:, n_field:] - g[:, n_field:]) * sign
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_condense_rhs_equals_three_by_class_products(problem):
+    args = condense_rhs_arguments(problem, 2, 2)
+    cls, sign = args[3], args[4]
+    assert len(np.unique(cls)) >= 3 and (sign < 0).any() and (sign > 0).any()
+    for got, want in zip(slv.condense_rhs(*args), condense_rhs_reference(*args)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_energy_residual_zero_for_zero_data():
     mesh = msh.make_rect_mesh(1.0, 1.0, 1)
     cfg = sc.StudyConfig(problem="poisson")
@@ -828,6 +866,36 @@ def test_coarse_dissection_keeps_its_fronts_small():
     skeleton = sum(ni for ni, _ in fronts)
     assert skeleton == 554
     assert max(n for _, n in fronts) <= skeleton / 4
+
+
+def test_signs_are_int8_and_factor_slots_int32():
+    cfg = sc.StudyConfig(problem="plate", r1=10.0, r2=10.0, norm="scaled")
+    mesh, _, cond, gs, tree = tree_level(cfg, 2)
+    assert cond.sign.dtype == gs.sign.dtype == np.int8
+    assert len(tree.steps) > len(np.unique(cond.cls))  # tree and coarse steps
+    for inner, inner_sign, outer, outer_sign, _ in tree.steps:
+        assert inner.dtype == outer.dtype == np.int32
+        assert inner_sign.dtype == outer_sign.dtype == np.int8
+
+
+def test_merge_sums_parts_by_rows_as_whole_parts():
+    # two parts of 600 slots that share 300, summed 256 rows at a time by merge, against
+    # the whole-part sum m[p, p] += r block r; slots below 400 are inside
+    rng = np.random.default_rng(7)
+    slots = np.concatenate([np.arange(600), np.arange(300, 900)])
+    signs = rng.choice(np.array([-1, 1], np.int8), 1200)
+    parts = [random_spd(600, rng) for _ in range(2)]
+    tree = object.__new__(slv.TreeFactor)
+    tree.steps = []
+    _, _, schur = tree.merge(slots[None], signs[None], np.zeros(1, int), lambda r: parts,
+                             lambda u, count: u < 400, lambda g: "merged block")
+    first = np.unique(slots, return_index=True)[1]  # the merged signs are the first listing's
+    m = np.zeros((900, 900))
+    for p, sign, block in zip(np.split(slots, [600]), np.split(signs, [600]), parts):
+        r = sign * signs[first][p]
+        m[np.ix_(p, p)] += r[:, None] * block * r
+    op, want = slv.eliminate(m, 400, "m")
+    assert np.array_equal(tree.steps[0][4], op) and np.array_equal(schur[0], want)
 
 
 @pytest.mark.parametrize("case", TREE_CASES)

@@ -17,7 +17,7 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import exact_u_grad_hess, full_solution, pointwise
+from helpers import condense_rhs_arguments, exact_u_grad_hess, full_solution, pointwise
 
 
 def cfg_poisson(**kw):
@@ -68,6 +68,14 @@ def test_config_validation(tmp_path):
     path = cfg_poisson(out=tmp_path / "study.csv")  # a path object is taken as its string
     path.validate()
     assert path.out == str(tmp_path / "study.csv")
+
+
+def test_finest_mesh_lists_its_trace_slots_by_int32():
+    # 6 trace slots a Poisson triangle, 2 triangles a cell, 4^(levels - 1) per coarse one:
+    # 6 * 2 * 4^14 >= 2^31 > 6 * 2 * 4^13; validate solves nothing
+    with pytest.raises(sc.ConfigError, match="int32"):
+        cfg_poisson(levels=15, ny0=1).validate()
+    cfg_poisson(levels=14, ny0=1).validate()
 
 
 def test_flag_echo_parses_back_to_the_config():
@@ -383,6 +391,29 @@ def test_point_work_memory_grows_with_the_output_only(problem):
     assert peaks[1][1] - peaks[0][1] <= grown * 3 * 2 * 8 + block
 
 
+def test_eliminate_holds_its_outputs_and_one_array_more():
+    # beside [L^-1 | L^-1 M_IB] and the Schur complement s, at most one array the size of
+    # the larger of them is alive at a time: the inverse factor's (ni, ni) temporaries,
+    # then the transpose that s += s^T copies
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((4, 300, 300))
+    m = a @ a.swapaxes(-1, -2) + 300 * np.eye(300)
+    slv.eliminate(m[:1], 120, "m")  # numpy.linalg's first call
+    op, schur = 4 * 120 * 300 * 8, 4 * 180 * 180 * 8
+    assert _peak_above_entry(slv.eliminate, m, 120, "m") <= op + schur + max(op, schur) + 65536
+
+
+def test_condense_rhs_holds_its_outputs_and_one_class_at_a_time():
+    # 2,048 Poisson triangles in classes of 256, 768 and 1,024: beside z, field and rhs,
+    # the largest class's gathered loads and their whitening, its mask and the mask's
+    # indices; full-length products over all elements would hold more
+    linv, c, op, cls, sign, load = args = condense_rhs_arguments("poisson", 16, 1)
+    nt, n_test, largest = len(cls), c.shape[1], np.bincount(cls).max()
+    outputs = nt * (n_test + op.shape[2]) * 8
+    one_class = largest * (2 * n_test * 8 + 8) + nt
+    assert _peak_above_entry(slv.condense_rhs, *args) <= outputs + one_class + 16384
+
+
 def test_run_study_errors_decrease():
     rows = sc.run_study(cfg_poisson(norm="scaled", levels=2))
     assert len(rows) == 2
@@ -566,6 +597,8 @@ def test_cli_stdout(capsys):
     ["--problem", "poisson", "--gamma", "1e306", "--r1", "100", "--r2", "100", "--norm", "scaled"],
     # a side whose plate load factor (2 pi / side)^4 overflows; Poisson's (pi / side)^2 does not
     ["--problem", "plate", "--r1", "1e-77", "--r2", "1e-77"],
+    # 18 trace slots a plate triangle: 18 * 2 * 4^13 >= 2^31 slots, beyond int32
+    ["--problem", "plate", "--levels", "14", "--ny0", "1"],
 ])
 def test_cli_configuration_errors_exit_one(argv, capsys):
     assert sc.main(argv) == 1
