@@ -252,16 +252,14 @@ def edge_ref_points(k: int, s: np.ndarray) -> np.ndarray:
     return a + np.outer(s, b - a)
 
 
-def load_vectors(verts: np.ndarray, f, rule: QuadRule, values: np.ndarray,
-                 n_cols: int) -> np.ndarray:
-    """(nt, n_cols) load vectors of the triangles with (nt, 3, 2) vertex array
-    verts: (f, phi_i)_T in the leading columns, for the basis tabulated as
-    values (nq, n) at rule.points, and zeros after them.  f(x, y) returns
-    separable terms (c, X, Y) with the value sum c X Y, evaluated per block
-    by point_values."""
-    load = np.zeros((len(verts), n_cols))
+def load_vectors(verts: np.ndarray, f, rule: QuadRule, values: np.ndarray) -> np.ndarray:
+    """(nt, n) load vectors (f, phi_i)_T of the triangles with (nt, 3, 2)
+    vertex array verts, for the n basis functions tabulated as values
+    (nq, n) at rule.points.  f(x, y) returns separable terms (c, X, Y) with
+    the value sum c X Y, evaluated per block by point_values."""
+    load = np.empty((len(verts), values.shape[1]))
     for sl, det, terms in point_values(verts, rule.points, f):
-        load[sl, :values.shape[1]] = (sum(terms) * rule.weights * det[:, None]) @ values
+        load[sl] = (sum(terms) * rule.weights * det[:, None]) @ values
     return load
 
 

@@ -33,9 +33,9 @@ class Mesh:
     """Triangulation of a simply connected polygon.
 
     vertices:       (nv, 2) coordinates
-    triangles:      (nt, 3) vertex indices, counterclockwise
-    edges:          (ne, 2) vertex indices, lower index first
-    tri_edges:      (nt, 3) edge index of local edge k = (vertex k, vertex k+1)
+    triangles:      (nt, 3) int32 vertex indices, counterclockwise
+    edges:          (ne, 2) int32 vertex indices, lower index first
+    tri_edges:      (nt, 3) int32 edge index of local edge k = (vertex k, vertex k+1)
     tri_edge_signs: (nt, 3) +1 if local traversal runs lower->higher index
     layout:         boundary layout, one of LAYOUTS
     depth:          number of refine_uniform steps from the coarse mesh
@@ -110,10 +110,10 @@ class DofMap:
     edge:   (ne, k) trace components per edge
 
     The free vertex components are numbered from 0 in vertex order, then the
-    free edge components in edge order; fixed slots hold -1.  The n_field
-    piecewise-constant fields of each triangle couple only inside it and are
-    eliminated element by element, so they get no number; n_free counts
-    them next to the n_trace traces.
+    free edge components in edge order, as int32; fixed slots hold -1.  The
+    n_field piecewise-constant fields of each triangle couple only inside it
+    and are eliminated element by element, so they get no number; n_free
+    counts them next to the n_trace traces.
     """
 
     n_free: int
@@ -127,7 +127,7 @@ class DofMap:
         """Number the traces, leaving out the slots set in the (nv, k) and
         (ne, k) masks."""
         free = ~np.concatenate([vertex_fixed.ravel(), edge_fixed.ravel()])
-        ids = np.where(free, np.cumsum(free) - 1, -1)
+        ids = np.where(free, np.cumsum(free) - 1, -1).astype(np.int32)
         n_trace = int(free.sum())
         vertex, edge = np.split(ids, [vertex_fixed.size])
         return cls(n_field * mesh.n_triangles + n_trace, n_trace,
@@ -158,16 +158,16 @@ class DofMap:
 
 
 def _connect(triangles: np.ndarray):
-    """Build the unique edge list plus per-triangle edge indices and signs."""
+    """Build the unique edge list plus per-triangle edge indices (int32) and signs."""
     a = triangles
     b = np.roll(triangles, -1, axis=1)
     pairs = np.stack([a, b], axis=2).reshape(-1, 2)  # local edge k = (v_k, v_{k+1})
-    n = triangles.max() + 1
-    # (lo, hi) pairs sort as the 1-D keys lo * n + hi
+    n = np.int64(triangles.max()) + 1
+    # (lo, hi) pairs sort as the 1-D keys lo * n + hi, formed in int64
     keys, inverse = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1),
                               return_inverse=True)
-    edges = np.column_stack([keys // n, keys % n])
-    tri_edges = inverse.reshape(-1, 3)
+    edges = np.column_stack([keys // n, keys % n]).astype(np.int32)
+    tri_edges = inverse.reshape(-1, 3).astype(np.int32)
     signs = np.where(pairs[:, 0] < pairs[:, 1], 1, -1).reshape(-1, 3)
     return edges, tri_edges, signs.astype(np.int8)
 
@@ -202,7 +202,7 @@ def make_rect_mesh(r1: float, r2: float, n: int, shape: tuple | None = None) -> 
     # (ll, lr, ur) and (ll, ur, ul) follow each other
     ll = (np.arange(nx) + (nx + 1) * np.arange(ny)[:, None]).ravel()
     triangles = np.stack([ll, ll + 1, ll + nx + 2,
-                          ll, ll + nx + 2, ll + nx + 1], axis=1).reshape(-1, 3)
+                          ll, ll + nx + 2, ll + nx + 1], axis=1).reshape(-1, 3).astype(np.int32)
 
     return Mesh(vertices, triangles, *_connect(triangles))
 

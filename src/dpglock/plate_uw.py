@@ -167,10 +167,11 @@ def local_b_plate(amap: fc.AffineMap) -> np.ndarray:
 
 def local_load_plate(verts: np.ndarray, f) -> np.ndarray:
     """Load vectors l[v] = -(f, v)_T of the triangles with (nt, 3, 2) vertex
-    array verts, shape (nt, 55); the tensor block is zero.  f(x, y) returns
-    separable terms, evaluated by fem_core.point_values."""
+    array verts, shape (nt, 10): the v block, the leading test rows (the
+    tensor block of l is zero).  f(x, y) returns separable terms, evaluated
+    by fem_core.point_values."""
     _, _, _, load_rule, v3_load, *_ = _kernels()
-    return fc.load_vectors(verts, f, load_rule, -v3_load, N_TEST)
+    return fc.load_vectors(verts, f, load_rule, -v3_load)
 
 
 class PlateDofMap(msh.DofMap):

@@ -87,10 +87,11 @@ def local_b_poisson(amap: fc.AffineMap, gamma: float) -> np.ndarray:
 
 def local_load_poisson(verts: np.ndarray, f) -> np.ndarray:
     """Load vectors l[v] = (f, v)_T of the triangles with (nt, 3, 2) vertex
-    array verts, shape (nt, 18); the tau block is zero.  f(x, y) returns
-    separable terms, evaluated by fem_core.point_values."""
+    array verts, shape (nt, 6): the v block, the leading test rows (the tau
+    block of l is zero).  f(x, y) returns separable terms, evaluated by
+    fem_core.point_values."""
     _, _, load_rule, test_load, *_ = _kernels()
-    return fc.load_vectors(verts, f, load_rule, test_load, N_TEST)
+    return fc.load_vectors(verts, f, load_rule, test_load)
 
 
 class PoissonDofMap(msh.DofMap):

@@ -5,20 +5,23 @@ the free trial unknowns is the SPD system of the minimum-residual scheme, and
 the element residuals measured through G^-1 give the energy error estimator
 exactly.  With the Cholesky factor G = L L^T both are computed in whitened
 form: C = L^-1 B gives S = C^T C, the whitened load z = L^-1 l gives the
-right side C^T z, and eta_T^2 = |z - C x|^2.  The piecewise-constant field
-unknowns couple only inside their own element, so they are eliminated
-element by element (static condensation): the global system holds the traces
-alone, with matrix the sum of the trace Schur complements
-S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered from the solved traces
-afterwards.  B is built in the element's outward orientation, so congruent
-elements share G and B; factorizations run once per congruence class and
-every per-element product is one matrix product per class (by_class).  The
-trace system is factored by the same dense elimination (eliminate) one level
-up (TreeFactor), by nested dissection along the refinement tree and then over
-the coarse mesh.  The full trace matrix is never summed for the solve: its
-products A x, for the refinement residuals, go through the class Schur
-complements (GlobalSystem.apply), and the backward error that certifies the
-solve is scaled by a lower bound on |A|_2 from the same blocks (solve_spd).
+right side C^T z, and eta_T^2 = |z - C x|^2.  z is never held for the
+mesh: the load is nonzero only on its leading (scalar) test rows, which are
+kept, and z is rebuilt one class at a time where it is used (whiten).  The
+piecewise-constant field unknowns couple only inside their own element, so
+they are eliminated element by element (static condensation): the global
+system holds the traces alone, with matrix the sum of the trace Schur
+complements S_tt - S_tf S_ff^-1 S_ft, and the fields are recovered from the
+solved traces afterwards.  B is built in the element's outward orientation,
+so congruent elements share G and B; factorizations run once per congruence
+class and every per-element product is one matrix product per class
+(by_class).  The trace system is factored by the same dense elimination
+(eliminate) one level up (TreeFactor), by nested dissection along the
+refinement tree and then over the coarse mesh.  The full trace matrix is
+never summed for the solve: its products A x, for the refinement residuals,
+go through the class Schur complements (GlobalSystem.apply), and the
+backward error that certifies the solve is scaled by a lower bound on |A|_2
+from the same blocks (solve_spd).
 A study runs numpy's BLAS on one thread (one_blas_thread).
 """
 
@@ -55,7 +58,8 @@ class Condensed:
     orientation signs on the orientation-odd trace slots.  The first
     n_field local trial slots are the fields f, the rest the traces t.  Given
     the element's traces x_t (in the mesh orientation), its fields are
-    field - lift (sign x_t).
+    field - lift (sign x_t).  The whitened load z = L^-1 l is not held: load
+    keeps the leading, nonzero columns of l, and whiten rebuilds z per class.
     """
 
     c: np.ndarray      # (nc, n_test, n_trial) L^-1 B
@@ -63,7 +67,8 @@ class Condensed:
     lift: np.ndarray   # (nc, n_field, n_trace) S_ff^-1 S_ft
     cls: np.ndarray    # (nt,) congruence class of each element
     sign: np.ndarray   # (nt, n_trace) int8 +-1, the mesh orientation of each trace slot
-    z: np.ndarray      # (nt, n_test) L^-1 l, the whitened load
+    linv: np.ndarray   # (nc, n_test, n_test) L^-1
+    load: np.ndarray   # (nt, n_load) the leading columns of l, zero beyond them
     field: np.ndarray  # (nt, n_field) S_ff^-1 r_f, with r = C^T z
     rhs: np.ndarray    # (nt, n_trace) sign (r_t - S_tf S_ff^-1 r_f)
 
@@ -132,39 +137,52 @@ def condense_local(gram: np.ndarray, b: np.ndarray, n_field: int):
     return linv, c, factor[..., :n_field].swapaxes(-1, -2) @ factor, schur
 
 
+def class_rows(cls: np.ndarray, n_classes: int):
+    """(k, rows) for each class k < n_classes: the elements of class k, as
+    indices, resolved once (a boolean mask is resolved at each use)."""
+    return ((k, np.flatnonzero(cls == k)) for k in range(n_classes))
+
+
 def by_class(cls: np.ndarray, x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Row t of the (nt, n) stack x times blocks[cls[t]], the (nc, n, m)
     matrix of its class, by one matrix product per class."""
     out = np.empty((len(cls), blocks.shape[-1]))
-    for k, block in enumerate(blocks):
-        sel = cls == k
-        out[sel] = x[sel] @ block
+    for k, sel in class_rows(cls, len(blocks)):
+        out[sel] = x[sel] @ blocks[k]
     return out
+
+
+def whiten(load: np.ndarray, linv: np.ndarray, k: int, sel: np.ndarray) -> np.ndarray:
+    """z = L^-1 l of the elements sel of class k: their loads, the leading
+    columns of l, zero-padded to the n_test rows of L^-1, times L^-T."""
+    padded = np.zeros((len(sel), linv.shape[-1]))
+    padded[:, :load.shape[1]] = load[sel]
+    return padded @ linv[k].T
 
 
 def condense_rhs(linv: np.ndarray, c: np.ndarray, op: np.ndarray,
                  cls: np.ndarray, sign: np.ndarray, load: np.ndarray):
-    """Whitened loads z = L^-1 l, field parts S_ff^-1 r_f and signed trace
-    right sides sign (r_t - S_tf S_ff^-1 r_f) of all elements, r = C^T z,
-    in one pass per class: the products of by_class, with no full-length r."""
+    """Field parts S_ff^-1 r_f and signed trace right sides
+    sign (r_t - S_tf S_ff^-1 r_f) of all elements, r = C^T z with the whitened
+    loads z = L^-1 l, in one pass per class: the products of by_class, with
+    no full-length z or r."""
     n_field = op.shape[1]
-    z, field, rhs = (np.empty((len(cls), n)) for n in (c.shape[1], n_field, op.shape[2] - n_field))
-    for k in range(len(c)):
-        sel = np.flatnonzero(cls == k)  # once: a boolean mask is resolved at each use
-        z[sel] = load[sel] @ linv[k].T
-        r = z[sel] @ c[k]
+    field, rhs = (np.empty((len(cls), n)) for n in (n_field, op.shape[2] - n_field))
+    for k, sel in class_rows(cls, len(c)):
+        r = whiten(load, linv, k, sel) @ c[k]
         g = r[:, :n_field] @ op[k]
         field[sel] = g[:, :n_field]
         rhs[sel] = (r[:, n_field:] - g[:, n_field:]) * sign[sel]
         del r, g  # before the next class's loads are gathered
-    return z, field, rhs
+    return field, rhs
 
 
 def condense(elements, cls: np.ndarray, sign: np.ndarray, n_field: int) -> Condensed:
     """Condensed systems of a mesh from elements(), which builds the (nc, ...)
-    stacks of per-class G and B and the (nt, n_test) element loads, the class
-    of each element, the (nt, n_trace) mesh orientation signs of each
-    element's trace slots and the number of field slots.
+    stacks of per-class G and B and the (nt, n_load) element loads (the
+    leading columns of l, n_load <= n_test), the class of each element, the
+    (nt, n_trace) mesh orientation signs of each element's trace slots and
+    the number of field slots.
 
     Element systems that overflow (data of magnitude near the float64 limit),
     as built or as condensed, raise SolverError here, without numpy warnings
@@ -172,11 +190,11 @@ def condense(elements, cls: np.ndarray, sign: np.ndarray, n_field: int) -> Conde
     with np.errstate(over="ignore", invalid="ignore"):
         gram, b, load = elements()
         linv, c, op, schur = condense_local(gram, b, n_field)
-        z, field, rhs = condense_rhs(linv, c, op, cls, sign, load)
-    if not all(np.isfinite(a).all() for a in (schur, z, field, rhs)):
+        field, rhs = condense_rhs(linv, c, op, cls, sign, load)
+    if not all(np.isfinite(a).all() for a in (schur, field, rhs)):
         raise SolverError("element systems overflowed: their condensed "
                           "matrices or right sides are not finite")
-    return Condensed(c, schur, op[..., n_field:], cls, sign, z, field, rhs)
+    return Condensed(c, schur, op[..., n_field:], cls, sign, linv, load, field, rhs)
 
 
 @dataclass(frozen=True)
@@ -199,12 +217,15 @@ class GlobalSystem:
 
     def local(self, x: np.ndarray) -> np.ndarray:
         """(m, k) signed values of x on every block's slots, 0 on -1 slots."""
-        return self.sign * gather_local(self.dofs, x)
+        out = gather_local(self.dofs, x)
+        out *= self.sign
+        return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x: gather, one product per class, sum."""
         y = by_class(self.cls, self.local(x), self.blocks.swapaxes(-1, -2))
-        return scatter(self.dofs, self.sign * y, len(self.rhs))
+        y *= self.sign
+        return scatter(self.dofs, y, len(self.rhs))
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of A, the sum of the class diagonals (sign^2 = 1)."""
@@ -318,8 +339,9 @@ class TreeFactor:
     matrix products over each step's patches; the explicit M_II^-1 of an
     ill-conditioned coarse block would raise the backward error 1000-fold.
 
-    A factor holds dof and steps: per step, the interior and boundary slots
-    of its patches as int32, their +-1 signs as int8, and its [L^-1 | L^-1 M_IB].
+    A factor holds dof (int32, as the dof map's numbers) and steps: per step,
+    the interior and boundary slots of its patches as int32, their +-1 signs
+    as int8, and its [L^-1 | L^-1 M_IB].
     No object of the factor or of its construction refers to itself, so
     reference counting frees the factor once solve_condensed returns, and
     a level holds no earlier level's factor.
@@ -441,8 +463,10 @@ def solve_condensed(mesh, dofmap, cond: Condensed):
 
 
 def gather_local(dofs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Local coefficient vector with constrained slots set to zero."""
-    return np.where(dofs >= 0, x[np.maximum(dofs, 0)], 0.0)
+    """Local coefficient vector with constrained slots set to zero, in one array."""
+    out = x[np.maximum(dofs, 0)]
+    out[dofs < 0] = 0.0
+    return out
 
 
 def scatter(dofs: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -454,7 +478,12 @@ def scatter(dofs: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 def energy_residual(cond: Condensed, fields: np.ndarray, local: np.ndarray):
     """Per-element and global energy error: eta_T^2 = r^T G^-1 r with
     r = l - B x, x the element's fields and its signed traces local (as
-    solve_condensed returns them), computed as |z - C x|^2."""
-    r = cond.z - by_class(cond.cls, np.hstack([fields, local]), cond.c.swapaxes(-1, -2))
-    eta_sq = np.einsum("ti,ti->t", r, r)
+    solve_condensed returns them), computed as |z - C x|^2 one class at a
+    time, z rebuilt by whiten."""
+    eta_sq = np.empty(len(cond.cls))
+    for k, sel in class_rows(cond.cls, len(cond.c)):
+        r = whiten(cond.load, cond.linv, k, sel)
+        r -= np.hstack([fields[sel], local[sel]]) @ cond.c[k].T
+        eta_sq[sel] = np.einsum("ti,ti->t", r, r)
+        del r  # before the next class's loads are gathered
     return np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))

@@ -235,12 +235,14 @@ def condense_mesh(mesh: msh.Mesh, cfg: StudyConfig, f) -> slv.Condensed:
     the mesh.  B is built in the element's outward orientation; the mesh's
     edge signs go to the one orientation-odd trace slot of each edge
     (SIGNED_TRACE of the model module) in Condensed.sign.  Only the load
-    depends on the element position.
+    depends on the element position; the model returns its nonzero
+    columns, the leading test rows.
     """
     verts = mesh.vertices[mesh.triangles]
     jac = (verts[:, 1:] - verts[:, :1]).reshape(-1, 4)
     # classes in lexicographic order of the key rows, each led by its first element
     first, cls = fc.unique_rows(np.rint(jac / np.abs(jac).max() * 1e12).astype(np.int64))
+    cls = cls.astype(np.min_scalar_type(len(first)))  # a handful of classes: uint8
     amaps = [fc.map_affine(mesh, t) for t in first]
     uw, gram, b, load, _ = MODELS[cfg.problem]
     sign = np.ones((mesh.n_triangles, uw.N_TRIAL - uw.N_FIELD), np.int8)

@@ -261,8 +261,24 @@ def exact_u_grad_hess(exact):
 
 def permuted(cond, order):
     """The same condensed systems with the elements taken in the given order."""
-    return replace(cond, cls=cond.cls[order], sign=cond.sign[order], z=cond.z[order],
+    return replace(cond, cls=cond.cls[order], sign=cond.sign[order], load=cond.load[order],
                    field=cond.field[order], rhs=cond.rhs[order])
+
+
+def full_load(load, n_test):
+    """The (nt, n_test) element loads l from their leading columns, as the
+    models return them, zero beyond them."""
+    out = np.zeros((len(load), n_test))
+    out[:, :load.shape[1]] = load
+    return out
+
+
+def whitened_load(cond):
+    """The (nt, n_test) whitened loads z = L^-1 l of every element, which the
+    condensed systems do not hold: the padded loads times their class's
+    L^-T, one by_class product."""
+    n_test = cond.linv.shape[-1]
+    return slv.by_class(cond.cls, full_load(cond.load, n_test), cond.linv.swapaxes(-1, -2))
 
 
 def full_dofs(dofs, n_field):
@@ -288,11 +304,12 @@ def full_normal_equations(dofs, n_free, cond):
     a = np.zeros((n_free, n_free))
     r = np.zeros(n_free)
     n_field = cond.lift.shape[1]
+    z = whitened_load(cond)
     for t, row in enumerate(full_dofs(dofs, n_field)):
         c = cond.c[cond.cls[t]] * np.concatenate([np.ones(n_field), cond.sign[t]])
         free = row >= 0
         a[np.ix_(row[free], row[free])] += (c.T @ c)[np.ix_(free, free)]
-        r[row[free]] += (c.T @ cond.z[t])[free]
+        r[row[free]] += (c.T @ z[t])[free]
     return a, r
 
 
@@ -307,7 +324,8 @@ def trial_signs(mesh, t, model):
 
 
 def _dense_minres(mesh, dm, model, gram, bmat, loads):
-    """Assemble the full block-diagonal test Gram matrix and the stacked
+    """From the element loads (their leading columns, as the model returns
+    them), assemble the full block-diagonal test Gram matrix and the stacked
     trial-to-test matrix over all unknowns (numbered as by full_dofs, in the
     mesh's edge orientation), invert the Gram matrix through its
     eigendecomposition, and solve the explicit dense normal equations."""
@@ -322,7 +340,7 @@ def _dense_minres(mesh, dm, model, gram, bmat, loads):
         for j, dof in enumerate(dofs):
             if dof >= 0:
                 big_b[rows, dof] += b[:, j]
-    big_l = loads.ravel()
+    big_l = full_load(loads, n_test).ravel()
     lam, vec = np.linalg.eigh(big_g)
     ginv = (vec / lam) @ vec.T
     x = np.linalg.solve(big_b.T @ ginv @ big_b, big_b.T @ ginv @ big_l)

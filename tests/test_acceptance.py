@@ -18,8 +18,9 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import (exact_u_grad_hess, full_solution, permuted, plate_consistency_residual,
-                     pointwise, poisson_consistency_residual, poisson_dense_minres, trial_signs)
+from helpers import (exact_u_grad_hess, full_load, full_solution, permuted,
+                     plate_consistency_residual, pointwise, poisson_consistency_residual,
+                     poisson_dense_minres, trial_signs)
 
 _RUNS = {}
 
@@ -277,7 +278,7 @@ def test_criterion_10_invariant_suite():
     n_test = mesh.n_triangles * pw.N_TEST
     big_g = np.zeros((n_test, n_test))
     resid = np.zeros(n_test)
-    loads = pw.local_load_poisson(mesh.vertices[mesh.triangles], exact.f)
+    loads = full_load(pw.local_load_poisson(mesh.vertices[mesh.triangles], exact.f), pw.N_TEST)
     for t in range(mesh.n_triangles):
         rows = slice(t * pw.N_TEST, (t + 1) * pw.N_TEST)
         amap = fc.map_affine(mesh, t)

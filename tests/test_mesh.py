@@ -32,7 +32,7 @@ def test_rect_mesh_triangles_match_cell_loop(r1, r2, n, nx, ny):
         for i in range(nx):
             ll, ul = i + j * (nx + 1), i + (j + 1) * (nx + 1)
             tris += [(ll, ll + 1, ul + 1), (ll, ul + 1, ul)]
-    expected = np.array(tris, dtype=np.int64)
+    expected = np.array(tris, dtype=np.int32)
     assert m.triangles.dtype == expected.dtype
     assert (m.triangles == expected).all() and m.triangles.shape == expected.shape
 
@@ -170,11 +170,12 @@ def test_unknown_layout_is_rejected():
 
 
 def connect_rowwise(triangles):
-    """Reference edge table: a unique over the (lower, higher) vertex rows."""
+    """Reference edge table: a unique over the (lower, higher) vertex rows,
+    indices stored as int32."""
     pairs = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2).reshape(-1, 2)
     edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
     signs = np.where(pairs[:, 0] < pairs[:, 1], 1, -1).reshape(-1, 3)
-    return edges, inverse.reshape(-1, 3), signs.astype(np.int8)
+    return edges.astype(np.int32), inverse.reshape(-1, 3).astype(np.int32), signs.astype(np.int8)
 
 
 def test_connect_matches_rowwise_unique():
@@ -187,6 +188,29 @@ def test_connect_matches_rowwise_unique():
         for got, ref in zip(built, connect_rowwise(tris)):
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
+
+
+def test_connect_forms_its_edge_keys_in_int64():
+    # lo * n + hi reaches 60,000 * 60,002 > 2^31 on one int32 triangle: keys formed in
+    # int32 would wrap, and the edges, their order and the triangle's edge indices go wrong
+    edges, tri_edges, signs = msh._connect(np.array([[0, 60000, 60001]], dtype=np.int32))
+    assert np.array_equal(edges, [[0, 60000], [0, 60001], [60000, 60001]])
+    assert np.array_equal(tri_edges, [[0, 2, 1]])
+    assert np.array_equal(signs, [[1, 1, -1]])
+    assert edges.dtype == tri_edges.dtype == np.int32
+
+
+def test_mesh_and_dof_map_indices_are_int32():
+    mesh = msh.make_rect_mesh(10.0, 1.0, 1)
+    for mesh in (mesh, msh.refine_uniform(mesh)):
+        assert mesh.triangles.dtype == mesh.edges.dtype == mesh.tri_edges.dtype == np.int32
+        vertex_fixed = np.zeros((mesh.n_vertices, 3), bool)
+        vertex_fixed[0] = True
+        edge_fixed = np.zeros((mesh.n_edges, 2), bool)
+        dm = msh.DofMap.number(mesh, 4, vertex_fixed, edge_fixed)
+        assert dm.vertex.dtype == dm.edge.dtype == dm.all_element_dofs(mesh).dtype == np.int32
+        assert dm.vertex[0].tolist() == [-1] * 3
+        assert dm.n_trace == vertex_fixed.size - 3 + edge_fixed.size
 
 
 @pytest.mark.parametrize("r1", [1.0, 10.0])  # the unit square and the R = 10 strip

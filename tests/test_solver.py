@@ -14,8 +14,9 @@ from dpglock import plate_uw as plw
 from dpglock import poisson_uw as pw
 from dpglock import solver as slv
 from dpglock import study_cli as sc
-from helpers import (condense_rhs_arguments, full_normal_equations, full_solution, permuted,
-                     plate_dense_minres, poisson_dense_minres, trial_signs)
+from helpers import (condense_rhs_arguments, full_load, full_normal_equations, full_solution,
+                     permuted, plate_dense_minres, poisson_dense_minres, trial_signs,
+                     whitened_load)
 
 
 def random_spd(n, rng):
@@ -213,9 +214,9 @@ def test_condense_mesh_signs_match_each_elements_own_system(problem):
         gram, b = local(fc.map_affine(mesh, t))
         linv, c, op, schur = slv.condense_local(
             gram, b * trial_signs(mesh, t, model), model.N_FIELD)
-        z, field, rhs = slv.condense_rhs(linv[None], c[None], op[None],
-                                         np.zeros(1, dtype=np.int64),
-                                         np.ones((1, len(schur))), loads[t][None])
+        field, rhs = slv.condense_rhs(linv[None], c[None], op[None],
+                                      np.zeros(1, dtype=np.int64),
+                                      np.ones((1, len(schur))), loads[t][None])
         k, sign = cond.cls[t], cond.sign[t]
         close(sign[:, None] * cond.schur[k] * sign[None, :], schur)
         close(cond.lift[k] * sign, op[:, model.N_FIELD:])
@@ -240,7 +241,7 @@ def test_flipping_one_elements_edge_signs_flips_only_its_signed_slots(problem, m
     odd[0, model.SIGNED_TRACE] = True
     assert np.array_equal(flipped.sign, np.where(odd, -cond.sign, cond.sign))
     assert np.array_equal(flipped.rhs, np.where(odd, -cond.rhs, cond.rhs))
-    for name in ("c", "schur", "lift", "cls", "z", "field"):
+    for name in ("c", "schur", "lift", "cls", "linv", "load", "field"):
         assert np.array_equal(getattr(flipped, name), getattr(cond, name))
 
 
@@ -592,12 +593,13 @@ def test_eliminate_equals_the_separate_products(shape, ni):
 
 
 def condense_rhs_reference(linv, c, op, cls, sign, load):
-    """condense_rhs as three by_class products over all elements."""
+    """condense_rhs as three by_class products over all elements, the first
+    whitening the loads padded to their full (nt, n_test) width."""
     n_field = op.shape[1]
-    z = slv.by_class(cls, load, linv.swapaxes(-1, -2))
+    z = slv.by_class(cls, full_load(load, linv.shape[-1]), linv.swapaxes(-1, -2))
     r = slv.by_class(cls, z, c)
     g = slv.by_class(cls, r[:, :n_field], op)
-    return z, g[:, :n_field], (r[:, n_field:] - g[:, n_field:]) * sign
+    return g[:, :n_field], (r[:, n_field:] - g[:, n_field:]) * sign
 
 
 @pytest.mark.parametrize("problem", ["poisson", "plate"])
@@ -607,6 +609,29 @@ def test_condense_rhs_equals_three_by_class_products(problem):
     assert len(np.unique(cls)) >= 3 and (sign < 0).any() and (sign > 0).any()
     for got, want in zip(slv.condense_rhs(*args), condense_rhs_reference(*args)):
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def energy_residual_reference(cond, fields, local):
+    """energy_residual as |z - C x|^2 over all elements at once: the full
+    (nt, n_test) whitened loads, one by_class product and one residual."""
+    r = whitened_load(cond) - slv.by_class(cond.cls, np.hstack([fields, local]),
+                                           cond.c.swapaxes(-1, -2))
+    eta_sq = np.einsum("ti,ti->t", r, r)
+    return np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))
+
+
+@pytest.mark.parametrize("problem", ["poisson", "plate"])
+def test_energy_residual_equals_the_full_length_residual(problem):
+    # four classes of unequal sizes, edges of both orientations: class by class, the
+    # residual is the full-length one bit for bit
+    mesh = msh.refine_uniform(msh.refine_uniform(msh.make_rect_mesh(3.0, 2.0, 2)))
+    cfg = sc.StudyConfig(problem=problem)
+    cond = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
+    fields, _, local = slv.solve_condensed(mesh, sc.MODELS[problem].dof_map(mesh), cond)
+    assert len(np.unique(np.bincount(cond.cls))) >= 2 and (cond.sign < 0).any()
+    for got, want in zip(slv.energy_residual(cond, fields, local),
+                         energy_residual_reference(cond, fields, local)):
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
 def test_energy_residual_zero_for_zero_data():
@@ -632,10 +657,12 @@ def test_zero_load_gives_zero_solution():
 def dense_riesz_eta_sq(mesh, dofs, fields, traces, model, gram, bmat, loads):
     """eta^2 = r^T G_global^-1 r from the dense block-diagonal Gram matrix
     and the residual r = l - B x of every element, both built from the
-    element's own map, B turned to the mesh orientation."""
+    element's own map, B turned to the mesh orientation, and the loads
+    (their leading columns, as the model returns them) padded to l."""
     n_test = model.N_TEST
     big_g = np.zeros((mesh.n_triangles * n_test,) * 2)
     r_glob = np.zeros(mesh.n_triangles * n_test)
+    loads = full_load(loads, n_test)
     for t in range(mesh.n_triangles):
         rows = slice(t * n_test, (t + 1) * n_test)
         amap = fc.map_affine(mesh, t)
@@ -876,6 +903,18 @@ def test_signs_are_int8_and_factor_slots_int32():
     for inner, inner_sign, outer, outer_sign, _ in tree.steps:
         assert inner.dtype == outer.dtype == np.int32
         assert inner_sign.dtype == outer_sign.dtype == np.int8
+
+
+@pytest.mark.parametrize("cfg", [
+    sc.StudyConfig(problem="poisson", r1=100.0, r2=100.0, norm="scaled"),
+    sc.StudyConfig(problem="plate", r1=10.0, r2=10.0, norm="scaled"),
+    sc.StudyConfig(problem="plate", r1=10.0, r2=1.0, bc="mixed", norm="scaled")],
+    ids=["poisson R100", "plate R10", "plate strip"])
+def test_classes_are_uint8_and_trace_indices_int32(cfg):
+    # the benchmark's meshes: a handful of classes, and int32 indices from the mesh on
+    mesh, dm, cond, gs, tree = tree_level(cfg, 2)
+    assert cond.cls.dtype == np.uint8
+    assert dm.all_element_dofs(mesh).dtype == gs.dofs.dtype == tree.dof.dtype == np.int32
 
 
 def test_merge_sums_parts_by_rows_as_whole_parts():

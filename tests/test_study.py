@@ -379,7 +379,8 @@ def test_point_work_memory_grows_with_the_output_only(problem):
     for _ in range(5):
         small = msh.refine_uniform(small)
     large = msh.refine_uniform(small)
-    load_fn(small.vertices[small.triangles[:1]], exact.f)  # build the cached kernels
+    # builds the cached kernels; the load holds the nonzero columns only
+    width = load_fn(small.vertices[small.triangles[:1]], exact.f).shape[1]
     peaks = []
     for mesh in (small, large):
         verts = mesh.vertices[mesh.triangles]
@@ -387,7 +388,7 @@ def test_point_work_memory_grows_with_the_output_only(problem):
         peaks.append((_peak_above_entry(load_fn, verts, exact.f),
                       _peak_above_entry(sc.compute_errors, mesh, cfg, fields, exact)))
     grown, block = large.n_triangles - small.n_triangles, 8 * fc.POINT_CHUNK
-    assert peaks[1][0] - peaks[0][0] <= grown * model.N_TEST * 8 + block
+    assert width < model.N_TEST and peaks[1][0] - peaks[0][0] <= grown * width * 8 + block
     assert peaks[1][1] - peaks[0][1] <= grown * 3 * 2 * 8 + block
 
 
@@ -404,14 +405,31 @@ def test_eliminate_holds_its_outputs_and_one_array_more():
 
 
 def test_condense_rhs_holds_its_outputs_and_one_class_at_a_time():
-    # 2,048 Poisson triangles in classes of 256, 768 and 1,024: beside z, field and rhs,
-    # the largest class's gathered loads and their whitening, its mask and the mask's
-    # indices; full-length products over all elements would hold more
+    # 2,048 Poisson triangles in classes of 256, 768 and 1,024: beside field and rhs, the
+    # largest class's padded loads and their whitening, its mask and the mask's indices;
+    # full-length products over all elements, or a full-length z, would hold more
     linv, c, op, cls, sign, load = args = condense_rhs_arguments("poisson", 16, 1)
     nt, n_test, largest = len(cls), c.shape[1], np.bincount(cls).max()
-    outputs = nt * (n_test + op.shape[2]) * 8
+    outputs = nt * op.shape[2] * 8
     one_class = largest * (2 * n_test * 8 + 8) + nt
     assert _peak_above_entry(slv.condense_rhs, *args) <= outputs + one_class + 16384
+
+
+def test_energy_residual_holds_eta_and_one_class_at_a_time():
+    # the same 2,048 triangles: beside eta^2 and its root, the largest class's whitened
+    # loads, its gathered unknowns, their product with C and its indices, and the mask;
+    # the full-length residual, [fields | local] and C x would hold more
+    cfg = sc.StudyConfig(problem="poisson")
+    mesh = msh.refine_uniform(msh.make_rect_mesh(1.0, 1.0, 16))
+    cond = sc.condense_mesh(mesh, cfg, sc.exact_bundle(cfg).f)
+    nt, largest = mesh.n_triangles, np.bincount(cond.cls).max()
+    n_test, n_trial = cond.c.shape[1:]
+    rng = np.random.default_rng(0)
+    x_f, x_t = rng.standard_normal((nt, pw.N_FIELD)), rng.standard_normal(cond.sign.shape)
+    one_class = largest * ((2 * n_test + n_trial) * 8 + 8) + nt
+    assert largest <= nt / 2 and n_trial < n_test
+    assert _peak_above_entry(slv.energy_residual, cond, x_f, x_t) <= (
+        2 * nt * 8 + one_class + 16384)
 
 
 def test_run_study_errors_decrease():
@@ -517,9 +535,13 @@ def test_model_record_matches_its_module(problem):
     mesh = msh.classify_boundary(msh.make_rect_mesh(1.0, 1.0, 2), msh.ALL_DIRICHLET)
     assert model.dof_map(mesh).element_slots(mesh).shape[1] == uw.N_TRIAL - uw.N_FIELD
     assert set(uw.SIGNED_TRACE) <= set(range(uw.N_TRIAL - uw.N_FIELD))
+    # the load's nonzero columns only: those of the scalar test functions v in
+    # P_(ORDER+1), which lead the test rows
+    n_v = fc.basis_p(uw.ORDER + 1, np.zeros((1, 2))).values.shape[1]
+    assert n_v < uw.N_TEST
     assert model.load(mesh.vertices[mesh.triangles],
                       lambda x, y: [(1.0, 1.0 + 0 * x, 1.0 + 0 * y)]).shape == (
-        mesh.n_triangles, uw.N_TEST)
+        mesh.n_triangles, n_v)
 
 
 def test_mesh_determinism_shared_rows():
