@@ -110,7 +110,9 @@ class DofMap:
     edge:   (ne, k) trace components per edge
 
     The free vertex components are numbered from 0 in vertex order, then the
-    free edge components in edge order, as int32; fixed slots hold -1.  The
+    free edge components in edge order, as int32; fixed slots hold -1.  So
+    the free trace slots (slot_values' layout), in slot order, are the
+    unknowns 0 ... n_trace - 1.  The
     n_field piecewise-constant fields of each triangle couple only inside it
     and are eliminated element by element, so they get no number; n_free
     counts them next to the n_trace traces.
@@ -142,13 +144,15 @@ class DofMap:
             for v, like in ((vertex, self.vertex), (edge, self.edge))])
 
     def element_slots(self, mesh: Mesh) -> np.ndarray:
-        """(nt, 3 k_vertex + 3 k_edge) trace slot (in the slot_values
+        """(nt, 3 k_vertex + 3 k_edge) int32 trace slot (in the slot_values
         layout) of every local trace of every triangle: the components of
-        its vertices, then those of its edges, in local order."""
+        its vertices, then those of its edges, in local order.
+        StudyConfig.validate keeps the slots below 2^31."""
         kv, ke, nt = self.vertex.shape[1], self.edge.shape[1], mesh.n_triangles
         return np.hstack([
-            (kv * mesh.triangles[:, :, None] + np.arange(kv)).reshape(nt, -1),
-            (self.vertex.size + ke * mesh.tri_edges[:, :, None] + np.arange(ke)).reshape(nt, -1),
+            (kv * mesh.triangles[:, :, None] + np.arange(kv, dtype=np.int32)).reshape(nt, -1),
+            (self.vertex.size + ke * mesh.tri_edges[:, :, None]
+             + np.arange(ke, dtype=np.int32)).reshape(nt, -1),
         ])
 
     def all_element_dofs(self, mesh: Mesh) -> np.ndarray:

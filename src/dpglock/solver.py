@@ -111,17 +111,17 @@ def inverse_factor(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def eliminate(m: np.ndarray, ni: int, what: str):
-    """Elimination of the first ni unknowns of every symmetric matrix M of a
-    (..., n, n) stack: [L^-1 | L^-1 M_IB] for the Cholesky factor L of M_II,
-    written into one array, and the symmetrized Schur complement
-    M_BB - M_BI M_II^-1 M_IB, formed in place."""
+    """Elimination of the first ni unknowns of every exactly symmetric matrix M
+    of a (..., n, n) stack: [L^-1 | L^-1 M_IB] for the Cholesky factor L of
+    M_II, written into one array, and the Schur complement M_BB - W^T W,
+    W = L^-1 M_IB, formed in place.  W^T W is exactly symmetric (numpy's
+    product of an operand with its own transpose gives (i, j) and (j, i) the
+    same sum), so the Schur complement is too."""
     op = np.empty((*m.shape[:-2], ni, m.shape[-1]))
     op[..., :ni] = inverse_factor(m[..., :ni, :ni], what)
     w = np.matmul(op[..., :ni], m[..., :ni, ni:], out=op[..., ni:])
     s = w.swapaxes(-1, -2) @ w
     np.subtract(m[..., ni:, ni:], s, out=s)
-    s += s.swapaxes(-1, -2)  # numpy copies the overlapping operand first
-    s *= 0.5
     return op, s
 
 
@@ -129,11 +129,12 @@ def condense_local(gram: np.ndarray, b: np.ndarray, n_field: int):
     """Whitening and condensed normal equations of an element, or of a
     stack of them: L^-1 for the Cholesky factor L of G, C = L^-1 B, the
     operator [S_ff^-1 | S_ff^-1 S_ft] that eliminates the field block of
-    S = C^T C, and the trace Schur complement S_tt - S_tf S_ff^-1 S_ft."""
+    S = C^T C (exactly symmetric, as eliminate takes it), and the trace
+    Schur complement S_tt - S_tf S_ff^-1 S_ft."""
     linv = inverse_factor(gram, "element Gram matrix")
     c = linv @ b
     s = c.swapaxes(-1, -2) @ c
-    factor, schur = eliminate(0.5 * (s + s.swapaxes(-1, -2)), n_field, "element field block")
+    factor, schur = eliminate(s, n_field, "element field block")
     return linv, c, factor[..., :n_field].swapaxes(-1, -2) @ factor, schur
 
 
@@ -339,7 +340,9 @@ class TreeFactor:
     matrix products over each step's patches; the explicit M_II^-1 of an
     ill-conditioned coarse block would raise the backward error 1000-fold.
 
-    A factor holds dof (int32, as the dof map's numbers) and steps: per step,
+    A factor holds the free-slot mask free (the dof map numbers the free
+    slots 0 ... n_trace - 1 in slot order, so they are the unknowns in
+    order) and steps: per step,
     the interior and boundary slots of its patches as int32, their +-1 signs
     as int8, and its [L^-1 | L^-1 M_IB].
     No object of the factor or of its construction refers to itself, so
@@ -348,12 +351,11 @@ class TreeFactor:
     """
 
     def __init__(self, mesh, dofmap, gs: GlobalSystem):
-        # ids are trace slots (DofMap.element_slots); dof numbers the free
-        # slots, -1 the others
+        # ids are int32 trace slots (DofMap.element_slots), signs int8 (Condensed.sign)
         nt = mesh.n_triangles
-        self.dof = dofmap.slot_values(dofmap.vertex, dofmap.edge)
-        ids = dofmap.element_slots(mesh).astype(np.int32)  # StudyConfig.validate bounds them
-        cls, sign, schur = gs.cls, gs.sign.astype(np.int8, copy=False), dict(enumerate(gs.blocks))
+        self.free = dofmap.slot_values(dofmap.vertex, dofmap.edge) >= 0
+        ids = dofmap.element_slots(mesh)
+        cls, sign, schur = gs.cls, gs.sign, dict(enumerate(gs.blocks))
         # steps, in elimination order (one per height and class, then one per
         # coarse block): interior slots, signs, boundary slots, signs of its
         # patches and [L^-1 | L^-1 M_IB] for their interior block M_II = L L^T
@@ -366,8 +368,8 @@ class TreeFactor:
                 cat, cat_sign, cls[:n], lambda r: [schur[cls[r + k * n]] for k in range(4)],
                 lambda slots, count: count == 2,
                 lambda c: f"interior block of height {h}, class {c}")
-        free = self.dof[ids] >= 0
-        touches = np.bincount(ids[free], minlength=len(self.dof))
+        free = self.free[ids]
+        touches = np.bincount(ids[free], minlength=len(self.free))
         centroid = mesh.vertices[mesh.triangles].mean(axis=1).reshape(-1, len(ids), 2).mean(axis=0)
         done = []  # per block factored and not yet joined: (slots, signs, matrix) parts
         for tris in bisection(centroid, np.arange(len(ids))):
@@ -423,20 +425,17 @@ class TreeFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The traces x with A x = b, A the sum of the element systems."""
-        free = self.dof >= 0
-        w = np.zeros(len(self.dof))
-        w[free] = b[self.dof[free]]
+        w = np.zeros(len(self.free))
+        w[self.free] = b
         y = []  # L^-1 f_I of every patch, f_I its interior right side
         for inner, inner_sign, outer, outer_sign, k in self.steps:
             y.append((w[inner] * inner_sign) @ k[:, :len(k)].T)
             w -= np.bincount(outer.ravel(), (y[-1] @ k[:, len(k):] * outer_sign).ravel(), len(w))
-        xs = np.zeros(len(self.dof))
+        xs = np.zeros(len(self.free))
         for inner, inner_sign, outer, outer_sign, k in reversed(self.steps):
             z = y.pop() - (xs[outer] * outer_sign) @ k[:, len(k):].T
             xs[inner] = z @ k[:, :len(k)] * inner_sign
-        out = np.empty(len(b))
-        out[self.dof[free]] = xs[free]
-        return out
+        return xs[self.free]
 
 
 def bisection(centroid: np.ndarray, tris: np.ndarray) -> list:

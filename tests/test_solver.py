@@ -307,10 +307,10 @@ def test_dof_map_numbers_the_free_traces_only(model, dof_map, bc):
     dm = dof_map(mesh)
     dofs = dm.all_element_dofs(mesh)
     assert dofs.shape == (mesh.n_triangles, model.N_TRIAL - model.N_FIELD)
-    # each free trace slot has one number, the numbers are 0 ... n_trace - 1,
-    # and every one of them is a slot of some element
-    ids = np.concatenate([dm.vertex.ravel(), dm.edge.ravel()])
-    assert (np.sort(ids[ids >= 0]) == np.arange(dm.n_trace)).all()
+    # the free trace slots, in slot order, are the unknowns 0 ... n_trace - 1
+    # (TreeFactor.solve reads them so), and every one of them is a slot of some element
+    ids = dm.slot_values(dm.vertex, dm.edge)
+    assert (ids[ids >= 0] == np.arange(dm.n_trace)).all()
     assert (np.unique(dofs[dofs >= 0]) == np.arange(dm.n_trace)).all()
     assert dm.n_free == model.N_FIELD * mesh.n_triangles + dm.n_trace
 
@@ -502,6 +502,25 @@ def test_trace_systems_factor_without_pivots_into_positive_pivots(argv, monkeypa
 
 
 @pytest.mark.parametrize("argv", BENCHMARK_STUDIES)
+def test_eliminations_take_and_leave_exactly_symmetric_matrices(argv, monkeypatch, tmp_path):
+    # eliminate does not symmetrize: every M it is handed (the elements' C^T C, the sums of
+    # merge's signed parts) and every Schur complement it returns (the elements', the
+    # heights' and the coarse blocks') equals its transpose bit for bit
+    calls, eliminate = [], slv.eliminate
+
+    def record(m, ni, what):
+        op, s = eliminate(m, ni, what)
+        calls.append(what)
+        assert np.array_equal(m, m.swapaxes(-1, -2)), what
+        assert np.array_equal(s, s.swapaxes(-1, -2)), what
+        return op, s
+
+    monkeypatch.setattr(slv, "eliminate", record)
+    assert sc.main([*f"{argv} --levels 3".split(), "--out", str(tmp_path / "study.csv")]) == 0
+    assert calls.count("element field block") == 3 and len(calls) > 3
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_STUDIES)
 def test_certificate_scale_is_never_looser_than_the_row_sum_scale(argv, monkeypatch,
                                                                   tmp_path):
     # max(max A_ii, |A x| / |x|) <= |A|_2 <= |A|_inf for SPD A: a smaller
@@ -577,19 +596,23 @@ def eliminate_reference(m, ni, what):
     linv = slv.inverse_factor(m[..., :ni, :ni], what)
     w = linv @ m[..., :ni, ni:]
     s = m[..., ni:, ni:] - w.swapaxes(-1, -2) @ w
-    return np.concatenate([linv, w], axis=-1), 0.5 * (s + s.swapaxes(-1, -2))
+    return np.concatenate([linv, w], axis=-1), s
 
 
 @pytest.mark.parametrize("shape, ni", [((3, 40, 40), 15), ((40, 40), 15), ((3, 40, 40), 40),
                                        ((40, 40), 40)])
 def test_eliminate_equals_the_separate_products(shape, ni):
     # ni = n leaves an empty boundary, as the last coarse block of a TreeFactor does
-    # (381 x 381 on plate R10 L6); the 1e-9 asymmetry gives the symmetrization work
+    # (381 x 381 on plate R10 L6); M is exactly symmetric, as eliminate takes it, and
+    # so is its Schur complement
     rng = np.random.default_rng(11)
-    a = rng.standard_normal(shape)
-    m = a @ a.swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1]) + 1e-9 * rng.standard_normal(shape)
-    for got, want in zip(slv.eliminate(m, ni, "m"), eliminate_reference(m, ni, "m")):
+    a, e = rng.standard_normal(shape), 1e-9 * rng.standard_normal(shape)
+    m = a @ a.swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1]) + (e + e.swapaxes(-1, -2))
+    assert np.array_equal(m, m.swapaxes(-1, -2))
+    op, schur = slv.eliminate(m, ni, "m")
+    for got, want in zip((op, schur), eliminate_reference(m, ni, "m")):
         assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(schur, schur.swapaxes(-1, -2))
 
 
 def condense_rhs_reference(linv, c, op, cls, sign, load):
@@ -914,7 +937,9 @@ def test_classes_are_uint8_and_trace_indices_int32(cfg):
     # the benchmark's meshes: a handful of classes, and int32 indices from the mesh on
     mesh, dm, cond, gs, tree = tree_level(cfg, 2)
     assert cond.cls.dtype == np.uint8
-    assert dm.all_element_dofs(mesh).dtype == gs.dofs.dtype == tree.dof.dtype == np.int32
+    assert dm.element_slots(mesh).dtype == np.int32
+    assert dm.all_element_dofs(mesh).dtype == gs.dofs.dtype == np.int32
+    assert tree.free.dtype == bool
 
 
 def test_merge_sums_parts_by_rows_as_whole_parts():
@@ -935,6 +960,7 @@ def test_merge_sums_parts_by_rows_as_whole_parts():
         m[np.ix_(p, p)] += r[:, None] * block * r
     op, want = slv.eliminate(m, 400, "m")
     assert np.array_equal(tree.steps[0][4], op) and np.array_equal(schur[0], want)
+    assert np.array_equal(schur[0], schur[0].T)
 
 
 @pytest.mark.parametrize("case", TREE_CASES)
@@ -1007,7 +1033,7 @@ def test_tree_interior_traces_are_free_and_off_the_domain_boundary(case):
     patches = np.concatenate(inner[:mesh.depth])
     assert (lookup(patches, mesh.vertex_tags, mesh.edge_tags) == msh.INTERIOR).all()
     # the patches and the coarse blocks eliminate every free trace once
-    assert np.array_equal(np.sort(np.concatenate(inner)), np.flatnonzero(tree.dof >= 0))
+    assert np.array_equal(np.sort(np.concatenate(inner)), np.flatnonzero(tree.free))
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])

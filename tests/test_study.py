@@ -393,15 +393,16 @@ def test_point_work_memory_grows_with_the_output_only(problem):
 
 
 def test_eliminate_holds_its_outputs_and_one_array_more():
-    # beside [L^-1 | L^-1 M_IB] and the Schur complement s, at most one array the size of
-    # the larger of them is alive at a time: the inverse factor's (ni, ni) temporaries,
-    # then the transpose that s += s^T copies
+    # beside [L^-1 | L^-1 M_IB] and the Schur complement s, only the inverse factor's
+    # temporaries are alive: the Cholesky factor of M_II and its inverse, two (4, ni, ni)
+    # stacks that together are smaller than either output; s is formed in place and never
+    # copied
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 300, 300))
     m = a @ a.swapaxes(-1, -2) + 300 * np.eye(300)
     slv.eliminate(m[:1], 120, "m")  # numpy.linalg's first call
-    op, schur = 4 * 120 * 300 * 8, 4 * 180 * 180 * 8
-    assert _peak_above_entry(slv.eliminate, m, 120, "m") <= op + schur + max(op, schur) + 65536
+    op, schur, inverse = 4 * 120 * 300 * 8, 4 * 180 * 180 * 8, 2 * 4 * 120 * 120 * 8
+    assert _peak_above_entry(slv.eliminate, m, 120, "m") <= op + schur + inverse + 65536
 
 
 def test_condense_rhs_holds_its_outputs_and_one_class_at_a_time():
